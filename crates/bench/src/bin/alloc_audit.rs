@@ -1,7 +1,8 @@
 //! `alloc_audit` — proves the steady-state score path is allocation-free,
 //! for the vProfile backend, the Viden baseline backend, *and* the fused
 //! three-voter ensemble (vProfile + Viden + Scission with drift
-//! detection live).
+//! detection live), and bounds what the whole pipeline allocates from
+//! `feed` to the last event.
 //!
 //! ```text
 //! alloc_audit [--frames N] [--seed S] [--out FILE]
@@ -26,17 +27,28 @@
 //! allocations per frame" a CI-enforced invariant for the primary backend,
 //! for at least one baseline, and for the full ensemble (every voter
 //! scored + calibrated + fused + drift-charted per frame) rather than a
-//! code comment. A JSON artifact with the per-engine counter deltas is
-//! written for the benchmark record.
+//! code comment. These measured sections are single-threaded, so every
+//! counted event is attributable to the score path.
 //!
-//! The measured sections are single-threaded, so every counted event is
-//! attributable to the score path.
+//! The pipeline rows then run the vProfile engine through
+//! [`vprofile_ids::IdsPipeline`] at 1 and 2 workers, feed to last event,
+//! with the chunks built before the counters start and one warm-up pass
+//! first. What remains is the `Arc` each fed chunk moves into, the std
+//! channels' blocks (one per 31 messages on each of the two event
+//! channels) and the supervisor's engine checkpoint every 256 windows.
+//! The process exits non-zero at one or more allocations per frame, which
+//! would mean a per-window allocation came back. A JSON artifact with
+//! every counter delta is written for the benchmark record.
 
 use serde::Serialize;
 use std::process::ExitCode;
+use std::time::Duration;
 use vprofile::{EdgeSetExtractor, Trainer, VProfileConfig};
 use vprofile_baselines::{ScissionDetector, VidenDetector};
-use vprofile_ids::{Backend, FusionConfig, FusionEngine, IdsEngine, StreamFramer, UpdatePolicy};
+use vprofile_ids::{
+    Backend, FusionConfig, FusionEngine, IdsEngine, IdsPipeline, PipelineConfig, StreamFramer,
+    UpdatePolicy,
+};
 use vprofile_vehicle::scenario::stress_fleet;
 use vprofile_vehicle::CaptureConfig;
 
@@ -47,6 +59,10 @@ static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocato
 const CAPTURE_FRAMES: usize = 400;
 /// ECUs in the stress fleet.
 const ECUS: usize = 8;
+/// Samples per fed chunk, as in the throughput harnesses.
+const CHUNK: usize = 65_536;
+/// Capture passes the pipeline rows measure, after one warm-up pass.
+const PIPELINE_PASSES: usize = 3;
 
 #[derive(Serialize)]
 struct BackendAudit {
@@ -62,12 +78,27 @@ struct BackendAudit {
 }
 
 #[derive(Serialize)]
+struct PipelineAudit {
+    workers: usize,
+    chunks_measured: u64,
+    frames_measured: u64,
+    allocations: u64,
+    reallocations: u64,
+    deallocations: u64,
+    bytes_requested: u64,
+    allocs_per_chunk: f64,
+    allocs_per_frame: f64,
+    passed: bool,
+}
+
+#[derive(Serialize)]
 struct Report {
     benchmark: &'static str,
     ecus: usize,
     seed: u64,
     passed: bool,
     backends: Vec<BackendAudit>,
+    pipeline: Vec<PipelineAudit>,
     note: &'static str,
 }
 
@@ -140,6 +171,17 @@ fn main() -> ExitCode {
             );
         }
     }
+    for a in &report.pipeline {
+        eprintln!(
+            "{} [pipeline, {} workers]: {:.3} allocs/chunk, {:.4} allocs/frame over {} frames \
+             (gate: < 1 per frame)",
+            if a.passed { "PASS" } else { "FAIL" },
+            a.workers,
+            a.allocs_per_chunk,
+            a.allocs_per_frame,
+            a.frames_measured
+        );
+    }
     if report.passed {
         ExitCode::SUCCESS
     } else {
@@ -203,6 +245,7 @@ fn run(options: &Options) -> Result<Report, String> {
     let primary = Backend::vprofile(model, 2.0);
     let viden = Backend::from(viden);
     let scission = Backend::from(scission);
+    let piped = IdsEngine::with_backend(primary.clone(), config.clone(), UpdatePolicy::disabled());
 
     let engines = [
         IdsEngine::with_backend(primary.clone(), config.clone(), UpdatePolicy::disabled()),
@@ -229,17 +272,97 @@ fn run(options: &Options) -> Result<Report, String> {
         fused.process_window(pos, window).is_anomaly()
     })?);
 
+    let pipeline = [1, 2]
+        .into_iter()
+        .map(|workers| audit_pipeline(&piped, &stream, workers))
+        .collect::<Result<Vec<_>, _>>()?;
+
     Ok(Report {
         benchmark: "alloc_audit",
         ecus: ECUS,
         seed: options.seed,
-        passed: backends.iter().all(|a| a.passed),
+        passed: backends.iter().all(|a| a.passed) && pipeline.iter().all(|a| a.passed),
         backends,
-        note: "Counts cover the steady-state extract+score loop only: windows are \
-               pre-framed and the scoring cache plus scratch arena are warmed by one \
-               full pass before the counters are read. passed == (allocations + \
-               reallocations == 0) for every audited backend.",
+        pipeline,
+        note: "backends: pre-framed windows after one warm-up pass; passed == \
+               (allocations + reallocations == 0). pipeline: feed to last event over \
+               pre-built chunks after one warm-up pass; passed == < 1 per frame.",
     })
+}
+
+/// Audits [`IdsPipeline`] end to end at `workers` workers: one warm-up
+/// pass of `stream` grows every ring, scratch buffer and reorder slot to
+/// its steady state, then the counters cover [`PIPELINE_PASSES`] more
+/// passes from the first `feed` to the last event. Every chunk is built
+/// before the counters start.
+fn audit_pipeline(
+    engine: &IdsEngine,
+    stream: &[f64],
+    workers: usize,
+) -> Result<PipelineAudit, String> {
+    let config = engine.config();
+    let chunks = |passes: usize| -> Vec<Vec<f64>> {
+        (0..passes)
+            .flat_map(|_| stream.chunks(CHUNK).map(<[f64]>::to_vec))
+            .collect()
+    };
+    // Frames that close within the first `passes` passes, which is what
+    // the pipeline has delivered once it has consumed them.
+    let closed = |passes: usize| -> u64 {
+        let mut framer = StreamFramer::new(config.bit_width_samples, config.bit_threshold);
+        (0..passes).map(|_| framer.push(stream).len() as u64).sum()
+    };
+    let warm_frames = closed(1);
+    let frames_measured = closed(1 + PIPELINE_PASSES) - warm_frames;
+    let warm = chunks(1);
+    let measured = chunks(PIPELINE_PASSES);
+    let chunks_measured = measured.len() as u64;
+
+    let mut pipeline = IdsPipeline::spawn_sharded(
+        engine.clone(),
+        PipelineConfig::default().with_workers(workers),
+    );
+    feed_until(&pipeline, warm, warm_frames)?;
+    let before = ALLOC.snapshot();
+    feed_until(&pipeline, measured, frames_measured)?;
+    let delta = ALLOC.snapshot().since(&before);
+    pipeline.close_input();
+    pipeline
+        .close()
+        .map_err(|e| format!("pipeline close: {e}"))?;
+
+    let total = delta.total_allocations() as f64;
+    let allocs_per_frame = total / frames_measured.max(1) as f64;
+    Ok(PipelineAudit {
+        workers,
+        chunks_measured,
+        frames_measured,
+        allocations: delta.allocations,
+        reallocations: delta.reallocations,
+        deallocations: delta.deallocations,
+        bytes_requested: delta.bytes_requested,
+        allocs_per_chunk: total / chunks_measured.max(1) as f64,
+        allocs_per_frame,
+        passed: allocs_per_frame < 1.0,
+    })
+}
+
+/// Feeds `chunks`, draining events as they arrive, and returns once
+/// `frames` events have been received.
+fn feed_until(pipeline: &IdsPipeline, chunks: Vec<Vec<f64>>, frames: u64) -> Result<(), String> {
+    let mut events = 0u64;
+    for chunk in chunks {
+        pipeline.feed(chunk).map_err(|e| format!("feed: {e}"))?;
+        events += pipeline.events().try_iter().count() as u64;
+    }
+    while events < frames {
+        pipeline
+            .events()
+            .recv_timeout(Duration::from_secs(30))
+            .map_err(|e| format!("waiting for event {events} of {frames}: {e}"))?;
+        events += 1;
+    }
+    Ok(())
 }
 
 /// Warms one engine (`score` returns "was this window an anomaly") over

@@ -35,7 +35,10 @@ struct MatrixRun {
     frames: u64,
     elapsed_s: f64,
     frames_per_sec: f64,
-    speedup_vs_single: f64,
+    /// Throughput over the 1-worker run; `None` when the run has more
+    /// workers than `available_parallelism`, where the ratio measures
+    /// timeslicing, not scaling.
+    speedup_vs_single: Option<f64>,
     anomalies: u64,
     normals: u64,
     stage_ns: StageBreakdown,
@@ -138,11 +141,13 @@ fn run(options: &Options) -> Result<Report, String> {
             let (frames, elapsed_s, anomalies, normals, stage_ns) =
                 timed_run(engine.clone(), &stream, reps, workers)?;
             let frames_per_sec = frames as f64 / elapsed_s;
-            let speedup_vs_single = single_fps.map(|s| frames_per_sec / s).unwrap_or(1.0);
+            let speedup_vs_single =
+                (workers <= cores).then(|| single_fps.map_or(1.0, |s| frames_per_sec / s));
             single_fps.get_or_insert(frames_per_sec);
+            let speedup = speedup_vs_single.map_or("unmeasured".into(), |x| format!("×{x:.2}"));
             eprintln!(
                 "{backend} workers {workers}: {frames} frames in {elapsed_s:.3} s → \
-                 {frames_per_sec:.0} frames/s (×{speedup_vs_single:.2} vs single)"
+                 {frames_per_sec:.0} frames/s ({speedup} vs single)"
             );
             runs.push(MatrixRun {
                 backend,
@@ -166,7 +171,8 @@ fn run(options: &Options) -> Result<Report, String> {
         available_parallelism: cores,
         worker_counts,
         note: "All backends replay the same stream through the same sharded \
-               pipeline; differences isolate scoring cost. Regenerate on a \
+               pipeline; differences isolate scoring cost. Speedup is null for runs \
+               with more workers than available_parallelism; regenerate on a \
                multi-core host (CI does) before reading the scaling numbers.",
         runs,
     })

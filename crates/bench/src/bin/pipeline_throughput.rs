@@ -18,8 +18,9 @@
 //! the clean fast path.
 //!
 //! Speedup over the single-worker run is only meaningful on a multi-core
-//! host; the artifact records `available_parallelism` so consumers can
-//! judge the numbers, and CI regenerates it on its own runners.
+//! host: the artifact records `available_parallelism`, writes
+//! `speedup_vs_single: null` for runs with more workers than that, and CI
+//! regenerates it on its own runners.
 
 use serde::Serialize;
 use std::process::ExitCode;
@@ -44,12 +45,16 @@ struct WorkerRun {
     frames: u64,
     elapsed_s: f64,
     frames_per_sec: f64,
-    speedup_vs_single: f64,
+    /// Throughput over the 1-worker run; `None` when the run has more
+    /// workers than `available_parallelism`, where the ratio measures
+    /// timeslicing, not scaling.
+    speedup_vs_single: Option<f64>,
     anomalies: u64,
     shard_frames: Vec<u64>,
-    /// Cumulative per-stage nanoseconds (router framing+routing, worker
-    /// extraction, worker scoring, merger reordering). Extract/score sum
-    /// across workers, so they can exceed the run's wall clock.
+    /// Cumulative per-stage nanoseconds (splitting inside `feed`, copies
+    /// of chunk-straddling windows, worker extraction, worker scoring,
+    /// merger reordering). Worker stages sum across workers, so they can
+    /// exceed the run's wall clock.
     stage_ns: StageBreakdown,
 }
 
@@ -144,11 +149,13 @@ fn run(options: &Options) -> Result<Report, String> {
             let (frames, elapsed_s, anomalies, shard_frames, stage_ns) =
                 timed_run(engine.clone(), samples, reps, workers)?;
             let frames_per_sec = frames as f64 / elapsed_s;
-            let speedup_vs_single = single_fps.map(|s| frames_per_sec / s).unwrap_or(1.0);
+            let speedup_vs_single =
+                (workers <= cores).then(|| single_fps.map_or(1.0, |s| frames_per_sec / s));
             single_fps.get_or_insert(frames_per_sec);
+            let speedup = speedup_vs_single.map_or("unmeasured".into(), |x| format!("×{x:.2}"));
             eprintln!(
                 "{variant} workers {workers}: {frames} frames in {elapsed_s:.3} s → \
-                 {frames_per_sec:.0} frames/s (×{speedup_vs_single:.2} vs single)"
+                 {frames_per_sec:.0} frames/s ({speedup} vs single)"
             );
             runs.push(WorkerRun {
                 variant,
@@ -170,8 +177,9 @@ fn run(options: &Options) -> Result<Report, String> {
         seed: options.seed,
         frames_per_run: (reps * CAPTURE_FRAMES) as u64,
         available_parallelism: cores,
-        note: "Speedup over one worker is bounded by available_parallelism; \
-               regenerate on a multi-core host (CI does) before reading the scaling numbers. \
+        note: "Speedup over one worker is bounded by available_parallelism and is null \
+               for runs with more workers than that; regenerate on a multi-core host (CI \
+               does) before reading the scaling numbers. \
                The dropout_1pct variant replays the same traffic with 1% seeded sample \
                dropout, so its frame count and anomaly mix differ from the clean runs.",
         runs,

@@ -1,17 +1,18 @@
 //! `fuzz_smoke` — deterministic fuzzing without `cargo-fuzz`: replays the
-//! committed seed corpus through both fuzz targets, then runs a seeded
+//! committed seed corpus through every fuzz target, then runs a seeded
 //! mutation loop over it. Any invariant violation panics (non-zero exit),
 //! which is what the CI job gates on.
 //!
 //! ```text
-//! fuzz_smoke [--runs N] [--target framer|extractor|all] [--seed S]
+//! fuzz_smoke [--runs N] [--target framer|extractor|feed|all] [--seed S]
 //!            [--corpus DIR] [--regen-corpus]
 //! ```
 //!
 //! `--regen-corpus` rebuilds the seed corpus from synthesized captures:
 //! clean frame windows and streams, chaos-corrupted twins (dropout, EMI
-//! burst, non-finite DMA words), and truncations. The corpus is committed,
-//! so regeneration is only needed when the capture substrate changes.
+//! burst, non-finite DMA words), and truncations. The feed target starts
+//! from the framer's streams. The corpus is committed, so regeneration is
+//! only needed when the capture substrate changes.
 //!
 //! On hosts with `cargo-fuzz` installed, the `fuzz/` directory at the
 //! repository root runs the same targets coverage-guided; this binary is
@@ -29,7 +30,8 @@ use std::process::ExitCode;
 use vprofile::ScratchArena;
 use vprofile_analog::Fault;
 use vprofile_fuzz_targets::{
-    decode_samples, encode_samples, extractor, extractor_target, framer_target, FramerInput,
+    decode_samples, encode_samples, extractor, extractor_target, feed_target, framer_target,
+    FramerInput, CORPUS_SEED,
 };
 use vprofile_vehicle::scenario::{chaos_inject, chaos_stream};
 use vprofile_vehicle::{CaptureConfig, Vehicle};
@@ -49,6 +51,7 @@ struct Options {
 enum Target {
     Framer,
     Extractor,
+    Feed,
     All,
 }
 
@@ -71,8 +74,9 @@ fn main() -> ExitCode {
             "--target" => match iter.next().map(String::as_str) {
                 Some("framer") => options.target = Target::Framer,
                 Some("extractor") => options.target = Target::Extractor,
+                Some("feed") => options.target = Target::Feed,
                 Some("all") => options.target = Target::All,
-                _ => return usage_error("--target needs framer|extractor|all"),
+                _ => return usage_error("--target needs framer|extractor|feed|all"),
             },
             "--seed" => match iter.next().and_then(|v| v.parse().ok()) {
                 Some(v) => options.seed = v,
@@ -121,7 +125,7 @@ fn main() -> ExitCode {
 fn usage_error(message: &str) -> ExitCode {
     eprintln!("error: {message}");
     eprintln!(
-        "usage: fuzz_smoke [--runs N] [--target framer|extractor|all] [--seed S] \
+        "usage: fuzz_smoke [--runs N] [--target framer|extractor|feed|all] [--seed S] \
          [--corpus DIR] [--regen-corpus]"
     );
     ExitCode::FAILURE
@@ -135,14 +139,15 @@ fn default_corpus_dir() -> PathBuf {
 
 /// One named sub-corpus per target.
 fn sub_corpora(target: Target) -> Vec<(&'static str, fn(&[u8]))> {
-    let mut out: Vec<(&'static str, fn(&[u8]))> = Vec::new();
-    if target != Target::Extractor {
-        out.push(("framer", framer_target));
-    }
-    if target != Target::Framer {
-        out.push(("extractor", run_extractor_checks));
-    }
-    out
+    let all: [(Target, &'static str, fn(&[u8])); 3] = [
+        (Target::Framer, "framer", framer_target),
+        (Target::Extractor, "extractor", run_extractor_checks),
+        (Target::Feed, "feed", feed_target),
+    ];
+    all.into_iter()
+        .filter(|&(t, _, _)| target == Target::All || target == t)
+        .map(|(_, name, run)| (name, run))
+        .collect()
 }
 
 /// The extractor target plus the binary's allocation gate: once an input
@@ -259,16 +264,20 @@ fn mutate(input: &mut Vec<u8>, rng: &mut StdRng) {
 
 /// Rebuilds the committed seed corpus from synthesized captures.
 fn regen_corpus(dir: &Path) -> Result<usize, String> {
-    let vehicle = Vehicle::vehicle_a(7);
+    let vehicle = Vehicle::vehicle_a(CORPUS_SEED);
     let capture = vehicle
-        .capture(&CaptureConfig::default().with_frames(12).with_seed(7))
+        .capture(
+            &CaptureConfig::default()
+                .with_frames(12)
+                .with_seed(CORPUS_SEED),
+        )
         .map_err(|e| format!("capture failed: {e}"))?;
     let samples_per_bit = capture.adc().samples_per_bit(capture.bit_rate_bps());
     // Mid-scale threshold, matching how the IDS frames this capture.
     let threshold = capture.adc().full_scale_code() as f64 / 2.0;
     let chaos = chaos_inject(
         &capture,
-        7,
+        CORPUS_SEED,
         &[
             Fault::Dropout {
                 prob: 0.002,
@@ -281,7 +290,8 @@ fn regen_corpus(dir: &Path) -> Result<usize, String> {
             },
         ],
     );
-    let mut nonfinite_stream = chaos_stream(&capture, 7, &[Fault::NonFinite { prob: 0.003 }]);
+    let mut nonfinite_stream =
+        chaos_stream(&capture, CORPUS_SEED, &[Fault::NonFinite { prob: 0.003 }]);
     // Keep the non-finite seed around 4k samples: big enough to cover
     // several frames, small enough to mutate cheaply.
     nonfinite_stream.truncate(4_096);
@@ -298,8 +308,8 @@ fn regen_corpus(dir: &Path) -> Result<usize, String> {
         Ok(())
     };
 
-    // Framer corpus: headered multi-frame streams (clean, chaos, and
-    // non-finite twins) plus a pure-idle stretch.
+    // Framer and feed corpus: headered multi-frame streams (clean, chaos,
+    // and non-finite twins) plus a pure-idle stretch.
     let framed = |samples: Vec<f64>, chunk: usize| FramerInput {
         bit_width: samples_per_bit,
         threshold,
@@ -318,26 +328,17 @@ fn regen_corpus(dir: &Path) -> Result<usize, String> {
         .take(6)
         .flat_map(|f| f.trace.to_f64())
         .collect();
-    write(
-        "framer",
-        "clean_stream.bin",
-        &framed(clean_stream, 92).encode(),
-    )?;
-    write(
-        "framer",
-        "chaos_stream.bin",
-        &framed(chaos_frames, 17).encode(),
-    )?;
-    write(
-        "framer",
-        "nonfinite_stream.bin",
-        &framed(nonfinite_stream, 255).encode(),
-    )?;
-    write(
-        "framer",
-        "pure_idle.bin",
-        &framed(vec![0.0; 700], 41).encode(),
-    )?;
+    let streams = [
+        ("clean_stream.bin", framed(clean_stream, 92)),
+        ("chaos_stream.bin", framed(chaos_frames, 17)),
+        ("nonfinite_stream.bin", framed(nonfinite_stream, 255)),
+        ("pure_idle.bin", framed(vec![0.0; 700], 41)),
+    ];
+    for (name, input) in &streams {
+        for sub in ["framer", "feed"] {
+            write(sub, name, &input.encode())?;
+        }
+    }
 
     // Extractor corpus: single frame windows — clean, chaos-corrupted,
     // non-finite, and a truncation.

@@ -1,6 +1,8 @@
-//! Fuzz targets for the two parsers that face raw, untrusted sample data:
-//! the stream framer ([`vprofile_ids::StreamFramer`]) and the Algorithm 1
-//! edge-set extractor ([`vprofile::EdgeSetExtractor`]).
+//! Fuzz targets for the code that faces raw, untrusted sample data: the
+//! stream framer ([`vprofile_ids::StreamFramer`]), the Algorithm 1 edge-set
+//! extractor ([`vprofile::EdgeSetExtractor`]), and the pipeline's feed path
+//! ([`vprofile_ids::IdsPipeline::feed`]), whose splitter runs on the
+//! caller's thread.
 //!
 //! Each target takes an arbitrary byte slice, decodes it into a sample
 //! stream (plus framer parameters), and checks structural invariants that
@@ -17,13 +19,16 @@
 //! * **entry-point agreement** — [`EdgeSetExtractor::extract`] and
 //!   [`EdgeSetExtractor::extract_into`] agree on success/failure, the
 //!   decoded SA, and every extracted bit, and a scratch-reusing second
-//!   call reproduces the first.
+//!   call reproduces the first;
+//! * **pipeline agreement** — feeding the stream in arbitrary chunks
+//!   through [`IdsPipeline`] at 1 and 2 workers yields one event per
+//!   reference-framer window and the same event stream, byte for byte, as
+//!   the synchronous [`IdsEngine`].
 //!
-//! The same functions back three harnesses: the in-workspace `fuzz_smoke`
-//! binary (deterministic corpus + seeded mutations, run in CI), the
-//! `cargo fuzz` targets under the repository's `fuzz/` directory (for
-//! coverage-guided runs on hosts with `cargo-fuzz` installed), and plain
-//! unit tests replaying the committed corpus.
+//! The same functions back the in-workspace `fuzz_smoke` binary
+//! (deterministic corpus + seeded mutations, run in CI), plain unit tests
+//! replaying the committed corpus, and — framer and extractor only — the
+//! `cargo fuzz` targets under the repository's `fuzz/` directory.
 //!
 //! # Input encoding
 //!
@@ -32,11 +37,16 @@
 //! stream can contain ([`SPECIAL_NAN`], [`SPECIAL_POS_INF`],
 //! [`SPECIAL_NEG_INF`], [`SPECIAL_HUGE`]). The framer target additionally
 //! reads a 4-byte header (bit width, threshold, chunk size) so the fuzzer
-//! can explore parameter space; see [`FramerInput::decode`].
+//! can explore parameter space; see [`FramerInput::decode`]. The feed
+//! target reads the same header but uses only its chunk size.
 
-use vprofile::{EdgeSetExtractor, ScratchArena, VProfileConfig};
+use std::sync::OnceLock;
+use vprofile::{EdgeSetExtractor, ScratchArena, Trainer, VProfileConfig};
 use vprofile_analog::AdcConfig;
-use vprofile_ids::StreamFramer;
+use vprofile_ids::{
+    HealthConfig, IdsEngine, IdsEvent, IdsPipeline, PipelineConfig, StreamFramer, UpdatePolicy,
+};
+use vprofile_vehicle::{CaptureConfig, Vehicle};
 
 /// `u16` code decoding to NaN (a corrupted DMA word).
 pub const SPECIAL_NAN: u16 = 0xFFFF;
@@ -203,6 +213,109 @@ pub fn framer_target(data: &[u8]) {
     }
 }
 
+/// Seed of the vehicle and capture the committed corpus is synthesized
+/// from; the feed target's engine is trained on the same vehicle.
+pub const CORPUS_SEED: u64 = 7;
+
+/// Frames in the feed target's training capture.
+const FEED_TRAINING_FRAMES: usize = 640;
+
+/// The feed target's engine: vProfile trained once on a clean capture of
+/// the corpus vehicle, with online updates off so every run starts from
+/// the same model.
+fn feed_engine() -> &'static Result<IdsEngine, String> {
+    static ENGINE: OnceLock<Result<IdsEngine, String>> = OnceLock::new();
+    ENGINE.get_or_init(|| {
+        let vehicle = Vehicle::vehicle_a(CORPUS_SEED);
+        let capture = vehicle
+            .capture(
+                &CaptureConfig::default()
+                    .with_frames(FEED_TRAINING_FRAMES)
+                    .with_seed(CORPUS_SEED),
+            )
+            .map_err(|e| format!("training capture: {e}"))?;
+        let config = VProfileConfig::for_adc(capture.adc(), capture.bit_rate_bps());
+        let extracted = capture.extract(&EdgeSetExtractor::new(config.clone()));
+        let model = Trainer::new(config)
+            .train_with_lut(&extracted.labeled(), &vehicle.sa_lut())
+            .map_err(|e| format!("training: {e}"))?;
+        Ok(IdsEngine::new(model, 2.0, UpdatePolicy::disabled()))
+    })
+}
+
+/// Serialized events with the shard attribution of placeholders set to 0:
+/// which shard owned a lost window is topology, not detection output.
+fn normalized_json(mut events: Vec<IdsEvent>) -> String {
+    for event in &mut events {
+        if let IdsEvent::Degraded { shard, .. } | IdsEvent::Dropped { shard, .. } = event {
+            *shard = 0;
+        }
+    }
+    let json = serde_json::to_string(&events);
+    assert!(json.is_ok(), "events must serialize");
+    json.unwrap_or_default()
+}
+
+/// Fuzz target for [`IdsPipeline::feed`]: feeds the decoded stream in
+/// fuzzer-chosen chunks through pipelines at 1 and 2 workers (breaker
+/// disabled, so every window is scored) and asserts no panic, one event per
+/// window of a reference [`StreamFramer`], and an event stream
+/// byte-identical to [`IdsEngine::process_samples`] plus
+/// [`IdsEngine::finish`].
+pub fn feed_target(data: &[u8]) {
+    let input = FramerInput::decode(data);
+    let engine = feed_engine();
+    assert!(
+        engine.is_ok(),
+        "feed target engine: {:?}",
+        engine.as_ref().err()
+    );
+    let Ok(engine) = engine else {
+        return;
+    };
+    let geometry = engine.config();
+    let mut framer = StreamFramer::new(geometry.bit_width_samples, geometry.bit_threshold);
+    let windows = framer.push(&input.samples).len() + usize::from(framer.flush().is_some());
+
+    let mut reference = engine.clone();
+    let mut expected = reference.process_samples(&input.samples);
+    expected.extend(reference.finish());
+    let expected = normalized_json(expected);
+
+    for workers in [1, 2] {
+        let config = PipelineConfig::default()
+            .with_workers(workers)
+            .with_health(HealthConfig {
+                trip_ratio: 2.0,
+                ..HealthConfig::default()
+            });
+        let mut pipeline = IdsPipeline::spawn_sharded(engine.clone(), config);
+        for chunk in input.samples.chunks(input.chunk.max(1)) {
+            let fed = pipeline.feed(chunk.to_vec());
+            assert!(fed.is_ok(), "feed at {workers} workers: {fed:?}");
+        }
+        pipeline.close_input();
+        let events: Vec<IdsEvent> = pipeline.events().into_iter().collect();
+        let closed = pipeline.close();
+        assert!(
+            closed.is_ok(),
+            "close at {workers} workers: {:?}",
+            closed.as_ref().err()
+        );
+        let frames = closed.map_or(0, |(_, stats)| stats.frames);
+        assert_eq!(
+            frames, windows as u64,
+            "{workers} workers: one frame per reference window (chunk {})",
+            input.chunk
+        );
+        assert!(
+            normalized_json(events) == expected,
+            "{workers} workers: event stream differs from process_samples + finish (chunk {})",
+            input.chunk
+        );
+    }
+}
+
 /// The fixed extractor configuration the extractor target runs under: the
 /// deployment ADC at the workspace's standard 500 kbit/s.
 pub fn extractor() -> EdgeSetExtractor {
@@ -258,7 +371,6 @@ pub fn extractor_target(data: &[u8]) {
 mod tests {
     use super::*;
     use std::path::Path;
-    use vprofile_vehicle::{CaptureConfig, Vehicle};
 
     /// Replays every committed corpus file through its target — the same
     /// seeds CI's fuzz smoke starts from must pass as plain unit tests.
@@ -269,6 +381,7 @@ mod tests {
         for (dir, target) in [
             ("framer", framer_target as fn(&[u8])),
             ("extractor", extractor_target as fn(&[u8])),
+            ("feed", feed_target as fn(&[u8])),
         ] {
             let mut entries: Vec<_> = std::fs::read_dir(root.join(dir))
                 .expect("corpus dir (regenerate with fuzz_smoke --regen-corpus)")
@@ -282,7 +395,7 @@ mod tests {
             }
         }
         assert!(
-            replayed >= 6,
+            replayed >= 10,
             "expected a seeded corpus, got {replayed} files"
         );
     }
@@ -326,6 +439,7 @@ mod tests {
     fn targets_survive_adversarial_inputs() {
         framer_target(&[]);
         extractor_target(&[]);
+        feed_target(&[]);
         framer_target(&[0, 0, 0, 0]);
         let specials: Vec<u8> = [SPECIAL_NAN, SPECIAL_POS_INF, SPECIAL_NEG_INF, SPECIAL_HUGE]
             .iter()
@@ -335,6 +449,7 @@ mod tests {
             .collect();
         framer_target(&specials);
         extractor_target(&specials);
+        feed_target(&specials);
 
         let vehicle = Vehicle::vehicle_a(5);
         let capture = vehicle

@@ -15,6 +15,10 @@ use crate::scan;
 /// Feed samples incrementally with [`StreamFramer::push`]; completed frame
 /// windows (including a few bits of leading idle, which Algorithm 1's SOF
 /// search expects) are returned as they close.
+///
+/// This is the reference framer, behind [`crate::IdsEngine::process_samples`].
+/// [`crate::IdsPipeline`] runs the same state machine as a splitter on the
+/// feeding thread and scores its windows in place, without owned copies.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamFramer {
     /// Samples per bit.
@@ -59,21 +63,6 @@ impl StreamFramer {
     /// Total samples consumed so far.
     pub fn samples_consumed(&self) -> u64 {
         self.consumed
-    }
-
-    /// Resets the framer to the idle state at absolute stream position
-    /// `pos`: buffer emptied, no frame open, no carried recessive run.
-    ///
-    /// This is exactly the state a framer holds immediately after a frame
-    /// closes (or before it has seen any samples), which is what lets a
-    /// worker re-frame a routed substream segment with a single reusable
-    /// framer: `reset_to(segment.base)` then `push_into` reproduces the
-    /// global framer's output for that segment byte-for-byte.
-    pub fn reset_to(&mut self, pos: u64) {
-        self.buffer.clear();
-        self.sof_at = None;
-        self.recessive_run = 0;
-        self.consumed = pos;
     }
 
     /// Pushes a chunk of samples; returns every frame window completed by
@@ -147,7 +136,7 @@ impl StreamFramer {
                     self.consumed += (k + 1) as u64;
                     let sof = self.sof_at.take().unwrap_or(0);
                     let start = sof.saturating_sub(self.lead_in);
-                    // xtask: allow(hot-path-alloc): one buffer per closed frame whose ownership moves into the emitted window; gated by the runtime alloc harness
+                    // xtask: allow(hot-path-alloc): one buffer per closed frame whose ownership moves into the emitted window, the contract of this owned-window API; the pipeline never frames through it (workers score splitter segments in place), which alloc_audit's pipeline row gates at < 1 allocation per frame
                     let mut window = Vec::with_capacity(self.buffer.len() - start + k + 1);
                     window.extend_from_slice(&self.buffer[start..]);
                     window.extend_from_slice(&samples[i..=i + k]);

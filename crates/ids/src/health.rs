@@ -20,20 +20,24 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
-/// What [`crate::IdsPipeline::feed`] does when the sample backlog reaches
-/// the high-water mark.
+/// What [`crate::IdsPipeline::feed`] does when a shard ring (capacity
+/// [`crate::PipelineConfig::high_water`] windows) is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum BackpressurePolicy {
-    /// Block the producer until the pipeline drains (a DMA ring asserting
-    /// flow control). The default, and the only loss-free policy.
+    /// Block the producer until the worker makes room (a DMA ring
+    /// asserting flow control). The default, and the only loss-free policy.
     #[default]
     Block,
-    /// Fail the call with [`crate::PipelineError::Backlogged`]; the caller
-    /// decides what to shed.
+    /// Refuse the whole chunk with [`crate::PipelineError::Backlogged`]
+    /// while any shard ring is full, before splitting it, so feeding it
+    /// again is safe. Counted in `rejected_chunks`, outside the frame
+    /// identity; every frame of an accepted chunk is delivered.
     Reject,
-    /// Drop the oldest queued chunk to make room (a ring buffer
-    /// overwriting its tail). Lossy: shed chunks never reach the framer and
-    /// are counted in `dropped_chunks`, not in the frame identity.
+    /// Shed the incoming windows of a full ring (a ring buffer overwriting
+    /// its tail). Lossy: each shed window becomes an
+    /// [`crate::IdsEvent::Dropped`] placeholder with
+    /// [`DropReason::Backlogged`], counted in `dropped` and in its shard's
+    /// `shard_sheds`.
     DropOldest,
 }
 
@@ -100,8 +104,8 @@ pub enum DropReason {
     /// The window was queued to a shard whose restart budget was already
     /// exhausted.
     ShardFailed,
-    /// The frame's segment was shed by the router because its shard's
-    /// ring was full under the `DropOldest` policy.
+    /// The frame's window was shed by `feed` because its shard's ring was
+    /// full under the `DropOldest` policy.
     Backlogged,
 }
 

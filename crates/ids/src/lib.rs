@@ -13,23 +13,23 @@
 //!   extraction → Algorithm 3 detection → [`IdsEvent`]s, with an optional
 //!   online-update policy (§5.3) that absorbs accepted messages and signals
 //!   when a full retrain is due;
-//! * [`IdsPipeline`] — a threaded, sharded wrapper: a router *splits* the
-//!   sample stream into raw per-frame segments (peeking only the
-//!   arbitration field) and routes each to one of N detection workers by a
-//!   stable hash of the claimed source address ([`stable_shard`], seedable
-//!   via [`stable_shard_seeded`]) over bounded per-shard SPSC rings with
-//!   batched hand-off; each worker re-frames its segments with its own
-//!   [`StreamFramer`], so every worker owns a disjoint set of per-SA
-//!   cluster state and framing runs in parallel; a merger re-serializes
-//!   events through a sequence-numbered [`ReorderBuffer`], making the
-//!   output order deterministic and identical to a single-worker run;
+//! * [`IdsPipeline`] — a threaded, sharded wrapper: [`IdsPipeline::feed`]
+//!   *splits* each chunk into frame windows on the calling thread (peeking
+//!   only the arbitration field) and routes each window to one of N
+//!   detection workers by a stable hash of the claimed source address
+//!   ([`stable_shard`], seedable via [`stable_shard_seeded`]) over bounded
+//!   per-shard SPSC rings with batched hand-off. Frames are located once:
+//!   workers score each window in place, so every worker owns a disjoint
+//!   set of per-SA cluster state; a merger re-serializes events through a
+//!   sequence-numbered [`ReorderBuffer`], making the output order
+//!   deterministic and identical to a single-worker run;
 //! * self-healing — each worker runs under a supervisor that absorbs
 //!   panics and restarts the shard from a checkpointed engine snapshot
 //!   (bounded budget, exponential backoff), a per-shard circuit breaker
 //!   ([`HealthConfig`]) trips into an explicit degraded mode
 //!   ([`IdsEvent::Degraded`], quarantined online updates) instead of
-//!   emitting false verdicts, and `feed` backpressure is configurable via
-//!   [`BackpressurePolicy`];
+//!   emitting false verdicts, and what `feed` does at a full shard ring is
+//!   configurable via [`BackpressurePolicy`];
 //! * backend-agnostic — the engine scores through a [`Backend`]
 //!   (enum-dispatched [`DetectionBackend`]), so the same framing, sharding,
 //!   supervision, and health machinery runs vProfile, Viden-style,

@@ -1,56 +1,52 @@
 //! A threaded, sharded, self-healing IDS pipeline: sample chunks in,
 //! detection events out.
 //!
-//! The pipeline runs three kinds of threads:
+//! There is no router thread and no chunk queue. [`IdsPipeline::feed`] is
+//! the router: on the calling thread, under one lock, it
 //!
-//! * a **router** that *splits* the raw sample stream into per-frame
-//!   segments without framing it: a [`FrameSplitter`] mirrors the
-//!   framer's boundary state machine over borrowed (`Arc`) chunk slices,
+//! * wraps the caller's `Vec<f64>` in an `Arc` (no copy of the samples);
+//! * *splits* it into frame windows with a [`FrameSplitter`] — the
+//!   framer's boundary state machine over borrowed chunk slices — and
 //!   peeks each frame's claimed source address
 //!   ([`vprofile::EdgeSetExtractor::peek_sa`]) on exactly the frame's
-//!   sample range, and routes the raw segment to a worker shard via
-//!   [`crate::stable_shard_seeded`]. Segments travel over bounded
-//!   per-shard SPSC rings ([`SpscRing`]) in batches of [`ROUTE_BATCH`],
-//!   so the hand-off costs one atomic per batch, not per frame. Routing
-//!   by the claimed SA means each worker owns a *disjoint* set of per-SA
-//!   cluster state, so online updates never race across workers;
+//!   sample range;
+//! * publishes each window to a worker shard chosen by
+//!   [`crate::stable_shard_seeded`], over bounded per-shard SPSC rings
+//!   ([`SpscRing`]) in batches of [`ROUTE_BATCH`], so the hand-off costs
+//!   one atomic per batch, not per frame. Routing by the claimed SA means
+//!   each worker owns a *disjoint* set of per-SA cluster state, so online
+//!   updates never race across workers.
+//!
+//! Behind the rings run
+//!
 //! * **N supervised detection workers**, each owning a clone of the
-//!   [`IdsEngine`] *and its own [`crate::StreamFramer`]*: the worker
-//!   re-frames each routed segment locally (byte-identical to a single
-//!   global framer, because a framer's post-close state is exactly its
-//!   reset state and its output is chunking-invariant) and scores the
-//!   resulting window. Each worker runs under a supervisor that catches
-//!   panics and respawns the scoring loop from a periodically-refreshed
-//!   engine checkpoint, with exponential backoff and a bounded restart
-//!   budget; past the budget the shard fails permanently and its windows
-//!   drain as [`IdsEvent::Dropped`] placeholders. Each worker also runs a
+//!   [`IdsEngine`]. A routed segment already *is* the framer's window, so
+//!   the worker scores it in place: a frame that closed in its own chunk
+//!   is borrowed from that chunk, and only a frame straddling a chunk
+//!   boundary is copied once into a reusable per-worker buffer. Each
+//!   worker runs under a supervisor that catches panics and respawns the
+//!   scoring loop from a periodically-refreshed engine checkpoint, with
+//!   exponential backoff and a bounded restart budget; past the budget the
+//!   shard fails permanently and its windows drain as
+//!   [`IdsEvent::Dropped`] placeholders. Each worker also runs a
 //!   [`crate::health::HealthMonitor`]: sustained extraction failures or
 //!   unscorable verdicts trip a circuit breaker into degraded mode
 //!   ([`IdsEvent::Degraded`] instead of hard verdicts, affected SAs
 //!   quarantined from online updates) until recovery probes succeed;
 //! * a **merger** that feeds events through a [`crate::ReorderBuffer`]
-//!   keyed by the router's sequence numbers, so the emitted event order is
+//!   keyed by the feed's sequence numbers, so the emitted event order is
 //!   deterministic, and updates the shared [`PipelineStats`] *in the same
 //!   critical section* that emits each event — a stats snapshot can
 //!   therefore never disagree with the events already delivered.
 //!
-//! Samples arrive through a bounded queue whose overflow behaviour is the
-//! configured [`BackpressurePolicy`]; events leave over an unbounded
-//! channel. Loss can happen at two distinct points, accounted separately:
-//!
-//! * **pre-framing, at the feed boundary** — `Reject` refuses the
-//!   incoming chunk and `DropOldest` sheds the oldest *queued* chunk when
-//!   the sample backlog is full (`rejected_chunks` / `dropped_chunks`,
-//!   outside the frame identity: a shed raw chunk never became frames);
-//! * **post-split, at a shard's ring** — under `DropOldest` a full shard
-//!   ring sheds the *incoming* frame segments (an SPSC producer cannot
-//!   retract items it already published), each becoming an
-//!   [`IdsEvent::Dropped`] placeholder with
-//!   [`DropReason::Backlogged`], attributed to exactly one shard in
-//!   [`PipelineStats::shard_sheds`] and counted in `dropped` *inside*
-//!   the frame identity. Under `Block` and `Reject` the router instead
-//!   blocks on the full ring, which fills the feed queue and lets the
-//!   feed-level policy fire.
+//! Events leave over an unbounded channel. What `feed` does at a full
+//! shard ring (capacity [`PipelineConfig::high_water`] windows) is the
+//! configured [`BackpressurePolicy`]: `Block` waits for the worker,
+//! `Reject` refuses the whole chunk before splitting it (safe to retry;
+//! counted in `rejected_chunks`, outside the frame identity), and
+//! `DropOldest` sheds the incoming windows as [`IdsEvent::Dropped`]
+//! placeholders with [`DropReason::Backlogged`], counted in `dropped` and
+//! [`PipelineStats::shard_sheds`].
 //!
 //! Every split frame becomes exactly one event, so
 //! `frames == anomalies + normals + extraction_failures + dropped + degraded`
@@ -64,14 +60,14 @@ use crate::health::{
 use crate::ring::SpscRing;
 use crate::shadow::{ShadowEvent, ShadowVerdict};
 use crate::splitter::{FrameSplitter, RawSegment};
-use crate::{stable_shard_seeded, IdsEngine, IdsEvent, ReorderBuffer, StreamFramer};
+use crate::{stable_shard_seeded, IdsEngine, IdsEvent, ReorderBuffer};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vprofile::{EdgeSetExtractor, VProfileConfig};
@@ -82,15 +78,15 @@ use vprofile_fusion::DriftLedger;
 pub enum PipelineError {
     /// [`IdsPipeline::feed`] was called after the input was closed.
     InputClosed,
-    /// The routing/detection threads are gone (a receiver hung up), so the
-    /// chunk could not be delivered.
+    /// A shard's worker is gone beyond supervision, so the chunk could not
+    /// be delivered.
     WorkerUnavailable,
     /// A pipeline thread panicked beyond what supervision covers; its
     /// engine (and possibly trailing events) are lost.
     WorkerPanicked,
-    /// The sample backlog is at the high-water mark and the pipeline runs
-    /// the [`BackpressurePolicy::Reject`] policy; the chunk was not
-    /// accepted.
+    /// A shard ring is full and the pipeline runs the
+    /// [`BackpressurePolicy::Reject`] policy; the chunk was not accepted
+    /// and may be fed again.
     Backlogged,
     /// [`IdsPipeline::finish`] was called on a pipeline with more than one
     /// worker; use [`IdsPipeline::close`] to collect all engines.
@@ -106,7 +102,7 @@ impl std::fmt::Display for PipelineError {
             }
             PipelineError::WorkerPanicked => f.write_str("a pipeline thread panicked"),
             PipelineError::Backlogged => {
-                f.write_str("sample backlog full and the backpressure policy rejects")
+                f.write_str("a shard ring is full and the backpressure policy rejects")
             }
             PipelineError::NotSingleWorker => {
                 f.write_str("finish() requires a single-worker pipeline; use close()")
@@ -122,7 +118,7 @@ impl std::error::Error for PipelineError {}
 type FaultHook = Arc<dyn Fn(usize, u64) + Send + Sync>;
 
 /// The engine a shard worker runs: a single-backend [`IdsEngine`] or a
-/// multi-voter [`FusionEngine`]. One enum keeps the router, supervisor,
+/// multi-voter [`FusionEngine`]. One enum keeps the routing, supervisor,
 /// breaker, checkpoint, and merger machinery identical for both — a
 /// fused pipeline is the same pipeline with a different core.
 #[derive(Debug, Clone)]
@@ -135,7 +131,7 @@ pub(crate) enum CoreEngine {
 }
 
 impl CoreEngine {
-    /// The framing/extraction configuration, for the router.
+    /// The framing/extraction configuration, for the feed-side splitter.
     fn config(&self) -> &VProfileConfig {
         match self {
             CoreEngine::Single(engine) => engine.config(),
@@ -218,14 +214,14 @@ impl CoreEngine {
 pub struct PipelineConfig {
     /// Number of detection workers; `0` means one per available CPU.
     pub workers: usize,
-    /// High-water mark of the sample backlog and bound of each worker's
-    /// window queue (chunks/windows, not samples). What happens when the
-    /// sample backlog reaches it is [`PipelineConfig::backpressure`].
+    /// Capacity of each shard ring, in frame windows. What
+    /// [`IdsPipeline::feed`] does at a full ring is
+    /// [`PipelineConfig::backpressure`].
     pub high_water: usize,
     /// Largest number of queued windows a worker drains per wakeup; the
     /// batch shares one scoring-cache lookup run.
     pub batch_max: usize,
-    /// What [`IdsPipeline::feed`] does at the high-water mark.
+    /// What [`IdsPipeline::feed`] does at a full shard ring.
     pub backpressure: BackpressurePolicy,
     /// How many times a panicked worker is respawned from its checkpoint
     /// before the shard fails permanently.
@@ -290,17 +286,11 @@ impl PipelineConfig {
         self
     }
 
-    /// Sets the backlog high-water mark in chunks/windows.
+    /// Sets the shard ring capacity in frame windows.
     #[must_use]
     pub fn with_high_water(mut self, high_water: usize) -> Self {
         self.high_water = high_water;
         self
-    }
-
-    /// Historical name for [`PipelineConfig::with_high_water`].
-    #[must_use]
-    pub fn with_chunk_backlog(self, chunk_backlog: usize) -> Self {
-        self.with_high_water(chunk_backlog)
     }
 
     /// Sets the per-wakeup worker drain bound.
@@ -368,13 +358,12 @@ impl PipelineConfig {
 /// The per-frame counters are mutually exclusive and partition the total:
 /// `frames == anomalies + normals + extraction_failures + dropped +
 /// degraded` holds in every snapshot, because the merger updates them in
-/// the same critical section that emits the corresponding event. The chunk
-/// counters (`dropped_chunks`, `rejected_chunks`) count *pre-framing* loss
-/// at the feed boundary — a shed raw chunk never became frames, so they sit
-/// outside the frame identity by construction. Ring-level shedding is
-/// different: a shed *segment* is already a split frame, so it is counted
-/// in `dropped` (inside the identity) and attributed to its shard in
-/// `shard_sheds`.
+/// the same critical section that emits the corresponding event.
+/// `rejected_chunks` counts chunks refused at the feed boundary — a refused
+/// chunk never became frames, so it sits outside the frame identity by
+/// construction. Ring-level shedding is different: a shed window is already
+/// a split frame, so it is counted in `dropped` (inside the identity) and
+/// attributed to its shard in `shard_sheds`.
 // xtask: frame-identity: frames == anomalies + normals + extraction_failures + dropped + degraded
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PipelineStats {
@@ -394,10 +383,6 @@ pub struct PipelineStats {
     /// Frames consumed while a shard's breaker was open (emitted as
     /// [`IdsEvent::Degraded`]).
     pub degraded: u64,
-    /// Raw sample chunks shed by [`BackpressurePolicy::DropOldest`] before
-    /// framing.
-    // xtask: outside-frame-identity
-    pub dropped_chunks: u64,
     /// Raw sample chunks refused by [`BackpressurePolicy::Reject`] before
     /// framing.
     // xtask: outside-frame-identity
@@ -405,7 +390,7 @@ pub struct PipelineStats {
     /// Frames handled by each worker shard; sums to `frames`.
     // xtask: shard-breakdown(frames)
     pub shard_frames: Vec<u64>,
-    /// Frame segments shed by each shard's full ring under
+    /// Frame windows shed by each shard's full ring under
     /// [`BackpressurePolicy::DropOldest`]; the subset of `dropped` with
     /// [`DropReason::Backlogged`], attributed to exactly one shard.
     // xtask: shard-breakdown(dropped)
@@ -456,17 +441,17 @@ pub struct PipelineStats {
 ///
 /// Counters are cumulative and monotonic; `extract_ns` and `score_ns` sum
 /// over every detection worker, so with N busy workers their sum can
-/// exceed the pipeline's elapsed wall time. Time the router spends blocked
-/// on a full worker queue (backpressure) is *not* counted — the counters
+/// exceed the pipeline's elapsed wall time. Time `feed` spends blocked on a
+/// full shard ring (backpressure) is *not* counted — the counters
 /// attribute compute, not waiting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct StageBreakdown {
-    /// Splitting the raw sample stream into frame segments plus the
-    /// SA-peek shard routing decision, in the router thread. Framing
-    /// proper happens on the workers and lands in `frame_ns`.
+    /// Splitting the raw sample stream into frame windows plus the SA
+    /// peek that picks each window's shard, inside [`IdsPipeline::feed`]
+    /// on the feeding thread.
     pub router_ns: u64,
-    /// Re-framing routed segments into score-ready windows, across all
-    /// workers.
+    /// Copying windows that straddle a chunk boundary into one contiguous
+    /// buffer, across all workers; every other window is scored in place.
     pub frame_ns: u64,
     /// Algorithm 1 edge-set extraction, across all workers.
     pub extract_ns: u64,
@@ -505,8 +490,9 @@ impl StageClocks {
     }
 }
 
-/// One routed raw frame segment travelling from the router to a worker
-/// over the shard's ring; the worker re-frames it locally.
+/// One frame window travelling from `feed` to a worker over the shard's
+/// ring; the worker scores it in place.
+#[derive(Debug)]
 struct SegmentItem {
     seq: u64,
     segment: RawSegment,
@@ -536,143 +522,22 @@ struct ShardGauges {
     quarantined: AtomicUsize,
 }
 
-/// The bounded sample backlog between [`IdsPipeline::feed`] and the
-/// router, with policy-controlled overflow.
-///
-/// Built on `std::sync` (`Mutex` + `Condvar`) rather than a channel
-/// because the three backpressure policies need to inspect and mutate the
-/// queue under one lock. Lock poisoning is recovered (`PoisonError::
-/// into_inner`): the queue holds plain data that cannot be left in a torn
-/// state by a panicking peer.
-struct SampleQueue {
-    inner: StdMutex<SampleQueueInner>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    high_water: usize,
-}
-
-struct SampleQueueInner {
-    chunks: VecDeque<Vec<f64>>,
-    closed: bool,
-    receiver_gone: bool,
-    dropped_chunks: u64,
-    rejected_chunks: u64,
-}
-
-impl SampleQueue {
-    fn new(high_water: usize) -> Self {
-        SampleQueue {
-            inner: StdMutex::new(SampleQueueInner {
-                chunks: VecDeque::new(),
-                closed: false,
-                receiver_gone: false,
-                dropped_chunks: 0,
-                rejected_chunks: 0,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            high_water: high_water.max(1),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, SampleQueueInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Enqueues one chunk under the given overflow policy.
-    fn push(&self, chunk: Vec<f64>, policy: BackpressurePolicy) -> Result<(), PipelineError> {
-        let mut inner = self.lock();
-        loop {
-            if inner.receiver_gone {
-                return Err(PipelineError::WorkerUnavailable);
-            }
-            if inner.closed {
-                return Err(PipelineError::InputClosed);
-            }
-            if inner.chunks.len() < self.high_water {
-                inner.chunks.push_back(chunk);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            match policy {
-                BackpressurePolicy::Block => {
-                    inner = self
-                        .not_full
-                        .wait(inner)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                BackpressurePolicy::Reject => {
-                    inner.rejected_chunks += 1;
-                    return Err(PipelineError::Backlogged);
-                }
-                BackpressurePolicy::DropOldest => {
-                    inner.chunks.pop_front();
-                    inner.dropped_chunks += 1;
-                }
-            }
-        }
-    }
-
-    /// Dequeues the next chunk; blocks while empty, `None` once the input
-    /// is closed and drained.
-    fn pop(&self) -> Option<Vec<f64>> {
-        let mut inner = self.lock();
-        loop {
-            if let Some(chunk) = inner.chunks.pop_front() {
-                self.not_full.notify_one();
-                return Some(chunk);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self
-                .not_empty
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn close_input(&self) {
-        self.lock().closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Called by the router when the downstream threads are gone, so
-    /// blocked producers wake with an error instead of hanging.
-    fn mark_receiver_gone(&self) {
-        self.lock().receiver_gone = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    fn shed_counters(&self) -> (u64, u64) {
-        let inner = self.lock();
-        (inner.dropped_chunks, inner.rejected_chunks)
-    }
-}
-
 /// A running threaded IDS. Drop-free shutdown: close the sample input
 /// (call [`IdsPipeline::close`] / [`IdsPipeline::finish`]) and join.
 #[derive(Debug)]
 pub struct IdsPipeline {
-    queue: Arc<SampleQueue>,
-    backpressure: BackpressurePolicy,
+    /// The feed-side router; `None` once the input is closed. `feed`
+    /// takes `&self`, so concurrent feeders serialize on this lock.
+    router: Mutex<Option<FeedRouter>>,
+    /// Chunks refused under [`BackpressurePolicy::Reject`]: an atomic, so
+    /// [`IdsPipeline::stats`] never waits on a `feed` parked on a ring.
+    rejected_chunks: AtomicU64,
     event_rx: Receiver<IdsEvent>,
     stats: Arc<Mutex<PipelineStats>>,
     gauges: Arc<Vec<ShardGauges>>,
     clocks: Arc<StageClocks>,
-    router: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<CoreEngine>>,
     merger: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for SampleQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SampleQueue")
-            .field("high_water", &self.high_water)
-            .finish_non_exhaustive()
-    }
 }
 
 impl std::fmt::Debug for ShardGauges {
@@ -688,18 +553,20 @@ impl IdsPipeline {
     /// Spawns a single-worker pipeline around an engine — the original
     /// one-thread-per-stage topology, kept as the compatibility entry point.
     ///
-    /// `chunk_backlog` bounds the sample backlog (chunks, not samples).
-    pub fn spawn(engine: IdsEngine, chunk_backlog: usize) -> Self {
+    /// `ring_capacity` bounds the worker's ring (frame windows, not
+    /// samples).
+    pub fn spawn(engine: IdsEngine, ring_capacity: usize) -> Self {
         Self::spawn_sharded(
             engine,
             PipelineConfig::default()
                 .with_workers(1)
-                .with_high_water(chunk_backlog),
+                .with_high_water(ring_capacity),
         )
     }
 
-    /// Spawns the sharded pipeline: one router, `config.workers` supervised
-    /// detection workers (each a clone of `engine`), and one merging thread.
+    /// Spawns the sharded pipeline: `config.workers` supervised detection
+    /// workers (each a clone of `engine`) and one merging thread; the
+    /// routing runs inside [`IdsPipeline::feed`].
     ///
     /// Windows are routed by a stable hash of the claimed source address,
     /// so each worker owns a disjoint set of per-SA cluster state; the
@@ -743,7 +610,6 @@ impl IdsPipeline {
         let batch_max = config.batch_max.max(1);
         let checkpoint_interval = config.checkpoint_interval.max(1);
 
-        let queue = Arc::new(SampleQueue::new(high_water));
         let (event_tx, event_rx) = unbounded::<IdsEvent>();
         let (scored_tx, scored_rx) = unbounded::<ScoredItem>();
         let (shadow_tx, shadow_rx) = unbounded::<ShadowEvent>();
@@ -788,30 +654,30 @@ impl IdsPipeline {
                 supervised_worker(worker_engine, worker_shadows, rt)
             }));
         }
-        // The router holds a scored sender only for its DropOldest shed
-        // placeholders; beyond that, only workers hold scored senders, so
-        // the merger exits exactly when the router and the last worker are
-        // both done.
-        let router_scored_tx = scored_tx.clone();
-        drop(scored_tx);
 
-        let model_config = engine.config().clone();
-        let router_rt = RouterRuntime {
-            queue: Arc::clone(&queue),
-            rings,
-            scored_tx: router_scored_tx,
-            gauges: Arc::clone(&gauges),
-            clocks: Arc::clone(&clocks),
-            workers,
-            shard_seed: config.shard_seed,
-            policy: config.backpressure,
+        // The router keeps the last scored sender, for its DropOldest shed
+        // placeholders, until the input closes; beyond that only workers
+        // hold one, so the merger exits once the input is closed and the
+        // last worker has drained its ring.
+        let model_config = engine.config();
+        let router = FeedRouter {
+            splitter: FrameSplitter::new(
+                model_config.bit_width_samples,
+                model_config.bit_threshold,
+            ),
+            peeker: EdgeSetExtractor::new(model_config.clone()),
+            segments: Vec::new(),
+            publisher: Publisher {
+                batches: (0..workers).map(|_| Vec::new()).collect(),
+                rings,
+                scored_tx,
+                gauges: Arc::clone(&gauges),
+                policy: config.backpressure,
+                shard_seed: config.shard_seed,
+                next_seq: 0,
+                consumer_gone: false,
+            },
         };
-        let router = std::thread::spawn(move || {
-            let splitter =
-                FrameSplitter::new(model_config.bit_width_samples, model_config.bit_threshold);
-            let peeker = EdgeSetExtractor::new(model_config);
-            router_loop(splitter, peeker, router_rt);
-        });
 
         let merger_stats = Arc::clone(&stats);
         let merger_clocks = Arc::clone(&clocks);
@@ -828,13 +694,12 @@ impl IdsPipeline {
         });
 
         let pipeline = IdsPipeline {
-            queue,
-            backpressure: config.backpressure,
+            router: Mutex::new(Some(router)),
+            rejected_chunks: AtomicU64::new(0),
             event_rx,
             stats,
             gauges,
             clocks,
-            router: Some(router),
             workers: worker_handles,
             merger: Some(merger),
         };
@@ -846,19 +711,24 @@ impl IdsPipeline {
         self.workers.len()
     }
 
-    /// Feeds one chunk of samples. What happens at the backlog high-water
-    /// mark is the configured [`BackpressurePolicy`]: block (default),
-    /// fail with [`PipelineError::Backlogged`], or shed the oldest queued
-    /// chunk.
+    /// Feeds one chunk of samples. The chunk is split into frame windows
+    /// on the calling thread, and each window is published to its shard's
+    /// ring without copying the samples. What happens at a full ring is
+    /// the configured [`BackpressurePolicy`]: wait for the worker
+    /// (default), refuse the whole chunk before splitting it, or shed the
+    /// incoming windows as [`IdsEvent::Dropped`] placeholders.
     ///
     /// # Errors
     ///
     /// [`PipelineError::InputClosed`] if called after the input was closed,
-    /// [`PipelineError::WorkerUnavailable`] if the pipeline threads died,
-    /// [`PipelineError::Backlogged`] under the reject policy at the
-    /// high-water mark.
+    /// [`PipelineError::WorkerUnavailable`] if a shard's worker died beyond
+    /// supervision, [`PipelineError::Backlogged`] under the reject policy
+    /// while any shard ring is full (the chunk may be fed again).
     pub fn feed(&self, samples: Vec<f64>) -> Result<(), PipelineError> {
-        self.queue.push(samples, self.backpressure)
+        let mut router = self.router.lock();
+        let router = router.as_mut().ok_or(PipelineError::InputClosed)?;
+        router.admit(&self.rejected_chunks)?;
+        router.route_chunk(Arc::new(samples), &self.clocks)
     }
 
     /// The event stream, in framing order.
@@ -866,14 +736,17 @@ impl IdsPipeline {
         &self.event_rx
     }
 
-    /// Closes the sample input without joining. The pipeline threads drain
+    /// Closes the sample input without joining: routes the trailing open
+    /// frame, if any, and closes the shard rings. The workers drain
     /// whatever was already fed and exit, at which point the event stream
     /// disconnects — so a caller can iterate [`IdsPipeline::events`] to the
     /// end before collecting engines with [`IdsPipeline::close`].
     /// Idempotent; [`IdsPipeline::feed`] fails with
     /// [`PipelineError::InputClosed`] afterwards.
     pub fn close_input(&mut self) {
-        self.queue.close_input();
+        if let Some(router) = self.router.get_mut().take() {
+            router.finish_input();
+        }
     }
 
     /// Snapshot of the aggregate counters. The per-frame counters are
@@ -913,9 +786,7 @@ impl IdsPipeline {
             .iter()
             .map(|g| g.quarantined.load(Ordering::Relaxed))
             .collect();
-        let (dropped_chunks, rejected_chunks) = self.queue.shed_counters();
-        snapshot.dropped_chunks = dropped_chunks;
-        snapshot.rejected_chunks = rejected_chunks;
+        snapshot.rejected_chunks = self.rejected_chunks.load(Ordering::Relaxed);
         snapshot.stage_ns = self.clocks.snapshot();
         snapshot
     }
@@ -944,11 +815,8 @@ impl IdsPipeline {
     /// the typed wrappers ([`crate::FusionPipeline`]) to recover their
     /// own engine type.
     pub(crate) fn close_core(mut self) -> Result<(Vec<CoreEngine>, PipelineStats), PipelineError> {
-        self.queue.close_input();
+        self.close_input();
         let mut panicked = false;
-        if let Some(router) = self.router.take() {
-            panicked |= router.join().is_err();
-        }
         let mut engines = Vec::with_capacity(self.workers.len());
         for worker in std::mem::take(&mut self.workers) {
             match worker.join() {
@@ -986,11 +854,8 @@ impl IdsPipeline {
 
 impl Drop for IdsPipeline {
     fn drop(&mut self) {
-        self.queue.close_input();
+        self.close_input();
         // Best effort: never panic in drop.
-        if let Some(router) = self.router.take() {
-            let _ = router.join();
-        }
         for worker in std::mem::take(&mut self.workers) {
             let _ = worker.join();
         }
@@ -1000,137 +865,199 @@ impl Drop for IdsPipeline {
     }
 }
 
-/// Everything the router thread needs; owned by the router.
-struct RouterRuntime {
-    queue: Arc<SampleQueue>,
-    rings: Vec<Arc<SpscRing<SegmentItem>>>,
-    scored_tx: Sender<ScoredItem>,
-    gauges: Arc<Vec<ShardGauges>>,
-    clocks: Arc<StageClocks>,
-    workers: usize,
-    shard_seed: u64,
-    policy: BackpressurePolicy,
-}
-
-/// Segments the router accumulates per shard before publishing them to
-/// the shard's ring in one batch — one `Release` store (plus at most one
+/// Windows `feed` accumulates per shard before publishing them to the
+/// shard's ring in one batch — one `Release` store (plus at most one
 /// condvar signal) per [`ROUTE_BATCH`] frames instead of per frame.
 /// Batches are also flushed at the end of every chunk so a trickle of
 /// input never strands a frame in a half-full batch.
 const ROUTE_BATCH: usize = 8;
 
-/// Closes every shard ring when dropped, so the workers observe
-/// end-of-stream no matter how the router exits — clean drain, dead
-/// consumer, or a panic.
-struct RingCloser<'a>(&'a [Arc<SpscRing<SegmentItem>>]);
+/// The routing state [`IdsPipeline::feed`] runs under its lock: the one
+/// framing state machine of the pipeline, and the producer ends of the
+/// shard rings.
+#[derive(Debug)]
+struct FeedRouter {
+    splitter: FrameSplitter,
+    peeker: EdgeSetExtractor,
+    /// Windows of the chunk being routed; empty between `feed` calls.
+    segments: Vec<RawSegment>,
+    publisher: Publisher,
+}
 
-impl Drop for RingCloser<'_> {
-    fn drop(&mut self) {
-        for ring in self.0 {
+impl FeedRouter {
+    /// Whether a chunk may enter: never after a worker died beyond
+    /// supervision, and under `Reject` not while any shard ring is full.
+    /// A refused chunk leaves the splitter untouched, so retrying it is
+    /// safe.
+    fn admit(&self, rejected: &AtomicU64) -> Result<(), PipelineError> {
+        let publisher = &self.publisher;
+        if publisher.consumer_gone {
+            return Err(PipelineError::WorkerUnavailable);
+        }
+        if publisher.policy == BackpressurePolicy::Reject
+            && publisher.rings.iter().any(|ring| ring.is_full())
+        {
+            rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(PipelineError::Backlogged);
+        }
+        Ok(())
+    }
+
+    /// Splits one chunk and publishes every window that closes in it to
+    /// its shard's ring, flushing every shard's batch before returning.
+    // xtask: hot-path
+    fn route_chunk(
+        &mut self,
+        chunk: Arc<Vec<f64>>,
+        clocks: &StageClocks,
+    ) -> Result<(), PipelineError> {
+        let splitting = Instant::now();
+        self.splitter
+            .split_chunk(&chunk, &self.peeker, &mut self.segments);
+        clocks
+            .router
+            .fetch_add(elapsed_ns(splitting), Ordering::Relaxed);
+        // Publishing (or parking on) the rings is deliberately untimed:
+        // that wait is backpressure, not routing.
+        for segment in self.segments.drain(..) {
+            self.publisher.route_segment(segment)?;
+        }
+        self.publisher.flush_shards()
+    }
+
+    /// Routes the trailing open frame, if any, and closes every ring so
+    /// the workers drain and exit.
+    // xtask: cold
+    fn finish_input(mut self) {
+        if let Some(segment) = self.splitter.flush(&self.peeker) {
+            let _ = self.publisher.route_segment(segment);
+        }
+        let _ = self.publisher.flush_shards();
+        for ring in &self.publisher.rings {
             ring.close();
         }
     }
 }
 
-/// Splits the sample stream into raw frame segments and routes each to
-/// its shard's ring by the peeked source address.
-fn router_loop(splitter: FrameSplitter, peeker: EdgeSetExtractor, rt: RouterRuntime) {
-    let _closer = RingCloser(&rt.rings);
-    route_stream(splitter, peeker, &rt);
+/// The producer ends of the shard rings, with one pending batch per shard.
+#[derive(Debug)]
+struct Publisher {
+    rings: Vec<Arc<SpscRing<SegmentItem>>>,
+    batches: Vec<Vec<SegmentItem>>,
+    /// Sender for the `DropOldest` shed placeholders; dropped with the
+    /// router when the input closes.
+    scored_tx: Sender<ScoredItem>,
+    gauges: Arc<Vec<ShardGauges>>,
+    policy: BackpressurePolicy,
+    shard_seed: u64,
+    /// Sequence number of the next routed window.
+    next_seq: u64,
+    /// A shard's worker exited beyond supervision; later feeds fail.
+    consumer_gone: bool,
 }
 
-/// The routing loop proper; returns early (after waking blocked
-/// producers) when a shard's consumer died beyond supervision.
-fn route_stream(mut splitter: FrameSplitter, peeker: EdgeSetExtractor, rt: &RouterRuntime) {
-    let mut seq = 0u64;
-    let mut segments: Vec<RawSegment> = Vec::new();
-    let mut batches: Vec<Vec<SegmentItem>> = (0..rt.workers).map(|_| Vec::new()).collect();
-    while let Some(chunk) = rt.queue.pop() {
-        let chunk: Arc<[f64]> = chunk.into();
-        let splitting = Instant::now();
-        splitter.split_chunk(&chunk, &peeker, &mut segments);
-        rt.clocks
-            .router
-            .fetch_add(elapsed_ns(splitting), Ordering::Relaxed);
-        for segment in segments.drain(..) {
-            // A segment whose SA could not be decoded (sa == 0xFF, the
-            // J1939 global address, never a legitimate claimed sender)
-            // still lands on one stable shard.
-            let shard = stable_shard_seeded(segment.sa, rt.workers, rt.shard_seed);
-            let Some(batch) = batches.get_mut(shard) else {
-                continue;
-            };
-            batch.push(SegmentItem { seq, segment });
-            seq += 1;
-            if batch.len() >= ROUTE_BATCH && !flush_batch(rt, shard, batch) {
-                rt.queue.mark_receiver_gone();
-                return;
-            }
-        }
-        // End-of-chunk flush: publishing (or blocking on) the ring is
-        // deliberately untimed — that wait is backpressure, not routing.
-        for shard in 0..rt.workers {
-            let Some(batch) = batches.get_mut(shard) else {
-                continue;
-            };
-            if !batch.is_empty() && !flush_batch(rt, shard, batch) {
-                rt.queue.mark_receiver_gone();
-                return;
-            }
+impl Publisher {
+    /// Appends one window to its shard's batch, publishing the batch once
+    /// it holds [`ROUTE_BATCH`] windows.
+    // xtask: hot-path
+    fn route_segment(&mut self, segment: RawSegment) -> Result<(), PipelineError> {
+        // A segment whose SA could not be decoded (sa == 0xFF, the J1939
+        // global address, never a legitimate claimed sender) still lands
+        // on one stable shard.
+        let shard = stable_shard_seeded(segment.sa, self.rings.len(), self.shard_seed);
+        let Some(batch) = self.batches.get_mut(shard) else {
+            return Ok(());
+        };
+        batch.push(SegmentItem {
+            seq: self.next_seq,
+            segment,
+        });
+        self.next_seq += 1;
+        if batch.len() >= ROUTE_BATCH {
+            self.publish_batch(shard)
+        } else {
+            Ok(())
         }
     }
-    if let Some(segment) = splitter.flush(&peeker) {
-        let shard = stable_shard_seeded(segment.sa, rt.workers, rt.shard_seed);
-        if let Some(batch) = batches.get_mut(shard) {
-            batch.push(SegmentItem { seq, segment });
-            let _ = flush_batch(rt, shard, batch);
-        }
-    }
-}
 
-/// Publishes one shard's accumulated batch onto its ring under the
-/// configured policy; the batch is empty afterwards. Returns `false`
-/// when the shard's consumer is gone (its supervisor died in a way
-/// supervision does not cover), which ends routing.
-fn flush_batch(rt: &RouterRuntime, shard: usize, batch: &mut Vec<SegmentItem>) -> bool {
-    let (Some(ring), Some(gauge)) = (rt.rings.get(shard), rt.gauges.get(shard)) else {
-        batch.clear();
-        return false;
-    };
-    match rt.policy {
-        BackpressurePolicy::Block | BackpressurePolicy::Reject => {
-            // Deliberately blocking: a full ring stalls the router, the
-            // sample backlog fills behind it, and the *feed-level* policy
-            // decides what happens — ring-level loss only exists under
-            // `DropOldest`.
-            gauge.depth.fetch_add(batch.len(), Ordering::Relaxed);
-            if ring.push_batch(batch) {
-                true
-            } else {
-                gauge.depth.fetch_sub(batch.len(), Ordering::Relaxed);
-                batch.clear();
-                false
+    /// Publishes every shard's non-empty batch.
+    // xtask: hot-path
+    fn flush_shards(&mut self) -> Result<(), PipelineError> {
+        for shard in 0..self.batches.len() {
+            if self
+                .batches
+                .get(shard)
+                .is_some_and(|batch| !batch.is_empty())
+            {
+                self.publish_batch(shard)?;
             }
         }
-        BackpressurePolicy::DropOldest => {
-            if ring.is_consumer_gone() {
-                batch.clear();
-                return false;
-            }
-            let accepted = ring.try_push_batch(batch);
-            gauge.depth.fetch_add(accepted, Ordering::Relaxed);
-            // An SPSC producer cannot retract items it already published,
-            // so the ring-level analogue of "drop oldest" sheds the
-            // *incoming* overflow: each rejected segment becomes a
-            // `Dropped` placeholder sent straight to the merger, keeping
-            // the sequence space gapless and the loss attributed to
-            // exactly this shard.
-            let mut merger_gone = false;
-            for item in batch.drain(..) {
-                if merger_gone {
-                    continue;
+        Ok(())
+    }
+
+    /// Publishes one shard's batch onto its ring under the configured
+    /// policy; the batch is empty afterwards. Fails when the shard's
+    /// worker is gone beyond supervision, which ends routing.
+    // xtask: hot-path
+    fn publish_batch(&mut self, shard: usize) -> Result<(), PipelineError> {
+        let (Some(ring), Some(gauge), Some(batch)) = (
+            self.rings.get(shard),
+            self.gauges.get(shard),
+            self.batches.get_mut(shard),
+        ) else {
+            return Ok(());
+        };
+        let published = match self.policy {
+            BackpressurePolicy::Block | BackpressurePolicy::Reject => {
+                // A full ring parks the feeding thread, so backpressure
+                // reaches the caller of `feed` directly. `Reject` admitted
+                // this chunk while no ring was full, and every window of
+                // an admitted chunk is delivered.
+                gauge.depth.fetch_add(batch.len(), Ordering::Relaxed);
+                let pushed = ring.push_batch(batch);
+                if !pushed {
+                    gauge.depth.fetch_sub(batch.len(), Ordering::Relaxed);
+                    batch.clear();
                 }
-                let shed = ScoredItem {
+                pushed
+            }
+            BackpressurePolicy::DropOldest => {
+                if ring.is_consumer_gone() {
+                    batch.clear();
+                    false
+                } else {
+                    let accepted = ring.try_push_batch(batch);
+                    gauge.depth.fetch_add(accepted, Ordering::Relaxed);
+                    batch.is_empty() || shed_overflow(&self.scored_tx, shard, batch)
+                }
+            }
+        };
+        if published {
+            Ok(())
+        } else {
+            self.consumer_gone = true;
+            Err(PipelineError::WorkerUnavailable)
+        }
+    }
+}
+
+/// Sheds a full ring's incoming overflow under `DropOldest`. An SPSC
+/// producer cannot retract items it already published, so the ring-level
+/// analogue of "drop oldest" sheds the *incoming* windows: each becomes a
+/// `Dropped` placeholder sent straight to the merger, keeping the sequence
+/// space gapless and the loss attributed to exactly this shard. Returns
+/// `false` when the merger is gone.
+// xtask: cold
+fn shed_overflow(
+    scored_tx: &Sender<ScoredItem>,
+    shard: usize,
+    batch: &mut Vec<SegmentItem>,
+) -> bool {
+    let mut merger_alive = true;
+    for item in batch.drain(..) {
+        if merger_alive {
+            merger_alive = scored_tx
+                .send(ScoredItem {
                     seq: item.seq,
                     shard,
                     event: IdsEvent::Dropped {
@@ -1140,12 +1067,11 @@ fn flush_batch(rt: &RouterRuntime, shard: usize, batch: &mut Vec<SegmentItem>) -
                     },
                     shadow: Vec::new(),
                     fusion: None,
-                };
-                merger_gone = rt.scored_tx.send(shed).is_err();
-            }
-            !merger_gone
+                })
+                .is_ok();
         }
     }
+    merger_alive
 }
 
 /// Everything a shard's supervisor and scoring loop need; owned by the
@@ -1166,21 +1092,19 @@ struct WorkerRuntime {
 
 /// Mutable worker state that survives a panic of the scoring loop: the
 /// supervisor rolls `engine` back to `checkpoint` and resumes from
-/// `pending`, dropping only the segment that was in flight when the panic
-/// hit. The framer needs no checkpoint: it is `reset_to` the segment base
-/// before every frame, so it carries no cross-segment state.
+/// `pending`, dropping only the window that was in flight when the panic
+/// hit.
 struct WorkerState {
     engine: CoreEngine,
     checkpoint: CoreEngine,
     shadows: Vec<IdsEngine>,
     shadow_checkpoints: Vec<IdsEngine>,
-    /// This shard's own framer, re-framing each routed segment locally.
-    framer: StreamFramer,
     pending: VecDeque<SegmentItem>,
     /// Scratch for ring pops; drained into `pending` immediately.
     batch: Vec<SegmentItem>,
-    /// Scratch for per-segment framing output; cleared before each frame.
-    frames_scratch: Vec<(u64, Vec<f64>)>,
+    /// Reusable buffer for windows that straddle a chunk boundary; every
+    /// other window is scored in place.
+    window: Vec<f64>,
     in_flight: Option<(u64, u64)>,
     monitor: HealthMonitor,
     processed: usize,
@@ -1232,47 +1156,6 @@ impl WorkerState {
             .fetch_add(elapsed_ns(shadowing), Ordering::Relaxed);
         verdicts
     }
-    /// Re-frames one routed segment into its score-ready window, exactly
-    /// as the single global framer would have: reset to the segment base,
-    /// replay head and tail, flush if the capture ended mid-frame (see
-    /// [`FrameSplitter`] for why this is byte-identical).
-    // xtask: hot-path
-    fn frame_segment(&mut self, segment: &RawSegment) -> (u64, Vec<f64>) {
-        self.framer.reset_to(segment.base);
-        self.frames_scratch.clear();
-        if !segment.head.is_empty() {
-            self.framer
-                .push_into(&segment.head, &mut self.frames_scratch);
-        }
-        let mid = segment.mid_slice();
-        if !mid.is_empty() {
-            self.framer.push_into(mid, &mut self.frames_scratch);
-        }
-        let tail = segment.tail_slice();
-        if !tail.is_empty() {
-            self.framer.push_into(tail, &mut self.frames_scratch);
-        }
-        if segment.open_tail {
-            if let Some(window) = self.framer.flush() {
-                self.frames_scratch.push(window);
-            }
-        }
-        debug_assert_eq!(
-            self.frames_scratch.len(),
-            1,
-            "a routed segment re-frames to exactly one window"
-        );
-        self.frames_scratch.pop().unwrap_or_else(|| {
-            // Defensive (unreachable by the splitter/framer equivalence):
-            // score the raw segment samples at its base position rather
-            // than losing the frame and stalling the merger's sequence.
-            // xtask: allow(hot-path-alloc): unreachable fallback arm, not the steady-state path
-            let mut window = segment.head.clone();
-            window.extend_from_slice(segment.mid_slice());
-            window.extend_from_slice(segment.tail_slice());
-            (segment.base, window)
-        })
-    }
 
     /// The scoring loop proper; returns when the shard's ring closes and
     /// drains (clean shutdown) or the merger is gone. May panic — the
@@ -1288,32 +1171,39 @@ impl WorkerState {
                 self.pending.extend(self.batch.drain(..));
             }
             while let Some(item) = self.pending.pop_front() {
+                let stream_pos = item.segment.base;
                 // The in-flight marker must be set before any fallible
-                // work so a panic anywhere in framing or scoring maps to
-                // exactly this segment.
-                self.in_flight = Some((item.seq, item.segment.base));
-                let framing = Instant::now();
-                let (stream_pos, window) = self.frame_segment(&item.segment);
-                rt.clocks
-                    .frame
-                    .fetch_add(elapsed_ns(framing), Ordering::Relaxed);
-                // Re-point the marker at the framed window position so a
-                // restart placeholder lands exactly where the scored event
-                // would have (keeps merged positions monotonic).
+                // work so a panic anywhere in scoring maps to exactly this
+                // window, and its placeholder lands where the scored event
+                // would have.
                 self.in_flight = Some((item.seq, stream_pos));
                 if let Some(hook) = &rt.hook {
                     hook(rt.shard, item.seq);
                 }
-                let (event, fusion) = self.score(rt, stream_pos, &window);
+                // Taken out for the frame so the window can borrow it
+                // while scoring mutates the rest of the state.
+                let mut scratch = std::mem::take(&mut self.window);
+                let window = if item.segment.straddles() {
+                    let copying = Instant::now();
+                    item.segment.assemble_into(&mut scratch);
+                    rt.clocks
+                        .frame
+                        .fetch_add(elapsed_ns(copying), Ordering::Relaxed);
+                    scratch.as_slice()
+                } else {
+                    item.segment.tail_slice()
+                };
+                let (event, fusion) = self.score(rt, stream_pos, window);
                 // Shadows only mirror frames the primary actually scored:
                 // degraded/dropped placeholders carry no primary verdict
                 // to disagree with.
                 let shadow = match &event {
                     IdsEvent::Scored(scored) if !scored.extraction_failed => {
-                        self.score_shadows(rt, stream_pos, &window, scored.verdict.is_anomaly())
+                        self.score_shadows(rt, stream_pos, window, scored.verdict.is_anomaly())
                     }
                     _ => Vec::new(),
                 };
+                self.window = scratch;
                 self.in_flight = None;
                 self.processed += 1;
                 if self.processed.is_multiple_of(rt.checkpoint_interval) {
@@ -1445,22 +1335,17 @@ fn outcome_of(event: &IdsEvent) -> WindowOutcome {
 /// reorder buffer never stalls on a sequence gap.
 fn supervised_worker(engine: CoreEngine, shadows: Vec<IdsEngine>, rt: WorkerRuntime) -> CoreEngine {
     // Held for the whole thread: if this worker dies in any way
-    // supervision does not cover, the router must not park forever on a
-    // ring nobody will ever drain again.
+    // supervision does not cover, `feed` must not park forever on a ring
+    // nobody will ever drain again.
     let _consumer_guard = RingConsumerGuard(Arc::clone(&rt.ring));
-    let framer = {
-        let config = engine.config();
-        StreamFramer::new(config.bit_width_samples, config.bit_threshold)
-    };
     let mut state = WorkerState {
         checkpoint: engine.clone(),
         engine,
         shadow_checkpoints: shadows.clone(),
         shadows,
-        framer,
         pending: VecDeque::new(),
         batch: Vec::new(),
-        frames_scratch: Vec::new(),
+        window: Vec::new(),
         in_flight: None,
         monitor: HealthMonitor::new(rt.health),
         processed: 0,
@@ -1510,8 +1395,8 @@ fn supervised_worker(engine: CoreEngine, shadows: Vec<IdsEngine>, rt: WorkerRunt
 
 /// Marks the shard's ring consumer as gone when the worker thread exits
 /// by any path — clean return, permanent failure, or a panic that escapes
-/// the supervisor — so the router cannot park forever publishing to a
-/// ring with no reader.
+/// the supervisor — so `feed` cannot park forever publishing to a ring
+/// with no reader.
 struct RingConsumerGuard(Arc<SpscRing<SegmentItem>>);
 
 impl Drop for RingConsumerGuard {
@@ -1521,10 +1406,9 @@ impl Drop for RingConsumerGuard {
 }
 
 /// Drains a permanently failed shard: everything still queued (and
-/// everything the router routes here from now on) becomes a `Dropped`
-/// placeholder, so the router never blocks on a dead shard and the merger
-/// never waits on a missing sequence number. The un-framed segment base
-/// stands in for the window position the worker never computed.
+/// everything `feed` routes here from now on) becomes a `Dropped`
+/// placeholder at its window's stream position, so `feed` never blocks on
+/// a dead shard and the merger never waits on a missing sequence number.
 fn drain_failed_shard(
     rt: &WorkerRuntime,
     pending: VecDeque<SegmentItem>,
@@ -1876,67 +1760,5 @@ mod tests {
         let (engines, stats) = pipeline.close().unwrap();
         assert_eq!(engines.len(), workers);
         assert_eq!(stats.shard_frames.len(), workers);
-    }
-
-    #[test]
-    fn sample_queue_reject_policy_returns_backlogged() {
-        let queue = SampleQueue::new(2);
-        queue.push(vec![1.0], BackpressurePolicy::Reject).unwrap();
-        queue.push(vec![2.0], BackpressurePolicy::Reject).unwrap();
-        assert_eq!(
-            queue.push(vec![3.0], BackpressurePolicy::Reject),
-            Err(PipelineError::Backlogged)
-        );
-        assert_eq!(queue.shed_counters(), (0, 1));
-        // The queue still holds (and yields) the accepted chunks.
-        assert_eq!(queue.pop(), Some(vec![1.0]));
-    }
-
-    #[test]
-    fn sample_queue_drop_oldest_sheds_the_head() {
-        let queue = SampleQueue::new(2);
-        queue
-            .push(vec![1.0], BackpressurePolicy::DropOldest)
-            .unwrap();
-        queue
-            .push(vec![2.0], BackpressurePolicy::DropOldest)
-            .unwrap();
-        queue
-            .push(vec![3.0], BackpressurePolicy::DropOldest)
-            .unwrap();
-        assert_eq!(queue.shed_counters(), (1, 0));
-        assert_eq!(queue.pop(), Some(vec![2.0]), "oldest chunk was shed");
-        assert_eq!(queue.pop(), Some(vec![3.0]));
-    }
-
-    #[test]
-    fn sample_queue_block_policy_waits_for_the_consumer() {
-        let queue = Arc::new(SampleQueue::new(1));
-        queue.push(vec![1.0], BackpressurePolicy::Block).unwrap();
-        let consumer = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                queue.pop()
-            })
-        };
-        // Blocks until the consumer pops, then succeeds without loss.
-        queue.push(vec![2.0], BackpressurePolicy::Block).unwrap();
-        assert_eq!(consumer.join().unwrap(), Some(vec![1.0]));
-        assert_eq!(queue.shed_counters(), (0, 0));
-        assert_eq!(queue.pop(), Some(vec![2.0]));
-    }
-
-    #[test]
-    fn sample_queue_close_unblocks_and_errors() {
-        let queue = SampleQueue::new(1);
-        queue.push(vec![1.0], BackpressurePolicy::Block).unwrap();
-        queue.close_input();
-        assert_eq!(
-            queue.push(vec![2.0], BackpressurePolicy::Block),
-            Err(PipelineError::InputClosed)
-        );
-        assert_eq!(queue.pop(), Some(vec![1.0]), "closing drains, not drops");
-        assert_eq!(queue.pop(), None);
     }
 }

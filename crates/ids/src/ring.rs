@@ -1,7 +1,8 @@
 //! Bounded single-producer/single-consumer ring with batched hand-off.
 //!
-//! The router owns the producer side of one ring per shard; the shard's
-//! worker owns the consumer side. Both ends move *batches*: the producer
+//! [`crate::IdsPipeline::feed`] owns the producer side of one ring per
+//! shard, under the pipeline's feed-side splitter lock; the shard's worker
+//! owns the consumer side. Both ends move *batches*: the producer
 //! publishes a whole batch with one `Release` store of `tail` and the
 //! consumer retires a whole batch with one `Release` store of `head`, so
 //! the cross-core traffic is one atomic (plus at most one condvar
@@ -70,17 +71,16 @@ impl<T> SpscRing<T> {
     }
 
     /// Items currently published but not yet retired.
-    #[allow(dead_code)] // introspection for tests; the module is crate-private
     pub fn len(&self) -> usize {
         let head = self.head.load(Ordering::Acquire);
         let tail = self.tail.load(Ordering::Acquire);
         tail.saturating_sub(head) as usize
     }
 
-    /// Whether the ring currently holds no items.
-    #[allow(dead_code)] // introspection for tests; the module is crate-private
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Whether every slot is taken, so a push would park (or shed). The
+    /// `Reject` policy refuses a chunk while any shard ring is full.
+    pub fn is_full(&self) -> bool {
+        self.len() >= self.cap as usize
     }
 
     /// Producer: pushes the whole batch, parking whenever the ring is
@@ -157,12 +157,6 @@ impl<T> SpscRing<T> {
         let guard = self.signal.lock().unwrap_or_else(PoisonError::into_inner);
         self.not_empty.notify_all();
         drop(guard);
-    }
-
-    /// Whether [`SpscRing::close`] has been called.
-    #[allow(dead_code)] // introspection for tests; the module is crate-private
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
     }
 
     /// Whether [`SpscRing::mark_consumer_gone`] has been called. Lets a

@@ -1,19 +1,14 @@
-//! Raw-chunk frame splitting for the parallel router.
+//! Raw-chunk frame splitting: the pipeline's only framing state machine.
 //!
-//! The historical router ran a full [`crate::StreamFramer`] over the
-//! sample stream and shipped *copied windows* to the workers — which made
-//! framing (plus the window copy) a serial bottleneck. The
-//! [`FrameSplitter`] replaces that with the cheapest thing that can still
-//! route: it runs the *same* idle/SOF/gap-skip state machine as the
-//! framer (same scans, same lead-in trim, same close condition), but
-//! instead of assembling windows it emits [`RawSegment`] descriptors —
-//! zero-copy `Arc` spans of the chunks a frame touches (an owned copy
-//! only for frames spanning three or more chunks) — and peeks the
-//! claimed source address for shard routing. The worker that receives a segment
-//! re-frames it locally with `StreamFramer::reset_to(base)` +
-//! `push_into`, which reproduces the global framer's window byte-for-byte
-//! because a framer's state immediately after a close is exactly the
-//! reset state, and framer output is chunking-invariant.
+//! [`crate::IdsPipeline::feed`] runs one [`FrameSplitter`] on the calling
+//! thread. It runs the *same* idle/SOF/gap-skip state machine as
+//! [`crate::StreamFramer`] (same scans, same lead-in trim, same close
+//! condition), but instead of assembling windows it emits [`RawSegment`]s —
+//! zero-copy `Arc` spans of the chunks a frame touches — and peeks the
+//! claimed source address for shard routing. A segment *is* the framer's
+//! window: `head ++ mid ++ tail` equals it sample for sample and `base` is
+//! its stream position, so workers score it in place and assemble it
+//! ([`RawSegment::assemble_into`]) only when it straddles a chunk boundary.
 //!
 //! Routing determinism: the SA peek always decodes exactly the slice
 //! `stream[sof..=close]` — never a prefix of an unclosed frame — so the
@@ -33,7 +28,7 @@ use crate::scan;
 #[derive(Debug, Clone)]
 pub(crate) struct ChunkSpan {
     /// The chunk the span borrows; shared by every segment touching it.
-    pub chunk: Arc<[f64]>,
+    pub chunk: Arc<Vec<f64>>,
     /// Start of the range (inclusive).
     pub start: usize,
     /// End of the range (exclusive).
@@ -52,13 +47,11 @@ impl ChunkSpan {
     }
 }
 
-/// One frame's worth of raw samples, as routed by the splitter: an owned
-/// `head` only for frames spanning three or more chunks, a zero-copy
-/// `mid` span of the previous chunk when the frame straddles one
-/// boundary, and the in-chunk `tail` span. `base` is the absolute stream
-/// position of the first sample (`head`, then `mid`, then the tail), so
-/// a worker can `reset_to(base)` and re-frame the segment with exact
-/// positions.
+/// One frame window, as routed by the splitter: an owned `head` only for
+/// frames spanning three or more chunks (or the flushed final frame), a
+/// zero-copy `mid` span of the previous chunk when the frame straddles one
+/// boundary, and the in-chunk `tail` span. `head ++ mid ++ tail` is the
+/// framer's window and `base` its absolute stream position.
 #[derive(Debug, Clone)]
 pub(crate) struct RawSegment {
     /// Samples owned from chunks older than `mid` (only frames spanning
@@ -76,9 +69,6 @@ pub(crate) struct RawSegment {
     /// Claimed source address peeked from the arbitration field, `0xFF`
     /// (the J1939 global address) when it cannot be decoded.
     pub sa: u8,
-    /// `true` for the final flushed segment, whose frame never saw its
-    /// closing gap: the worker must `flush()` its framer after pushing.
-    pub open_tail: bool,
 }
 
 impl RawSegment {
@@ -87,9 +77,28 @@ impl RawSegment {
         self.mid.as_ref().map_or(&[], ChunkSpan::as_slice)
     }
 
-    /// The in-chunk sample range (empty for a flushed segment).
+    /// The in-chunk sample range (empty for a flushed segment). For a
+    /// segment that does not [`straddle`](RawSegment::straddles) a chunk
+    /// boundary this is the whole window, borrowed in place.
     pub fn tail_slice(&self) -> &[f64] {
         self.tail.as_slice()
+    }
+
+    /// Whether the window spans more than the in-chunk `tail`, and must be
+    /// assembled with [`RawSegment::assemble_into`] to be read as one slice.
+    pub fn straddles(&self) -> bool {
+        !self.head.is_empty() || self.mid.is_some()
+    }
+
+    /// Copies the whole window (`head ++ mid ++ tail`) into `window`,
+    /// replacing its contents; a reused buffer stops allocating once it
+    /// has grown to the longest straddling frame.
+    // xtask: hot-path
+    pub fn assemble_into(&self, window: &mut Vec<f64>) {
+        window.clear();
+        window.extend_from_slice(&self.head);
+        window.extend_from_slice(self.mid_slice());
+        window.extend_from_slice(self.tail_slice());
     }
 }
 
@@ -153,11 +162,11 @@ impl FrameSplitter {
     // xtask: hot-path
     pub fn split_chunk(
         &mut self,
-        chunk: &Arc<[f64]>,
+        chunk: &Arc<Vec<f64>>,
         peeker: &EdgeSetExtractor,
         out: &mut Vec<RawSegment>,
     ) {
-        let samples: &[f64] = chunk;
+        let samples: &[f64] = chunk.as_slice();
         let end_gap = (self.end_gap_bits * self.bit_width) as usize;
         let mut i = 0usize;
         // Chunk index where the retained (not-yet-carried) span begins.
@@ -231,7 +240,6 @@ impl FrameSplitter {
                         },
                         base: self.consumed - seg_len as u64,
                         sa,
-                        open_tail: false,
                     });
                     self.recessive_run = 0;
                     i = tail_end;
@@ -268,8 +276,8 @@ impl FrameSplitter {
         self.carry.len() + self.prev.as_ref().map_or(0, ChunkSpan::len)
     }
 
-    /// Flushes a trailing open frame as a head-only segment (the worker
-    /// completes it with `StreamFramer::flush`). `None` when idle.
+    /// Flushes a trailing open frame as a head-only segment — the window
+    /// `StreamFramer::flush` would return. `None` when idle.
     // xtask: cold
     pub fn flush(&mut self, peeker: &EdgeSetExtractor) -> Option<RawSegment> {
         let sof = self.sof_seg.take()?;
@@ -291,12 +299,11 @@ impl FrameSplitter {
             head,
             mid: None,
             tail: ChunkSpan {
-                chunk: Arc::from(Vec::new()),
+                chunk: Arc::new(Vec::new()),
                 start: 0,
                 end: 0,
             },
             sa,
-            open_tail: true,
         })
     }
 
@@ -394,31 +401,20 @@ mod tests {
         EdgeSetExtractor::new(vprofile::VProfileConfig::for_adc(&adc, 500_000))
     }
 
-    /// Re-frames one segment the way a worker does and returns the window.
-    fn reframe(seg: &RawSegment, framer: &mut StreamFramer) -> Vec<(u64, Vec<f64>)> {
-        framer.reset_to(seg.base);
-        let mut windows = Vec::new();
-        if !seg.head.is_empty() {
-            framer.push_into(&seg.head, &mut windows);
+    /// Splits `s` in `chunk_len` pieces (plus the final flush).
+    fn split(s: &[f64], chunk_len: usize, peeker: &EdgeSetExtractor) -> Vec<RawSegment> {
+        let mut splitter = FrameSplitter::new(4.0, 1500.0);
+        let mut segments = Vec::new();
+        for chunk in s.chunks(chunk_len) {
+            splitter.split_chunk(&Arc::new(chunk.to_vec()), peeker, &mut segments);
         }
-        let mid = seg.mid_slice();
-        if !mid.is_empty() {
-            framer.push_into(mid, &mut windows);
-        }
-        let tail = seg.tail_slice();
-        if !tail.is_empty() {
-            framer.push_into(tail, &mut windows);
-        }
-        if seg.open_tail {
-            if let Some(window) = framer.flush() {
-                windows.push(window);
-            }
-        }
-        windows
+        segments.extend(splitter.flush(peeker));
+        assert_eq!(splitter.samples_consumed(), s.len() as u64);
+        segments
     }
 
     #[test]
-    fn segments_reframe_to_the_reference_windows_for_every_chunking() {
+    fn segments_are_the_reference_windows_for_every_chunking() {
         let bits = [false, true, false, false, true, true, false];
         let mut s = Vec::new();
         for _ in 0..4 {
@@ -433,26 +429,17 @@ mod tests {
 
         let peeker = peeker();
         for chunk_len in [1, 3, 7, 16, 64, 1000, s.len()] {
-            let mut splitter = FrameSplitter::new(4.0, 1500.0);
-            let mut segments = Vec::new();
-            for chunk in s.chunks(chunk_len) {
-                let arc: Arc<[f64]> = chunk.to_vec().into();
-                splitter.split_chunk(&arc, &peeker, &mut segments);
-            }
-            segments.extend(splitter.flush(&peeker));
-            assert_eq!(splitter.samples_consumed(), s.len() as u64);
-
-            let mut framer = StreamFramer::new(4.0, 1500.0);
-            let mut got = Vec::new();
-            for seg in &segments {
-                let windows = reframe(seg, &mut framer);
-                assert_eq!(
-                    windows.len(),
-                    1,
-                    "chunk_len {chunk_len}: every segment holds exactly one frame"
-                );
-                got.extend(windows);
-            }
+            let mut window = Vec::new();
+            let got: Vec<(u64, Vec<f64>)> = split(&s, chunk_len, &peeker)
+                .iter()
+                .map(|seg| {
+                    seg.assemble_into(&mut window);
+                    if !seg.straddles() {
+                        assert_eq!(seg.tail_slice(), window.as_slice());
+                    }
+                    (seg.base, window.clone())
+                })
+                .collect();
             assert_eq!(got, expected, "chunk_len {chunk_len}");
         }
     }
@@ -468,14 +455,10 @@ mod tests {
         let peeker = peeker();
         let mut reference: Option<Vec<u8>> = None;
         for chunk_len in [2, 5, 33, s.len()] {
-            let mut splitter = FrameSplitter::new(4.0, 1500.0);
-            let mut segments = Vec::new();
-            for chunk in s.chunks(chunk_len) {
-                let arc: Arc<[f64]> = chunk.to_vec().into();
-                splitter.split_chunk(&arc, &peeker, &mut segments);
-            }
-            segments.extend(splitter.flush(&peeker));
-            let sas: Vec<u8> = segments.iter().map(|seg| seg.sa).collect();
+            let sas: Vec<u8> = split(&s, chunk_len, &peeker)
+                .iter()
+                .map(|seg| seg.sa)
+                .collect();
             match &reference {
                 None => reference = Some(sas),
                 Some(expected) => assert_eq!(&sas, expected, "chunk_len {chunk_len}"),
@@ -489,150 +472,10 @@ mod tests {
         let mut splitter = FrameSplitter::new(4.0, 1500.0);
         let mut segments = Vec::new();
         for _ in 0..50 {
-            let arc: Arc<[f64]> = vec![100.0; 1000].into();
-            splitter.split_chunk(&arc, &peeker, &mut segments);
+            splitter.split_chunk(&Arc::new(vec![100.0; 1000]), &peeker, &mut segments);
         }
         assert!(segments.is_empty());
         assert!(splitter.flush(&peeker).is_none());
         assert!(splitter.retained_len() <= splitter.lead_in + 1);
-    }
-}
-
-#[cfg(test)]
-mod perf_probe {
-    use super::*;
-    use vprofile::VProfileConfig;
-    use vprofile_vehicle::scenario::stress_fleet;
-    use vprofile_vehicle::CaptureConfig;
-
-    #[test]
-    #[ignore = "timing probe, run manually with --release"]
-    fn perf_probe_split_loop() {
-        let vehicle = stress_fleet(8, 41);
-        let capture = vehicle
-            .capture(&CaptureConfig::default().with_frames(500).with_seed(41))
-            .expect("capture");
-        let config = VProfileConfig::for_adc(capture.adc(), capture.bit_rate_bps());
-        let peeker = EdgeSetExtractor::new(config.clone());
-        let mut stream = Vec::new();
-        for frame in capture.frames() {
-            stream.extend_from_slice(&frame.trace.to_f64());
-        }
-        let chunks: Vec<Arc<[f64]>> = stream.chunks(65_536).map(Arc::from).collect();
-        let reps = 20; // ~10k frames
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let mut splitter = FrameSplitter::new(config.bit_width_samples, config.bit_threshold);
-            let mut out = Vec::new();
-            let mut frames = 0usize;
-            let mut spent = std::time::Duration::ZERO;
-            for _ in 0..reps {
-                for chunk in &chunks {
-                    // Warm the chunk like the router's untimed Vec -> Arc
-                    // copy does in the real pipeline.
-                    let warm: f64 = chunk.iter().sum();
-                    std::hint::black_box(warm);
-                    let t = std::time::Instant::now();
-                    splitter.split_chunk(chunk, &peeker, &mut out);
-                    spent += t.elapsed();
-                    frames += out.len();
-                    out.clear();
-                }
-            }
-            let ns = spent.as_nanos() as f64 / frames as f64;
-            best = best.min(ns);
-            eprintln!("split loop: {ns:.0} ns/frame over {frames} frames");
-        }
-        eprintln!("BEST {best:.0} ns/frame");
-    }
-
-    #[test]
-    #[ignore = "timing probe, run manually with --release"]
-    fn perf_probe_peek_only() {
-        let vehicle = stress_fleet(8, 41);
-        let capture = vehicle
-            .capture(&CaptureConfig::default().with_frames(500).with_seed(41))
-            .expect("capture");
-        let config = VProfileConfig::for_adc(capture.adc(), capture.bit_rate_bps());
-        let peeker = EdgeSetExtractor::new(config);
-        let windows: Vec<Vec<f64>> = capture.frames().iter().map(|f| f.trace.to_f64()).collect();
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let mut peeks = 0usize;
-            let t = std::time::Instant::now();
-            for _ in 0..20 {
-                for w in &windows {
-                    let sa = peeker.peek_sa(w).map(|sa| sa.raw()).unwrap_or(0xFF);
-                    std::hint::black_box(sa);
-                    peeks += 1;
-                }
-            }
-            let ns = t.elapsed().as_nanos() as f64 / peeks as f64;
-            best = best.min(ns);
-            eprintln!("peek only: {ns:.0} ns");
-        }
-        eprintln!("PEEK BEST {best:.0} ns");
-    }
-
-    #[test]
-    #[ignore = "timing probe, run manually with --release"]
-    fn perf_probe_scans_only() {
-        let vehicle = stress_fleet(8, 41);
-        let capture = vehicle
-            .capture(&CaptureConfig::default().with_frames(500).with_seed(41))
-            .expect("capture");
-        let config = VProfileConfig::for_adc(capture.adc(), capture.bit_rate_bps());
-        let threshold = config.bit_threshold;
-        let end_gap = (8.0 * config.bit_width_samples) as usize;
-        let mut stream = Vec::new();
-        for frame in capture.frames() {
-            stream.extend_from_slice(&frame.trace.to_f64());
-        }
-        let chunks: Vec<Arc<[f64]>> = stream.chunks(65_536).map(Arc::from).collect();
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let mut frames = 0usize;
-            let mut in_frame = false;
-            let mut run = 0usize;
-            let mut spent = std::time::Duration::ZERO;
-            for _ in 0..20 {
-                for chunk in &chunks {
-                    let warm: f64 = chunk.iter().sum();
-                    std::hint::black_box(warm);
-                    let samples: &[f64] = chunk;
-                    let t = std::time::Instant::now();
-                    let mut i = 0usize;
-                    while i < samples.len() {
-                        if !in_frame {
-                            match scan::find_dominant(&samples[i..], threshold) {
-                                None => break,
-                                Some(off) => {
-                                    i += off;
-                                    in_frame = true;
-                                    run = 0;
-                                }
-                            }
-                        }
-                        match scan::gap_close(&samples[i..], threshold, end_gap, run) {
-                            Ok(k) => {
-                                i += k + 1;
-                                in_frame = false;
-                                frames += 1;
-                            }
-                            Err(r) => {
-                                run = r;
-                                break;
-                            }
-                        }
-                    }
-                    spent += t.elapsed();
-                }
-            }
-            let ns = spent.as_nanos() as f64 / frames as f64;
-            best = best.min(ns);
-            eprintln!("scans only: {ns:.0} ns/frame over {frames} frames");
-            frames = 0;
-        }
-        eprintln!("SCANS BEST {best:.0} ns/frame");
     }
 }

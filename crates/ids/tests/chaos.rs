@@ -357,9 +357,9 @@ fn drop_oldest_sheds_segments_but_keeps_the_identity() {
         .feed(stream)
         .expect("drop-oldest never fails the producer");
     let (_, stats) = pipeline.close().expect("clean close");
-    // Under DropOldest the router never blocks, so loss happens at the
-    // full per-shard rings: shed segments become Dropped placeholders,
-    // attributed to exactly one shard and counted inside the identity.
+    // Under DropOldest `feed` never blocks, so loss happens at the full
+    // per-shard rings: shed windows become Dropped placeholders, attributed
+    // to exactly one shard and counted inside the identity.
     let shed: u64 = stats.shard_sheds.iter().sum();
     assert!(
         shed > 0,
@@ -369,7 +369,6 @@ fn drop_oldest_sheds_segments_but_keeps_the_identity() {
         stats.dropped >= shed,
         "every shed segment is also counted as dropped: {stats:?}"
     );
-    assert_eq!(stats.dropped_chunks, 0, "the feed backlog never overflowed");
     assert_eq!(stats.rejected_chunks, 0);
     // Loss is visible, never silent: every split frame still lands in
     // exactly one bucket.
@@ -404,9 +403,68 @@ fn reject_policy_surfaces_backpressure_to_the_producer() {
         stats.rejected_chunks, rejected,
         "every rejection is counted exactly once"
     );
-    assert_eq!(stats.dropped_chunks, 0, "reject never silently sheds");
     assert!(stats.frames > 0, "accepted chunks still flow through");
     assert_identity(&stats, "reject");
+}
+
+#[test]
+fn rejected_chunks_are_safe_to_retry() {
+    let (engine, _, capture) = chaos_setup(4, 256, 2007);
+    let chunks: Vec<Vec<f64>> = stream_of(&capture)
+        .chunks(512)
+        .map(<[f64]>::to_vec)
+        .collect();
+    let slow = |policy| {
+        PipelineConfig::default()
+            .with_workers(2)
+            .with_high_water(2)
+            .with_backpressure(policy)
+            .with_fault_hook(Arc::new(|_, _| {
+                std::thread::sleep(Duration::from_millis(1));
+            }))
+    };
+    let drain = |mut pipeline: IdsPipeline| {
+        pipeline.close_input();
+        let events: Vec<IdsEvent> = pipeline.events().into_iter().collect();
+        let (_, stats) = pipeline.close().expect("clean close");
+        (events, stats)
+    };
+
+    let reference = IdsPipeline::spawn_sharded(engine.clone(), slow(BackpressurePolicy::Block));
+    for chunk in &chunks {
+        reference.feed(chunk.clone()).expect("block never refuses");
+    }
+    let (expected, _) = drain(reference);
+
+    // A refused chunk never reached the splitter, so feeding it again
+    // until it is accepted must reproduce the blocking run exactly.
+    let retried = IdsPipeline::spawn_sharded(engine, slow(BackpressurePolicy::Reject));
+    let mut refusals = 0u64;
+    for chunk in &chunks {
+        loop {
+            match retried.feed(chunk.clone()) {
+                Ok(()) => break,
+                Err(PipelineError::Backlogged) => {
+                    refusals += 1;
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                Err(other) => panic!("unexpected feed error: {other}"),
+            }
+        }
+    }
+    let (got, stats) = drain(retried);
+    assert!(refusals > 0, "slow consumers must refuse some chunks");
+    assert_eq!(
+        stats.rejected_chunks, refusals,
+        "every refusal is counted exactly once"
+    );
+    assert_eq!(stats.dropped, 0, "reject never sheds an accepted frame");
+    assert_identity(&stats, "reject retry");
+    assert_eq!(
+        serde_json::to_string(&got).expect("serialize"),
+        serde_json::to_string(&expected).expect("serialize"),
+        "retrying refused chunks must reproduce the blocking run byte for byte"
+    );
 }
 
 #[test]
