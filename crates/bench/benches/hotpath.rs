@@ -15,15 +15,24 @@
 //! * `gap_skip` — the block (8-lane) dominant-sample scans behind the
 //!   splitter's idle-gap skip, benchmarked against their scalar twins on
 //!   the same inputs so the speedup (and any regression to parity) is
-//!   measured, not assumed.
+//!   measured, not assumed;
+//! * `update` — the §5.3 model write path on the 8-ECU stress fleet
+//!   (`d = 32`): `cholesky` (one cluster covariance, fresh output) and
+//!   `inverse_factor` (its inverse factor into a reused block), the two
+//!   triangular kernels of a refit, and `absorb_16_apply_refresh`, sixteen
+//!   backend absorptions touching all eight clusters, which apply one
+//!   batch and refresh the scoring cache in place.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use vprofile::{Detector, EdgeSetExtractor, ScoringCache, ScratchArena, Trainer, VProfileConfig};
-use vprofile_ids::{IdsEngine, UpdatePolicy};
+use vprofile::{
+    Detector, EdgeSetExtractor, LabeledEdgeSet, ScoringCache, ScratchArena, Trainer, VProfileConfig,
+};
+use vprofile_ids::{DetectionBackend, IdsEngine, UpdatePolicy, VProfileBackend};
 use vprofile_sigstat::{BatchedMahalanobis, Gaussian, Matrix, SampleBatch};
+use vprofile_vehicle::scenario::stress_fleet;
 use vprofile_vehicle::{CaptureConfig, Vehicle};
 
 /// Trained setup shared by the extraction and scoring benches.
@@ -187,6 +196,58 @@ fn bench_gap_skip(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_update(c: &mut Criterion) {
+    let vehicle = stress_fleet(8, 11);
+    let capture = vehicle
+        .capture(&CaptureConfig::default().with_frames(800).with_seed(11))
+        .expect("capture");
+    let config = VProfileConfig::for_adc(capture.adc(), capture.bit_rate_bps());
+    let extracted = capture.extract(&EdgeSetExtractor::new(config.clone()));
+    let labeled = extracted.labeled();
+    let model = Trainer::new(config)
+        .train_with_lut(&labeled, &vehicle.sa_lut())
+        .expect("training");
+    let gaussian = model.clusters()[0].gaussian().expect("Mahalanobis model");
+    let chol = gaussian.cholesky();
+    let d = chol.dim();
+
+    let mut group = c.benchmark_group("update");
+    group.bench_with_input(BenchmarkId::new("cholesky", d), &d, |b, _| {
+        b.iter(|| black_box(gaussian.covariance()).cholesky().expect("SPD"))
+    });
+    let mut w = vec![0.0; d * d];
+    group.bench_with_input(BenchmarkId::new("inverse_factor", d), &d, |b, _| {
+        b.iter(|| black_box(chol).inverse_factor_into(&mut w).expect("n x n"))
+    });
+
+    // Two observations of every cluster, so the batch touches all eight.
+    let mut batch: Vec<&LabeledEdgeSet> = Vec::new();
+    for cluster in model.clusters() {
+        let sa = cluster.sas()[0];
+        batch.extend(labeled.iter().filter(|o| o.sa == sa).take(2));
+    }
+    assert_eq!(
+        batch.len(),
+        16,
+        "every stress-fleet ECU has training frames"
+    );
+    let mut backend = VProfileBackend::new(model, 2.0);
+    let mut scratch = ScratchArena::new();
+    scratch
+        .edge_set
+        .extend_from_slice(batch[0].edge_set.samples());
+    // Builds the scoring cache, so each applied batch refreshes it.
+    backend.classify_into(&mut scratch, batch[0].sa);
+    group.bench_function("absorb_16_apply_refresh", |b| {
+        b.iter(|| {
+            for obs in &batch {
+                backend.absorb(obs.sa, black_box(obs.edge_set.samples()));
+            }
+        })
+    });
+    group.finish();
+}
+
 fn configured() -> Criterion {
     Criterion::default()
         .sample_size(50)
@@ -197,6 +258,6 @@ fn configured() -> Criterion {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_extract, bench_score, bench_router, bench_matmul, bench_gap_skip
+    targets = bench_extract, bench_score, bench_router, bench_matmul, bench_gap_skip, bench_update
 }
 criterion_main!(benches);

@@ -1,8 +1,11 @@
 //! `alloc_audit` — proves the steady-state score path is allocation-free,
 //! for the vProfile backend, the Viden baseline backend, *and* the fused
 //! three-voter ensemble (vProfile + Viden + Scission with drift
-//! detection live), and bounds what the whole pipeline allocates from
-//! `feed` to the last event.
+//! detection live), proves the same for vProfile's §5.3 model write path
+//! (`vprofile+updates`: an online update on every accepted frame, a batch
+//! applied every 16, the scoring cache refreshed in place, the drift guard
+//! armed), and bounds what the whole pipeline allocates from `feed` to the
+//! last event.
 //!
 //! ```text
 //! alloc_audit [--frames N] [--seed S] [--out FILE]
@@ -15,8 +18,10 @@
 //!
 //! 1. **warm-up pass** — one full pass over every window, letting the
 //!    scoring cache build, the [`vprofile::ScratchArena`] buffers grow to
-//!    their steady-state capacity, and (for the ensemble) the per-SA
-//!    fusion weights and drift-chart state tables fill in;
+//!    their steady-state capacity, (for the ensemble) the per-SA fusion
+//!    weights and drift-chart state tables fill in, and (for the updating
+//!    engine) about 25 update batches apply, sizing the pending batch and
+//!    the refit scratch;
 //! 2. **measured pass(es)** — at least `--frames` windows through
 //!    [`vprofile_ids::IdsEngine::process_window`] (or the fused
 //!    [`vprofile_ids::FusionEngine::process_window`]) with the allocator
@@ -25,9 +30,9 @@
 //! The process exits non-zero if any engine's measured passes touch the
 //! allocator at all (`allocations + reallocations > 0`), making "zero
 //! allocations per frame" a CI-enforced invariant for the primary backend,
-//! for at least one baseline, and for the full ensemble (every voter
-//! scored + calibrated + fused + drift-charted per frame) rather than a
-//! code comment. These measured sections are single-threaded, so every
+//! for at least one baseline, for the full ensemble (every voter
+//! scored + calibrated + fused + drift-charted per frame) and for the
+//! model write path rather than a code comment. These measured sections are single-threaded, so every
 //! counted event is attributable to the score path.
 //!
 //! The pipeline rows then run the vProfile engine through
@@ -63,6 +68,9 @@ const ECUS: usize = 8;
 const CHUNK: usize = 65_536;
 /// Capture passes the pipeline rows measure, after one warm-up pass.
 const PIPELINE_PASSES: usize = 3;
+/// Online-update drift guard of the updating row, as in the tap
+/// benchmark's `drift_update` workload.
+const DRIFT_GUARD: f64 = 400.0;
 
 #[derive(Serialize)]
 struct BackendAudit {
@@ -162,7 +170,7 @@ fn main() -> ExitCode {
         } else {
             eprintln!(
                 "FAIL [{}]: {} allocations + {} reallocations over {} frames \
-                 ({:.4} allocs/frame) — the steady-state score path must not allocate",
+                 ({:.4} allocs/frame) — the steady-state score and update paths must not allocate",
                 audit.backend,
                 audit.allocations,
                 audit.reallocations,
@@ -251,13 +259,29 @@ fn run(options: &Options) -> Result<Report, String> {
         IdsEngine::with_backend(primary.clone(), config.clone(), UpdatePolicy::disabled()),
         IdsEngine::with_backend(viden.clone(), config.clone(), UpdatePolicy::disabled()),
     ];
-    let mut backends = Vec::with_capacity(engines.len() + 1);
+    let mut backends = Vec::with_capacity(engines.len() + 2);
     for mut engine in engines {
         let name = engine.backend_name();
         backends.push(audit(name, &windows, options.frames, |pos, window| {
             engine.process_window(pos, window).is_anomaly()
         })?);
     }
+
+    // The §5.3 write path: every accepted frame is absorbed, every 16th
+    // absorption refits the touched clusters and refreshes their cached
+    // factors, and the drift guard reads the drift after each one.
+    let mut updating = IdsEngine::with_backend(
+        primary.clone(),
+        config.clone(),
+        UpdatePolicy::every(1, usize::MAX),
+    )
+    .with_drift_guard(DRIFT_GUARD);
+    backends.push(audit(
+        "vprofile+updates",
+        &windows,
+        options.frames,
+        |pos, window| updating.process_window(pos, window).is_anomaly(),
+    )?);
 
     // The full ensemble: every frame scores under all three voters, runs
     // calibration + weighted fusion + the CUSUM/EWMA drift charts, and
@@ -285,8 +309,10 @@ fn run(options: &Options) -> Result<Report, String> {
         backends,
         pipeline,
         note: "backends: pre-framed windows after one warm-up pass; passed == \
-               (allocations + reallocations == 0). pipeline: feed to last event over \
-               pre-built chunks after one warm-up pass; passed == < 1 per frame.",
+               (allocations + reallocations == 0); vprofile+updates absorbs every \
+               accepted frame (a batch applied per 16, drift guard 400). pipeline: \
+               feed to last event over pre-built chunks after one warm-up pass; \
+               passed == < 1 per frame.",
     })
 }
 

@@ -5,22 +5,22 @@ use crate::{BackendSnapshot, DetectionBackend, SnapshotError};
 use std::collections::BTreeMap;
 use vprofile::{
     ClusterId, Detector, EdgeSet, LabeledEdgeSet, Model, ScoringCache, ScratchArena, Trainer,
-    VProfileConfig, VProfileError, Verdict,
+    UpdateBatch, UpdateScratch, VProfileConfig, VProfileError, Verdict,
 };
 use vprofile_can::SourceAddress;
 
 /// How many absorbed observations are buffered before an online update is
-/// applied, amortizing the cache refactorization.
+/// applied, amortizing the refactorization.
 const UPDATE_BATCH: usize = 16;
 
 /// Lifecycle of the backend's batched-scoring cache.
 ///
 /// The cache stacks every cluster's inverse Cholesky factor (see
-/// [`ScoringCache`]), so it must be rebuilt whenever the model changes. It
-/// starts `Stale`, is built lazily on the first scored frame, and is
-/// invalidated by online updates and model installs. A model the cache
-/// cannot be built for (e.g. Euclidean-trained without covariances, or
-/// gone singular) parks in `Unavailable` so scoring falls back to the
+/// [`ScoringCache`]), so it must follow the model. It starts `Stale`, is
+/// built lazily on the first scored frame and rebuilt after a model
+/// install; an applied online update refreshes the clusters it changed in
+/// place. A model the cache cannot be built for (a Mahalanobis cluster
+/// without covariance) parks in `Unavailable` so scoring falls back to the
 /// per-cluster path without retrying the build on every frame.
 #[derive(Debug, Clone)]
 enum CacheState {
@@ -38,18 +38,26 @@ enum CacheState {
 ///
 /// This is the logic that used to live inside `ids::IdsEngine`, extracted
 /// so the engine can treat vProfile as one [`DetectionBackend`] among
-/// several. The steady-state [`DetectionBackend::classify_into`] path
-/// performs no heap allocations (enforced by the bench crate's counting
-/// allocator).
+/// several. Neither the steady-state [`DetectionBackend::classify_into`]
+/// path nor the §5.3 write path ([`DetectionBackend::absorb`], the applied
+/// batch and the cache refresh) performs heap allocations once warm
+/// (enforced by the bench crate's counting allocator).
 #[derive(Debug, Clone)]
 pub struct VProfileBackend {
     model: Model,
     margin: f64,
     cache: CacheState,
-    pending: Vec<LabeledEdgeSet>,
+    /// Absorbed observations awaiting the next applied batch, reserved for
+    /// a full batch.
+    pending: UpdateBatch,
+    /// Working memory of the applied batch (a clone starts empty).
+    scratch: UpdateScratch,
     /// Cluster means as of the last train/install, the reference the
     /// poisoning drift guard measures against.
     baseline_means: Vec<Vec<f64>>,
+    /// [`DetectionBackend::update_drift`], measured whenever the means
+    /// change: after an applied batch, and zero at an install.
+    drift: f64,
 }
 
 /// Snapshots every cluster mean of `model` for drift measurement.
@@ -61,12 +69,15 @@ impl VProfileBackend {
     /// Wraps a trained model with the thesis' threshold margin `k`.
     pub fn new(model: Model, margin: f64) -> Self {
         let baseline_means = baseline_of(&model);
+        let pending = UpdateBatch::with_capacity(UPDATE_BATCH, model.dim());
         VProfileBackend {
             model,
             margin,
             cache: CacheState::Stale,
-            pending: Vec::new(),
+            pending,
+            scratch: UpdateScratch::default(),
             baseline_means,
+            drift: 0.0,
         }
     }
 
@@ -81,12 +92,40 @@ impl VProfileBackend {
     }
 
     /// Replaces the model after an external retrain, dropping buffered
-    /// updates and invalidating the scoring cache.
+    /// updates and invalidating the scoring cache. The new model is its
+    /// own drift baseline.
     pub fn install_model(&mut self, model: Model) {
         self.baseline_means = baseline_of(&model);
         self.model = model;
         self.pending.clear();
         self.cache = CacheState::Stale;
+        self.drift = 0.0;
+    }
+
+    /// The largest Euclidean displacement of any cluster mean from its
+    /// baseline.
+    // xtask: cold
+    fn measure_drift(&self) -> f64 {
+        let mut worst = 0.0f64;
+        for (cluster, base) in self.model.clusters().iter().zip(&self.baseline_means) {
+            if cluster.mean().len() != base.len() {
+                continue;
+            }
+            let sq: f64 = cluster
+                .mean()
+                .iter()
+                .zip(base)
+                .map(|(a, b)| {
+                    let d = a - b;
+                    d * d
+                })
+                .sum();
+            let d = sq.sqrt();
+            if d > worst {
+                worst = d;
+            }
+        }
+        worst
     }
 
     /// Rebuilds the batched scoring cache if the model changed since the
@@ -139,8 +178,7 @@ impl DetectionBackend for VProfileBackend {
 
     // xtask: cold
     fn absorb(&mut self, sa: SourceAddress, edge_set: &[f64]) {
-        let obs = LabeledEdgeSet::new(sa, EdgeSet::new(edge_set.to_vec()));
-        self.pending.push(obs);
+        self.pending.push(sa, edge_set);
         // Batch pending updates to amortize refactorization.
         if self.pending.len() >= UPDATE_BATCH {
             self.apply_pending_updates();
@@ -152,46 +190,34 @@ impl DetectionBackend for VProfileBackend {
         if self.pending.is_empty() {
             return;
         }
-        let batch = std::mem::take(&mut self.pending);
-        // A failed update (e.g. covariance went singular) is dropped: the
-        // previous model stays in force, which is the safe behaviour for a
-        // monitor.
-        let _ = self.model.update_online(&batch);
-        // The stacked factors snapshot the covariances; any applied update
-        // invalidates them.
-        self.cache = CacheState::Stale;
+        // A failed update (e.g. covariance went singular) keeps the
+        // clusters refit before the failure and drops the rest of the
+        // batch: the previous statistics stay in force for those, which is
+        // the safe behaviour for a monitor.
+        let _ = self
+            .model
+            .update_online_with(&self.pending, &mut self.scratch);
+        self.pending.clear();
+        // The stacked factors snapshot the covariances: rewrite the ones
+        // the update changed. Should that fail, rebuild from scratch.
+        if let CacheState::Ready(cache) = &mut self.cache {
+            if cache.refresh(&self.model, self.scratch.touched()).is_err() {
+                self.cache = CacheState::Stale;
+            }
+        }
+        self.drift = self.measure_drift();
     }
 
     fn discard_pending_for(&mut self, sa: SourceAddress) {
-        self.pending.retain(|o| o.sa != sa);
+        self.pending.discard(sa);
     }
 
     fn retrain_due(&self, bound: usize) -> bool {
         self.model.needs_retrain(bound)
     }
 
-    // xtask: cold
     fn update_drift(&self) -> f64 {
-        let mut worst = 0.0f64;
-        for (cluster, base) in self.model.clusters().iter().zip(&self.baseline_means) {
-            if cluster.mean().len() != base.len() {
-                continue;
-            }
-            let sq: f64 = cluster
-                .mean()
-                .iter()
-                .zip(base)
-                .map(|(a, b)| {
-                    let d = a - b;
-                    d * d
-                })
-                .sum();
-            let d = sq.sqrt();
-            if d > worst {
-                worst = d;
-            }
-        }
-        worst
+        self.drift
     }
 
     fn calibrated_score(&self, sa: SourceAddress, verdict: &Verdict) -> Option<f64> {
@@ -220,11 +246,11 @@ impl DetectionBackend for VProfileBackend {
     }
 }
 
-/// Slow-path classification for the rare windows scored while the
-/// scoring cache is stale (model just installed or invalidated by an
-/// online update): builds an owned observation and runs the uncached
-/// detector. The next `ensure_cache` rebuild returns scoring to the
-/// zero-alloc cached path.
+/// Slow-path classification for windows scored without a cache (a model
+/// the cache cannot be built for): builds an owned observation and runs
+/// the uncached detector. A model install resets the cache to `Stale`, so
+/// the next `ensure_cache` build can return scoring to the zero-alloc
+/// cached path.
 // xtask: cold
 fn classify_uncached(detector: &Detector<'_>, sa: SourceAddress, edge_set: &[f64]) -> Verdict {
     let obs = LabeledEdgeSet::new(sa, EdgeSet::new(edge_set.to_vec()));

@@ -391,7 +391,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_is_rebuilt_across_online_updates() {
+    fn cache_is_refreshed_across_online_updates() {
         let (engine, capture) = trained_setup(800);
         let model = engine.model().unwrap().clone();
         let mut engine = IdsEngine::new(model, 2.0, UpdatePolicy::every(1, usize::MAX));
@@ -399,8 +399,9 @@ mod tests {
         for frame in capture.frames().iter().take(80) {
             stream.extend(frame.trace.to_f64());
         }
-        // Updates apply in batches of 16 mid-stream, invalidating the cache
-        // repeatedly; a stale cache would misscore against the old factors.
+        // Updates apply in batches of 16 mid-stream, each refreshing the
+        // cached factors of the clusters it refit; a stale cache would
+        // misscore against the old factors.
         let events = engine.process_samples(&stream);
         assert_eq!(events.len(), 80);
         let anomalies = events.iter().filter(|e| e.is_anomaly()).count();

@@ -1,13 +1,14 @@
-//! Property suite for the split-route-frame topology.
+//! Property suite for the frame-once topology.
 //!
-//! The router no longer frames anything: it cuts raw sample segments at
-//! arbitrary chunk boundaries and the workers re-frame them on their own
-//! per-shard `StreamFramer`s. These properties pin the load-bearing
-//! invariant of that design: for every chunking of the input, every
-//! worker count, every shard seed, and across seeded chaos corruption and
-//! mid-stream worker restarts, the pipeline's ordered event stream is
-//! byte-identical (as serialized JSON) to a single global framer fed the
-//! whole stream in order.
+//! `feed` frames the stream once, on the calling thread: its
+//! `FrameSplitter` locates every frame in the fed chunks and publishes
+//! each window to its shard's worker, which scores it in place (copying
+//! only a frame that straddles a chunk boundary). These properties pin
+//! the load-bearing invariant of that design: for every chunking of the
+//! input, every worker count, every shard seed, and across seeded chaos
+//! corruption and mid-stream worker restarts, the pipeline's ordered
+//! event stream is byte-identical (as serialized JSON) to a single global
+//! framer fed the whole stream in order.
 //!
 //! The reference is the synchronous engine — one framer, one extractor,
 //! no pipeline — which `scratch_equivalence` separately pins to the

@@ -14,17 +14,19 @@
 //!
 //! and a batch of `B` frames needs one matrix–matrix product `M X` with
 //! `X ∈ ℝ^{d×B}`. The factorization cost is paid once and reused across
-//! frames until an online model update invalidates it.
+//! frames; an online model update rewrites the blocks of the clusters it
+//! changed, in place ([`BatchedMahalanobis::refresh`]).
 
 use crate::matrix::dot;
-use crate::{Gaussian, Matrix, SampleBatch, SigStatError};
+use crate::{Gaussian, SampleBatch, SigStatError};
 
 /// Precomputed stacked-inverse-factor state for scoring one observation
 /// against `K` Gaussians in a single dense product.
 ///
 /// Build it from the model's cluster Gaussians with
-/// [`BatchedMahalanobis::from_gaussians`]; rebuild after any covariance
-/// changes (the factors are snapshots).
+/// [`BatchedMahalanobis::from_gaussians`]; after a cluster's covariance
+/// changes, [`BatchedMahalanobis::refresh`] that cluster (the factors are
+/// snapshots).
 ///
 /// # Example
 ///
@@ -43,8 +45,9 @@ use crate::{Gaussian, Matrix, SampleBatch, SigStatError};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchedMahalanobis {
-    /// Stacked inverse factors: rows `c·d .. (c+1)·d` hold `W_c = L_c⁻¹`.
-    stacked: Matrix,
+    /// Stacked inverse factors, a row-major `(K·d) × d` matrix: rows
+    /// `c·d .. (c+1)·d` hold `W_c = L_c⁻¹`.
+    stacked: Vec<f64>,
     /// Stacked offsets `v_c = W_c μ_c`, matching `stacked`'s row layout.
     offsets: Vec<f64>,
     dim: usize,
@@ -67,30 +70,52 @@ impl BatchedMahalanobis {
         };
         let dim = first.dim();
         let clusters = gaussians.len();
-        let mut stacked = Matrix::zeros(clusters * dim, dim);
-        let mut offsets = Vec::with_capacity(clusters * dim);
-        for (c, g) in gaussians.iter().enumerate() {
-            if g.dim() != dim {
-                return Err(SigStatError::DimensionMismatch {
-                    expected: dim,
-                    actual: g.dim(),
-                    context: "BatchedMahalanobis::from_gaussians",
-                });
-            }
-            let w = g.cholesky().inverse_factor()?;
-            for i in 0..dim {
-                for j in 0..dim {
-                    stacked[(c * dim + i, j)] = w[(i, j)];
-                }
-            }
-            offsets.extend(w.mul_vec(g.mean())?);
-        }
-        Ok(BatchedMahalanobis {
-            stacked,
-            offsets,
+        let mut batched = BatchedMahalanobis {
+            stacked: vec![0.0; clusters * dim * dim],
+            offsets: vec![0.0; clusters * dim],
             dim,
             clusters,
-        })
+        };
+        for (c, g) in gaussians.iter().enumerate() {
+            batched.refresh(c, g)?;
+        }
+        Ok(batched)
+    }
+
+    /// Rewrites cluster `cluster`'s stacked factor `W_c` and offsets
+    /// `v_c = W_c μ_c` from `gaussian`, in place and without allocating.
+    /// This is the per-cluster kernel [`BatchedMahalanobis::from_gaussians`]
+    /// runs, so refreshing the clusters an online update changed leaves the
+    /// kernel bit-identical to one rebuilt from the updated Gaussians.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SigStatError::DimensionMismatch`] if `gaussian` has another
+    /// dimension or `cluster >= self.cluster_count()`.
+    pub fn refresh(&mut self, cluster: usize, gaussian: &Gaussian) -> Result<(), SigStatError> {
+        let d = self.dim;
+        if gaussian.dim() != d {
+            return Err(SigStatError::DimensionMismatch {
+                expected: d,
+                actual: gaussian.dim(),
+                context: "BatchedMahalanobis::refresh",
+            });
+        }
+        let (Some(w), Some(offsets)) = (
+            self.stacked.get_mut(cluster * d * d..(cluster + 1) * d * d),
+            self.offsets.get_mut(cluster * d..(cluster + 1) * d),
+        ) else {
+            return Err(SigStatError::DimensionMismatch {
+                expected: self.clusters,
+                actual: cluster + 1,
+                context: "BatchedMahalanobis::refresh",
+            });
+        };
+        gaussian.cholesky().inverse_factor_into(w)?;
+        for (v, row) in offsets.iter_mut().zip(w.chunks_exact(d)) {
+            *v = dot(row, gaussian.mean());
+        }
+        Ok(())
     }
 
     /// Dimensionality of the scored observations.
@@ -132,7 +157,7 @@ impl BatchedMahalanobis {
     /// triangular, so row `i` carries only `i + 1` non-zeros and the dot
     /// is truncated accordingly (half the flops of the dense product).
     fn score_row(&self, x: &[f64], out: &mut Vec<f64>) {
-        let stacked = self.stacked.as_slice();
+        let stacked = &self.stacked;
         for c in 0..self.clusters {
             let base = c * self.dim;
             let mut q = 0.0;
@@ -218,7 +243,7 @@ impl BatchedMahalanobis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CovarianceEstimate;
+    use crate::{CovarianceEstimate, Matrix};
 
     fn gaussian(center: f64, spread: f64) -> Gaussian {
         let obs: Vec<Vec<f64>> = (0..12)
@@ -322,6 +347,22 @@ mod tests {
             .is_err());
         let short = Gaussian::from_moments(vec![0.0; 2], Matrix::identity(2), 3).unwrap();
         assert!(BatchedMahalanobis::from_gaussians(&[&a, &short]).is_err());
+    }
+
+    #[test]
+    fn refresh_matches_a_rebuild_bit_for_bit() {
+        let a = gaussian(3.0, 0.5);
+        let b = gaussian(7.0, 1.5);
+        let c = gaussian(-2.0, 0.8);
+        let mut refreshed = BatchedMahalanobis::from_gaussians(&[&a, &b]).unwrap();
+        refreshed.refresh(1, &c).unwrap();
+        let rebuilt = BatchedMahalanobis::from_gaussians(&[&a, &c]).unwrap();
+        // Debug renders every entry in shortest round-trip form, so equal
+        // strings are equal bits for these finite values.
+        assert_eq!(format!("{refreshed:?}"), format!("{rebuilt:?}"));
+        assert!(refreshed.refresh(2, &c).is_err());
+        let short = Gaussian::from_moments(vec![0.0; 2], Matrix::identity(2), 3).unwrap();
+        assert!(refreshed.refresh(0, &short).is_err());
     }
 
     #[test]

@@ -171,6 +171,18 @@ impl Gaussian {
     ///
     /// Returns [`SigStatError::DimensionMismatch`] if `x.len() != self.dim()`.
     pub fn mahalanobis(&self, x: &[f64]) -> Result<f64, SigStatError> {
+        let mut scratch = Vec::with_capacity(x.len());
+        self.mahalanobis_with(x, &mut scratch)
+    }
+
+    /// [`Gaussian::mahalanobis`] with a caller-provided buffer for the
+    /// centred observation, solved in place: allocation-free once the
+    /// buffer has capacity, and bit-identical to the allocating form.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SigStatError::DimensionMismatch`] if `x.len() != self.dim()`.
+    pub fn mahalanobis_with(&self, x: &[f64], scratch: &mut Vec<f64>) -> Result<f64, SigStatError> {
         if x.len() != self.mean.len() {
             return Err(SigStatError::DimensionMismatch {
                 expected: self.mean.len(),
@@ -178,8 +190,9 @@ impl Gaussian {
                 context: "Gaussian::mahalanobis",
             });
         }
-        let centered: Vec<f64> = x.iter().zip(&self.mean).map(|(a, m)| a - m).collect();
-        self.chol.quadratic_form(&centered).map(f64::sqrt)
+        scratch.clear();
+        scratch.extend(x.iter().zip(&self.mean).map(|(a, m)| a - m));
+        Ok(self.chol.quadratic_form_in_place(scratch).sqrt())
     }
 
     /// Euclidean distance from `x` to the mean.
@@ -203,15 +216,22 @@ impl Gaussian {
         }
     }
 
-    /// Rebuilds the cached Cholesky factor after the covariance was mutated
-    /// (used by the online model-update path, thesis §5.3).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SigStatError::NotPositiveDefinite`] if the updated
-    /// covariance no longer factors.
-    pub fn refit(mean: Vec<f64>, covariance: Matrix, count: usize) -> Result<Self, SigStatError> {
-        Gaussian::from_moments(mean, covariance, count)
+    /// Installs refit moments and their factor (the commit of
+    /// [`crate::GaussianRefit`]): the mean is copied, and the matrices are
+    /// swapped, so the caller's buffers receive the previous ones for
+    /// reuse.
+    pub(crate) fn install(
+        &mut self,
+        mean: &[f64],
+        count: usize,
+        covariance: &mut Matrix,
+        chol: &mut Cholesky,
+    ) {
+        self.mean.clear();
+        self.mean.extend_from_slice(mean);
+        std::mem::swap(&mut self.covariance, covariance);
+        std::mem::swap(&mut self.chol, chol);
+        self.count = count;
     }
 
     /// Reconstructs the explicit inverse covariance (the thesis' Algorithm 4

@@ -61,7 +61,7 @@ pub use stats::{
     confidence_interval, max_f64, mean, min_f64, percent_delta, population_variance, std_dev,
     variance, ConfidenceInterval, Summary,
 };
-pub use welford::OnlineGaussian;
+pub use welford::{GaussianRefit, OnlineGaussian};
 
 /// Exact `±0.0` test via the bit pattern: NaN-safe and free of float `==`
 /// (which the workspace lint gates forbid). Used for sparsity skips and

@@ -50,6 +50,54 @@ pub(crate) fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
+/// `‖y‖²` of a forward-solved vector, the last step of a quadratic form.
+fn squared_norm(y: &[f64]) -> f64 {
+    let q = dot(y, y);
+    debug_assert!(
+        q >= 0.0 || q.is_nan(),
+        "quadratic form is a sum of squares and cannot be negative"
+    );
+    q
+}
+
+/// Columns `col..col + C` of `W = L⁻¹`, for [`Cholesky::inverse_factor_into`]:
+/// row `i` of column `c` is `(e_c[i] − Σ_k L[i,k]·W[k,c]) / L[i,i]`, the sum
+/// in [`dot`]'s lane order from `col & !3`. `w` is row-major `n × n` and
+/// zero above the diagonal on entry; rows above the diagonal of a column
+/// solve to exact zeros and are written back as such.
+fn inverse_factor_columns<const C: usize>(l: &[f64], w: &mut [f64], n: usize, col: usize) {
+    let start = col & !3;
+    for i in col..n {
+        let (solved, rest) = w.split_at_mut(i * n);
+        let l_row = &l[i * n..i * n + i];
+        let lanes_end = i & !3;
+        let mut acc = [[0.0f64; C]; 4];
+        let mut tail = [0.0f64; C];
+        for k in (start..lanes_end).step_by(4) {
+            for (lane, acc) in acc.iter_mut().enumerate() {
+                let lik = l_row[k + lane];
+                let y = &solved[(k + lane) * n + col..][..C];
+                for (a, &yk) in acc.iter_mut().zip(y) {
+                    *a = lik.mul_add(yk, *a);
+                }
+            }
+        }
+        for k in lanes_end..i {
+            let lik = l_row[k];
+            let y = &solved[k * n + col..][..C];
+            for (t, &yk) in tail.iter_mut().zip(y) {
+                *t = lik.mul_add(yk, *t);
+            }
+        }
+        let lii = l[i * n + i];
+        for (c, out) in rest[col..col + C].iter_mut().enumerate() {
+            let dot = (acc[0][c] + acc[2][c]) + (acc[1][c] + acc[3][c]) + tail[c];
+            let e = if i == col + c { 1.0 } else { 0.0 };
+            *out = (e - dot) / lii;
+        }
+    }
+}
+
 /// Cache-blocked row-major matmul kernel: `out = a · b` with
 /// `a: m × k`, `b: k × n`, all row-major. The loop nest is
 /// (depth block, column block, row, depth): each `BLOCK_COLS`-wide output
@@ -218,6 +266,32 @@ impl Matrix {
         &self.data
     }
 
+    /// Mutable row-major backing storage, for the in-place kernels.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
+    /// The `0 × 0` placeholder a reusable buffer starts as: the in-place
+    /// writers ([`Matrix::assign_scaled`], [`Matrix::cholesky_into`]) take
+    /// their operand's shape on first use.
+    pub(crate) fn empty() -> Self {
+        Matrix {
+            rows: 0,
+            cols: 0,
+            data: Vec::new(),
+        }
+    }
+
+    /// Overwrites `self` with `src * scalar`, taking `src`'s shape. The
+    /// same per-entry product as `&src * scalar`, without an allocation
+    /// once `self` has the capacity.
+    pub(crate) fn assign_scaled(&mut self, src: &Matrix, scalar: f64) {
+        self.rows = src.rows;
+        self.cols = src.cols;
+        self.data.clear();
+        self.data.extend(src.data.iter().map(|v| v * scalar));
+    }
+
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -367,10 +441,28 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`SigStatError::NotPositiveDefinite`] if a pivot is
-    /// non-positive (within a tiny relative tolerance), which is exactly how
-    /// the singular covariance matrices of thesis §4.3 manifest, and
-    /// [`SigStatError::DimensionMismatch`] for non-square input.
+    /// non-positive (within a tiny relative tolerance) or not finite, which
+    /// is exactly how the singular covariance matrices of thesis §4.3
+    /// manifest and where a non-finite entry of the lower triangle
+    /// surfaces, and [`SigStatError::DimensionMismatch`] for non-square
+    /// input.
     pub fn cholesky(&self) -> Result<Cholesky, SigStatError> {
+        let mut chol = Cholesky::empty();
+        self.cholesky_into(&mut chol)?;
+        Ok(chol)
+    }
+
+    /// [`Matrix::cholesky`] into a reused factor, allocation-free once
+    /// `out` has this matrix's shape. On error `out` holds a partial factor
+    /// and must be refilled before use.
+    ///
+    /// The factor is built column by column (left-looking), reading only
+    /// the lower triangle of `self`. Each entry keeps its unfused
+    /// `v -= l_ik · l_jk` chain in increasing `k`, so the bits do not
+    /// depend on the loop structure; the rows below a pivot are
+    /// independent of one another, so four of them run interleaved for
+    /// instruction-level parallelism.
+    pub(crate) fn cholesky_into(&self, out: &mut Cholesky) -> Result<(), SigStatError> {
         if !self.is_square() {
             return Err(SigStatError::DimensionMismatch {
                 expected: self.rows,
@@ -379,22 +471,24 @@ impl Matrix {
             });
         }
         let n = self.rows;
-        let mut l = Matrix::zeros(n, n);
-        debug_assert!(
-            self.data.iter().all(|v| v.is_finite()),
-            "cholesky input must be finite"
-        );
         debug_assert!(
             self.is_symmetric(1e-9 * self.max_abs_diagonal().max(1.0)),
             "cholesky input must be symmetric"
         );
+        if out.l.rows != n || out.l.cols != n {
+            out.l = Matrix::zeros(n, n);
+        }
         // Tolerance scaled to the matrix magnitude: pivots smaller than this
         // are treated as zero, i.e. the matrix is singular.
         let tol = 1e-12 * self.max_abs_diagonal().max(f64::MIN_POSITIVE);
+        let a = &self.data;
+        let l = &mut out.l.data;
         for j in 0..n {
-            let mut diag = self[(j, j)];
-            for k in 0..j {
-                diag -= l[(j, k)] * l[(j, k)];
+            let (done, below) = l.split_at_mut((j + 1) * n);
+            let (lj, pivot_row) = done[j * n..].split_at_mut(j);
+            let mut diag = a[j * n + j];
+            for &v in lj.iter() {
+                diag -= v * v;
             }
             if diag <= tol || !diag.is_finite() {
                 return Err(SigStatError::NotPositiveDefinite {
@@ -403,16 +497,44 @@ impl Matrix {
                 });
             }
             let ljj = diag.sqrt();
-            l[(j, j)] = ljj;
-            for i in (j + 1)..n {
-                let mut v = self[(i, j)];
-                for k in 0..j {
-                    v -= l[(i, k)] * l[(j, k)];
+            pivot_row[0] = ljj;
+            pivot_row[1..].fill(0.0);
+            let lj = &*lj;
+            let mut i = j + 1;
+            let mut quads = below.chunks_exact_mut(4 * n);
+            for quad in quads.by_ref() {
+                let (r0, rest) = quad.split_at_mut(n);
+                let (r1, rest) = rest.split_at_mut(n);
+                let (r2, r3) = rest.split_at_mut(n);
+                let mut v = [
+                    a[i * n + j],
+                    a[(i + 1) * n + j],
+                    a[(i + 2) * n + j],
+                    a[(i + 3) * n + j],
+                ];
+                let (p0, p1, p2, p3) = (&r0[..j], &r1[..j], &r2[..j], &r3[..j]);
+                for (k, &x) in lj.iter().enumerate() {
+                    v[0] -= p0[k] * x;
+                    v[1] -= p1[k] * x;
+                    v[2] -= p2[k] * x;
+                    v[3] -= p3[k] * x;
                 }
-                l[(i, j)] = v / ljj;
+                r0[j] = v[0] / ljj;
+                r1[j] = v[1] / ljj;
+                r2[j] = v[2] / ljj;
+                r3[j] = v[3] / ljj;
+                i += 4;
+            }
+            for row in quads.into_remainder().chunks_exact_mut(n) {
+                let mut v = a[i * n + j];
+                for (&p, &x) in row[..j].iter().zip(lj) {
+                    v -= p * x;
+                }
+                row[j] = v / ljj;
+                i += 1;
             }
         }
-        Ok(Cholesky { l })
+        Ok(())
     }
 }
 
@@ -524,11 +646,9 @@ impl Mul<f64> for &Matrix {
     type Output = Matrix;
 
     fn mul(self, scalar: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|v| v * scalar).collect(),
-        }
+        let mut out = Matrix::empty();
+        out.assign_scaled(self, scalar);
+        out
     }
 }
 
@@ -561,6 +681,11 @@ pub struct Cholesky {
 }
 
 impl Cholesky {
+    /// An empty factor buffer for [`Matrix::cholesky_into`] to fill.
+    pub(crate) fn empty() -> Self {
+        Cholesky { l: Matrix::empty() }
+    }
+
     /// The dimension `n` of the factored `n × n` matrix.
     pub fn dim(&self) -> usize {
         self.l.rows()
@@ -600,12 +725,21 @@ impl Cholesky {
             });
         }
         y.clear();
-        for i in 0..n {
-            let row = self.l.row(i);
-            let v = b[i] - dot(&row[..i], &y[..i]);
-            y.push(v / row[i]);
-        }
+        y.extend_from_slice(b);
+        self.forward_solve_in_place(y);
         Ok(())
+    }
+
+    /// Forward substitution over `y` in place: on entry `y` holds `b`, on
+    /// return `L⁻¹ b`. Entry `i` is replaced only after the solved prefix
+    /// `y[..i]` it reads is final, so the arithmetic is exactly that of
+    /// [`Cholesky::forward_solve_into`]. `y.len()` must be `self.dim()`.
+    pub(crate) fn forward_solve_in_place(&self, y: &mut [f64]) {
+        debug_assert_eq!(y.len(), self.dim(), "forward solve dimension");
+        for (i, row) in self.l.data.chunks_exact(self.l.cols).enumerate() {
+            let (solved, rest) = y.split_at_mut(i);
+            rest[0] = (rest[0] - dot(&row[..i], solved)) / row[i];
+        }
     }
 
     /// Solves `Lᵀ x = y` by back substitution.
@@ -681,12 +815,16 @@ impl Cholesky {
         scratch: &mut Vec<f64>,
     ) -> Result<f64, SigStatError> {
         self.forward_solve_into(b, scratch)?;
-        let q = dot(scratch, scratch);
-        debug_assert!(
-            q >= 0.0 || q.is_nan(),
-            "quadratic form is a sum of squares and cannot be negative"
-        );
-        Ok(q)
+        Ok(squared_norm(scratch))
+    }
+
+    /// The quadratic form of the vector `y` holds on entry, solved in place
+    /// (on return `y` holds `L⁻¹ b`): [`Cholesky::quadratic_form_with`]
+    /// without the copy into a second buffer. `y.len()` must be
+    /// `self.dim()`.
+    pub(crate) fn quadratic_form_in_place(&self, y: &mut [f64]) -> f64 {
+        self.forward_solve_in_place(y);
+        squared_norm(y)
     }
 
     /// Cheap condition estimate `(max L_ii / min L_ii)²` from the factor's
@@ -733,32 +871,48 @@ impl Cholesky {
     }
 
     /// The explicit inverse factor `W = L⁻¹` (lower triangular), so that
-    /// `A⁻¹ = Wᵀ W` and `‖W b‖² = bᵀ A⁻¹ b`.
+    /// `A⁻¹ = Wᵀ W` and `‖W b‖² = bᵀ A⁻¹ b`, written row-major into `w`
+    /// (`n × n`, overwritten) without allocating.
     ///
     /// This is the building block of the batched Mahalanobis kernel
     /// ([`crate::BatchedMahalanobis`]): stacking the `W` factors of many
     /// clusters turns a per-cluster triangular solve into one dense
     /// matrix–vector (or matrix–matrix, for frame batches) product.
     ///
+    /// Column `j` of `W` is the forward solve of the unit vector `e_j`,
+    /// bit for bit: every entry keeps the solve's dot-product lanes
+    /// (`k mod 4`), its tail split at `4⌊i/4⌋` and its
+    /// `(l0 + l2) + (l1 + l3) + tail` reduction. Two things make it cheap. The solved prefix `y[..j]` of
+    /// column `j` is exactly zero, and adding `l · 0` to a lane that is
+    /// still `+0` leaves it `+0`, so each dot starts at `j & !3` instead of
+    /// 0. And four adjacent columns share a start, so they are solved
+    /// together: each `L` entry is loaded once for four columns, and the
+    /// four divisions per row are independent.
+    ///
     /// # Errors
     ///
-    /// Returns [`SigStatError::DimensionMismatch`] only if an internal
-    /// invariant is violated; propagated rather than unwrapped so the
-    /// numeric error path stays typed end to end.
-    pub fn inverse_factor(&self) -> Result<Matrix, SigStatError> {
+    /// Returns [`SigStatError::DimensionMismatch`] if `w.len() != n²`.
+    pub fn inverse_factor_into(&self, w: &mut [f64]) -> Result<(), SigStatError> {
         let n = self.dim();
-        let mut w = Matrix::zeros(n, n);
-        for j in 0..n {
-            let mut e = vec![0.0; n];
-            e[j] = 1.0;
-            let col = self.forward_solve(&e)?;
-            // L is lower triangular, so its inverse is too: rows above the
-            // diagonal stay exactly zero.
-            for i in j..n {
-                w[(i, j)] = col[i];
-            }
+        if w.len() != n * n {
+            return Err(SigStatError::DimensionMismatch {
+                expected: n * n,
+                actual: w.len(),
+                context: "Cholesky::inverse_factor_into",
+            });
         }
-        Ok(w)
+        // The solves read the zeros above the diagonal as the solved prefix
+        // of each column.
+        w.fill(0.0);
+        let l = self.l.as_slice();
+        let blocked = n & !3;
+        for col in (0..blocked).step_by(4) {
+            inverse_factor_columns::<4>(l, w, n, col);
+        }
+        for col in blocked..n {
+            inverse_factor_columns::<1>(l, w, n, col);
+        }
+        Ok(())
     }
 
     /// Log-determinant of `A`, `log det A = 2 Σ log L_ii`.
@@ -959,6 +1113,126 @@ mod tests {
         x
     }
 
+    /// The index-based Cholesky this module shipped before the row-slice
+    /// kernel: the bit-identity reference for [`Matrix::cholesky`].
+    fn reference_cholesky(a: &Matrix) -> Result<Matrix, SigStatError> {
+        let n = a.rows();
+        let mut l = Matrix::zeros(n, n);
+        let tol = 1e-12 * a.max_abs_diagonal().max(f64::MIN_POSITIVE);
+        for j in 0..n {
+            let mut diag = a[(j, j)];
+            for k in 0..j {
+                diag -= l[(j, k)] * l[(j, k)];
+            }
+            if diag <= tol || !diag.is_finite() {
+                return Err(SigStatError::NotPositiveDefinite {
+                    pivot: j,
+                    diagonal: diag,
+                });
+            }
+            let ljj = diag.sqrt();
+            l[(j, j)] = ljj;
+            for i in (j + 1)..n {
+                let mut v = a[(i, j)];
+                for k in 0..j {
+                    v -= l[(i, k)] * l[(j, k)];
+                }
+                l[(i, j)] = v / ljj;
+            }
+        }
+        Ok(l)
+    }
+
+    /// The per-column inverse factor this module shipped before
+    /// [`Cholesky::inverse_factor_into`]: one full forward solve of each
+    /// unit vector, with the forward solve it used.
+    fn reference_inverse_factor(chol: &Cholesky) -> Matrix {
+        let n = chol.dim();
+        let mut w = Matrix::zeros(n, n);
+        for j in 0..n {
+            let mut y: Vec<f64> = Vec::with_capacity(n);
+            for i in 0..n {
+                let row = chol.factor().row(i);
+                let b = if i == j { 1.0 } else { 0.0 };
+                let v = b - dot(&row[..i], &y[..i]);
+                y.push(v / row[i]);
+            }
+            for i in j..n {
+                w[(i, j)] = y[i];
+            }
+        }
+        w
+    }
+
+    /// Seeded SPD matrix `B Bᵀ + ridge·I` whose upper triangle is nudged by
+    /// a few ulps, as a Welford covariance is: only the lower triangle may
+    /// be read.
+    fn random_spd(seed: u64, n: usize) -> Matrix {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let b = Matrix::from_row_major(
+            n,
+            n,
+            (0..n * n).map(|_| rng.random_range(-3.0..3.0)).collect(),
+        )
+        .unwrap();
+        let mut spd = &b * &b.transpose();
+        spd.add_ridge(rng.random_range(1e-3..1.0));
+        for i in 0..n {
+            for j in (i + 1)..n {
+                spd[(i, j)] *= 1.0 + rng.random_range(-1e-13..1e-13);
+            }
+        }
+        spd
+    }
+
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn cholesky_failure_matches_reference() {
+        // Rank-deficient B Bᵀ (a zero column in B) fails at the same pivot
+        // with the same diagonal bits; a NaN in the lower triangle fails
+        // instead of propagating.
+        for n in [3usize, 7, 12] {
+            let mut b = random_spd(n as u64, n);
+            for j in 0..n {
+                b[(n - 1, j)] = b[(n - 2, j)];
+                b[(j, n - 1)] = b[(j, n - 2)];
+            }
+            let got = b.cholesky().unwrap_err();
+            let want = reference_cholesky(&b).unwrap_err();
+            match (got, want) {
+                (
+                    SigStatError::NotPositiveDefinite { pivot, diagonal },
+                    SigStatError::NotPositiveDefinite {
+                        pivot: p,
+                        diagonal: d,
+                    },
+                ) => {
+                    assert_eq!(pivot, p);
+                    assert_eq!(diagonal.to_bits(), d.to_bits());
+                }
+                (got, want) => panic!("{got:?} vs {want:?}"),
+            }
+        }
+        let mut nan = Matrix::identity(5);
+        nan[(3, 1)] = f64::NAN;
+        assert!(matches!(
+            nan.cholesky().unwrap_err(),
+            SigStatError::NotPositiveDefinite { pivot: 3, .. }
+        ));
+    }
+
+    #[test]
+    fn inverse_factor_into_validates_length() {
+        let chol = Matrix::identity(3).cholesky().unwrap();
+        let mut short = vec![0.0; 8];
+        assert!(chol.inverse_factor_into(&mut short).is_err());
+    }
+
     #[test]
     fn mul_into_validates_shapes() {
         let a = Matrix::zeros(2, 3);
@@ -1081,6 +1355,28 @@ mod tests {
             let again = chol.quadratic_form_with(&b2, &mut scratch).unwrap();
             prop_assert_eq!(first.to_bits(), again.to_bits());
             prop_assert_eq!(chol.quadratic_form(&b2).unwrap().to_bits(), first.to_bits());
+        }
+    }
+
+    proptest! {
+        /// The row-slice Cholesky and the column-blocked inverse factor are
+        /// bit-identical to the index-based factorization and the
+        /// per-column forward solves, on dimensions 1 to 40 (multiples of
+        /// four and not), with the factor buffer reused across sizes.
+        #[test]
+        fn prop_kernels_match_reference_bits(seed in any::<u64>(), n in 1usize..=40) {
+            let spd = random_spd(seed, n);
+            let chol = spd.cholesky().unwrap();
+            let want = reference_cholesky(&spd).unwrap();
+            prop_assert!(same_bits(chol.factor().as_slice(), want.as_slice()));
+
+            let mut reused = Matrix::identity(7).cholesky().unwrap();
+            spd.cholesky_into(&mut reused).unwrap();
+            prop_assert!(same_bits(reused.factor().as_slice(), want.as_slice()));
+
+            let mut w = vec![f64::NAN; n * n];
+            chol.inverse_factor_into(&mut w).unwrap();
+            prop_assert!(same_bits(&w, reference_inverse_factor(&chol).as_slice()));
         }
     }
 

@@ -1,4 +1,4 @@
-use crate::{Matrix, SampleBatch, SigStatError};
+use crate::{Cholesky, Gaussian, Matrix, SampleBatch, SigStatError};
 use serde::{Deserialize, Serialize};
 
 /// Welford-style online estimator of a multivariate mean and covariance.
@@ -54,6 +54,16 @@ impl OnlineGaussian {
         }
     }
 
+    /// An estimator with no dimension yet, for [`OnlineGaussian::reseed`]
+    /// to size.
+    fn empty() -> Self {
+        OnlineGaussian {
+            mean: Vec::new(),
+            comoment: Matrix::empty(),
+            count: 0,
+        }
+    }
+
     /// Seeds the estimator from existing batch moments, so a trained model
     /// can continue updating online (`N_n` in the thesis is carried in the
     /// model for exactly this purpose).
@@ -69,22 +79,30 @@ impl OnlineGaussian {
         covariance: &Matrix,
         count: usize,
     ) -> Result<Self, SigStatError> {
-        if covariance.rows() != mean.len() || covariance.cols() != mean.len() {
-            return Err(SigStatError::DimensionMismatch {
-                expected: mean.len(),
-                actual: covariance.rows(),
-                context: "OnlineGaussian::from_moments",
-            });
-        }
-        if count < 2 {
-            return Err(SigStatError::InsufficientObservations { actual: count });
-        }
-        let comoment = covariance * (count as f64 - 1.0);
+        check_moments(&mean, covariance, count)?;
         Ok(OnlineGaussian {
             mean,
-            comoment,
+            comoment: covariance * (count as f64 - 1.0),
             count,
         })
+    }
+
+    /// [`OnlineGaussian::from_moments`] in place: overwrites the estimator
+    /// with the given moments (co-moment `covariance · (count − 1)`),
+    /// reusing its buffers, so reseeding at an unchanged dimension does
+    /// not allocate. The estimator is unchanged on error.
+    pub(crate) fn reseed(
+        &mut self,
+        mean: &[f64],
+        covariance: &Matrix,
+        count: usize,
+    ) -> Result<(), SigStatError> {
+        check_moments(mean, covariance, count)?;
+        self.mean.clear();
+        self.mean.extend_from_slice(mean);
+        self.comoment.assign_scaled(covariance, count as f64 - 1.0);
+        self.count = count;
+        Ok(())
     }
 
     /// Observation dimensionality.
@@ -132,10 +150,11 @@ impl OnlineGaussian {
             // observation's contribution is exactly zero (δ_new = 0) and is
             // skipped rather than scaled by the singular n/(n−1) factor.
             let scale = n / (n - 1.0);
-            for i in 0..dim {
-                let di = (x[i] - self.mean[i]) * scale;
-                for j in 0..dim {
-                    self.comoment[(i, j)] = di.mul_add(x[j] - self.mean[j], self.comoment[(i, j)]);
+            let rows = self.comoment.as_mut_slice().chunks_exact_mut(dim);
+            for ((row, &xi), &mi) in rows.zip(x).zip(&self.mean) {
+                let di = (xi - mi) * scale;
+                for ((c, &xj), &mj) in row.iter_mut().zip(x).zip(&self.mean) {
+                    *c = di.mul_add(xj - mj, *c);
                 }
             }
         }
@@ -169,10 +188,19 @@ impl OnlineGaussian {
     /// Returns [`SigStatError::InsufficientObservations`] with fewer than two
     /// observations.
     pub fn sample_covariance(&self) -> Result<Matrix, SigStatError> {
+        let mut covariance = Matrix::empty();
+        self.sample_covariance_into(&mut covariance)?;
+        Ok(covariance)
+    }
+
+    /// [`OnlineGaussian::sample_covariance`] into a reused matrix, which
+    /// takes the estimator's shape; allocation-free once it has.
+    pub(crate) fn sample_covariance_into(&self, out: &mut Matrix) -> Result<(), SigStatError> {
         if self.count < 2 {
             return Err(SigStatError::InsufficientObservations { actual: self.count });
         }
-        Ok(&self.comoment * (1.0 / (self.count as f64 - 1.0)))
+        out.assign_scaled(&self.comoment, 1.0 / (self.count as f64 - 1.0));
+        Ok(())
     }
 
     /// Population covariance (`n` denominator), matching the normalization
@@ -230,6 +258,99 @@ impl OnlineGaussian {
             *m += d * n2 / n;
         }
         self.count += other.count;
+        Ok(())
+    }
+}
+
+/// Moments an estimator can be seeded from: a square covariance matching
+/// the mean, and at least two observations behind them.
+fn check_moments(mean: &[f64], covariance: &Matrix, count: usize) -> Result<(), SigStatError> {
+    if covariance.rows() != mean.len() || covariance.cols() != mean.len() {
+        return Err(SigStatError::DimensionMismatch {
+            expected: mean.len(),
+            actual: covariance.rows(),
+            context: "OnlineGaussian::from_moments",
+        });
+    }
+    if count < 2 {
+        return Err(SigStatError::InsufficientObservations { actual: count });
+    }
+    Ok(())
+}
+
+/// The §5.3 refit of a [`Gaussian`] from new observations, in place and
+/// allocation-free once its buffers have the Gaussian's dimension.
+///
+/// [`GaussianRefit::seed`] it from a fit, [`GaussianRefit::push`] the new
+/// observations (that is [`OnlineGaussian::push`]), then
+/// [`GaussianRefit::commit`] into the Gaussian. The arithmetic is that of
+/// `OnlineGaussian::from_moments`, `push` per observation,
+/// `sample_covariance` and `Gaussian::from_moments`, bit for bit; only the
+/// buffers differ. The refit covariance and its factor are staged here and
+/// swapped into the Gaussian only when the factorization succeeds, so a
+/// refit that fails leaves the Gaussian untouched, and the Gaussian's
+/// previous matrices become the next refit's staging.
+#[derive(Debug)]
+pub struct GaussianRefit {
+    online: OnlineGaussian,
+    covariance: Matrix,
+    chol: Cholesky,
+}
+
+impl Default for GaussianRefit {
+    fn default() -> Self {
+        GaussianRefit {
+            online: OnlineGaussian::empty(),
+            covariance: Matrix::empty(),
+            chol: Cholesky::empty(),
+        }
+    }
+}
+
+impl GaussianRefit {
+    /// Starts a refit from a fit's mean, sample covariance and count, as
+    /// [`OnlineGaussian::from_moments`] would.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SigStatError::DimensionMismatch`] on shape disagreement and
+    /// [`SigStatError::InsufficientObservations`] if `count < 2`.
+    pub fn seed(
+        &mut self,
+        mean: &[f64],
+        covariance: &Matrix,
+        count: usize,
+    ) -> Result<(), SigStatError> {
+        self.online.reseed(mean, covariance, count)
+    }
+
+    /// Absorbs one observation ([`OnlineGaussian::push`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SigStatError::DimensionMismatch`] if `x` does not match the
+    /// seeded dimension.
+    pub fn push(&mut self, x: &[f64]) -> Result<(), SigStatError> {
+        self.online.push(x)
+    }
+
+    /// Replaces `target`'s mean, covariance, factor and count with the
+    /// refit ones.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SigStatError::InsufficientObservations`] if the refit was
+    /// never seeded and [`SigStatError::NotPositiveDefinite`] if the refit
+    /// covariance does not factor; `target` is unchanged either way.
+    pub fn commit(&mut self, target: &mut Gaussian) -> Result<(), SigStatError> {
+        self.online.sample_covariance_into(&mut self.covariance)?;
+        self.covariance.cholesky_into(&mut self.chol)?;
+        target.install(
+            &self.online.mean,
+            self.online.count,
+            &mut self.covariance,
+            &mut self.chol,
+        );
         Ok(())
     }
 }

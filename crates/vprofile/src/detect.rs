@@ -113,9 +113,10 @@ impl Verdict {
 /// For a Mahalanobis model the cache stacks every cluster's inverse Cholesky
 /// factor into one [`BatchedMahalanobis`] kernel, so nearest-cluster scans
 /// cost a single matrix–vector product instead of one triangular solve per
-/// cluster. The cache is a snapshot: rebuild it after any online model
-/// update, and never reuse it across models (the classify entry points
-/// cross-check dimensionality and cluster count and refuse stale caches).
+/// cluster. The cache is a snapshot: after an online model update,
+/// [`ScoringCache::refresh`] the clusters it changed, and never reuse it
+/// across models (the classify entry points cross-check dimensionality and
+/// cluster count and refuse stale caches).
 #[derive(Debug, Clone)]
 pub struct ScoringCache {
     metric: DistanceMetric,
@@ -166,6 +167,52 @@ impl ScoringCache {
         })
     }
 
+    /// Brings the cache up to date after an online update changed
+    /// `clusters` of `model` (e.g. [`crate::UpdateScratch::touched`]):
+    /// only those clusters' stacked factors and offsets, or means, are
+    /// rewritten, in place and through the kernel [`ScoringCache::build`]
+    /// runs per cluster. The refreshed cache is bit-identical to a fresh
+    /// build of the updated model, and nothing is allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VProfileError::DataUnavailable`] if the cache's shape does
+    /// not match `model` or a cluster is out of range,
+    /// [`VProfileError::CovarianceUnavailable`] for a Mahalanobis cluster
+    /// without a fitted Gaussian, and propagates kernel failures as
+    /// [`VProfileError::Numeric`]. Clusters before the failing one are
+    /// refreshed; rebuild the cache after an error.
+    pub fn refresh(&mut self, model: &Model, clusters: &[ClusterId]) -> Result<(), VProfileError> {
+        if !self.matches(model) {
+            return Err(VProfileError::DataUnavailable {
+                context: "scoring cache does not match the model shape",
+            });
+        }
+        for &id in clusters {
+            let cluster = model
+                .clusters()
+                .get(id.0)
+                .ok_or(VProfileError::DataUnavailable {
+                    context: "refreshed cluster is not in the model",
+                })?;
+            match &mut self.batched {
+                Some(batched) => batched.refresh(
+                    id.0,
+                    cluster
+                        .gaussian()
+                        .ok_or(VProfileError::CovarianceUnavailable)?,
+                )?,
+                None => {
+                    if let Some(mean) = self.means.get_mut(id.0) {
+                        mean.clear();
+                        mean.extend_from_slice(cluster.mean());
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The metric the cache was built for.
     pub fn metric(&self) -> DistanceMetric {
         self.metric
@@ -183,7 +230,7 @@ impl ScoringCache {
 
     /// `true` if the cache's shape matches `model` (dimensionality, cluster
     /// count, and metric). A shape match does not prove the cache is fresh —
-    /// callers must still rebuild after online updates — but a mismatch
+    /// callers must still refresh it after online updates — but a mismatch
     /// proves it is unusable.
     pub fn matches(&self, model: &Model) -> bool {
         self.metric == model.metric()
@@ -710,6 +757,45 @@ mod tests {
             let (got_id, got_d) = cache.nearest(&x).unwrap();
             assert_eq!(want_id, got_id);
             assert!((want_d - got_d).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn refreshed_cache_equals_a_fresh_build_bit_for_bit() {
+        for metric in [DistanceMetric::Mahalanobis, DistanceMetric::Euclidean] {
+            let mut model = two_cluster_model();
+            model.config.metric = metric;
+            let mut cache = ScoringCache::build(&model).unwrap();
+            let mut scratch = crate::UpdateScratch::default();
+            let mut batch = crate::UpdateBatch::default();
+            let mut rng = StdRng::seed_from_u64(11);
+            for round in 0..4 {
+                batch.clear();
+                for _ in 0..16 {
+                    // Even rounds touch one cluster, odd rounds both.
+                    let sa = if round % 2 == 0 || rng.random_bool(0.5) {
+                        1
+                    } else {
+                        2
+                    };
+                    let center = if sa == 1 { 101.0 } else { 899.0 };
+                    let x: Vec<f64> = (0..4)
+                        .map(|i| center + i as f64 * 5.0 + rng.random_range(-1.0..1.0))
+                        .collect();
+                    batch.push(SourceAddress(sa), &x);
+                }
+                model.update_online_with(&batch, &mut scratch).unwrap();
+                cache.refresh(&model, scratch.touched()).unwrap();
+                // Debug renders every f64 in shortest round-trip form, so
+                // equal strings are equal bits for these finite values.
+                let fresh = ScoringCache::build(&model).unwrap();
+                assert_eq!(
+                    format!("{cache:?}"),
+                    format!("{fresh:?}"),
+                    "{metric} round {round}"
+                );
+            }
+            assert!(cache.refresh(&model, &[ClusterId(2)]).is_err());
         }
     }
 

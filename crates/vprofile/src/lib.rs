@@ -91,4 +91,4 @@ pub use model::{ClusterStats, Model};
 pub use quarantine::QuarantineSet;
 pub use scratch::ScratchArena;
 pub use train::Trainer;
-pub use update::UpdateOutcome;
+pub use update::{UpdateBatch, UpdateOutcome, UpdateScratch};

@@ -11,12 +11,23 @@
 //! edge sets per cluster first and re-factors the covariance once per
 //! cluster per call (`O(d³)` once instead of per message). Threshold updates
 //! use the final post-batch moments, which is the same fixed point the
-//! per-message variant converges to for the batch.
+//! per-message variant converges to for the batch. The batch is refit in
+//! place: it arrives as a flat [`UpdateBatch`] (one row buffer plus the
+//! SAs), is grouped by sorting `(cluster, row)` pairs, and every touched
+//! cluster is refit in ascending order through the one
+//! [`vprofile_sigstat::GaussianRefit`] of an [`UpdateScratch`]. The
+//! co-moment is reseeded from the cluster's covariance, the rows are
+//! pushed, and the new covariance is factored into staged buffers that are
+//! swapped into the cluster only if the factorization succeeds. Once the
+//! scratch has the model's dimension an update allocates nothing, and at
+//! `d = 32` a touched cluster costs a few microseconds: an `O(d²)` reseed,
+//! an `O(d²)` push and threshold solve per row, and one `O(d³)`
+//! factorization.
 
-use crate::{LabeledEdgeSet, Model, VProfileError};
+use crate::{ClusterId, LabeledEdgeSet, Model, VProfileError};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use vprofile_sigstat::{DistanceMetric, Gaussian, OnlineGaussian};
+use vprofile_can::SourceAddress;
+use vprofile_sigstat::{euclidean, DistanceMetric, GaussianRefit};
 
 /// Summary of one [`Model::update_online`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -31,91 +42,232 @@ pub struct UpdateOutcome {
     pub clusters_touched: usize,
 }
 
+/// Labeled edge sets for [`Model::update_online_with`], stored flat: one
+/// row buffer with each row's end offset and SA. Reserve it once and reuse
+/// it ([`UpdateBatch::clear`], [`UpdateBatch::discard`]), and collecting a
+/// batch allocates nothing.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct UpdateBatch {
+    sas: Vec<SourceAddress>,
+    ends: Vec<usize>,
+    rows: Vec<f64>,
+}
+
+impl UpdateBatch {
+    /// An empty batch with room for `items` edge sets of `dim` samples.
+    pub fn with_capacity(items: usize, dim: usize) -> Self {
+        UpdateBatch {
+            sas: Vec::with_capacity(items),
+            ends: Vec::with_capacity(items),
+            rows: Vec::with_capacity(items * dim),
+        }
+    }
+
+    /// Number of edge sets in the batch.
+    pub fn len(&self) -> usize {
+        self.sas.len()
+    }
+
+    /// `true` when the batch holds no edge sets.
+    pub fn is_empty(&self) -> bool {
+        self.sas.is_empty()
+    }
+
+    /// The labeled edge sets `items`, collected.
+    pub(crate) fn from_items(items: &[LabeledEdgeSet]) -> Self {
+        let dim = items.first().map_or(0, |o| o.edge_set.dim());
+        let mut batch = UpdateBatch::with_capacity(items.len(), dim);
+        for item in items {
+            batch.push(item.sa, item.edge_set.samples());
+        }
+        batch
+    }
+
+    /// Appends one edge set claimed by `sa`.
+    pub fn push(&mut self, sa: SourceAddress, edge_set: &[f64]) {
+        self.rows.extend_from_slice(edge_set);
+        self.ends.push(self.rows.len());
+        self.sas.push(sa);
+    }
+
+    /// Empties the batch, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.sas.clear();
+        self.ends.clear();
+        self.rows.clear();
+    }
+
+    /// Drops every edge set claimed by `sa`, compacting the rest in place
+    /// in their original order.
+    pub fn discard(&mut self, sa: SourceAddress) {
+        let (mut kept, mut write, mut start) = (0, 0, 0);
+        for i in 0..self.sas.len() {
+            let end = self.ends[i];
+            if self.sas[i] != sa {
+                self.rows.copy_within(start..end, write);
+                write += end - start;
+                self.sas[kept] = self.sas[i];
+                self.ends[kept] = write;
+                kept += 1;
+            }
+            start = end;
+        }
+        self.sas.truncate(kept);
+        self.ends.truncate(kept);
+        self.rows.truncate(write);
+    }
+
+    /// The `i`-th edge set and its SA; `i` must be below `self.len()`.
+    pub(crate) fn get(&self, i: usize) -> (SourceAddress, &[f64]) {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        (self.sas[i], &self.rows[start..self.ends[i]])
+    }
+}
+
+/// Reusable working memory for [`Model::update_online_with`]: the
+/// per-cluster grouping, the staged refit and the threshold solve.
+///
+/// The buffers carry no state from one update to the next, so a clone is
+/// a fresh, empty scratch: checkpointing a holder does not copy them.
+#[derive(Debug, Default)]
+pub struct UpdateScratch {
+    /// `(cluster, row)` for every row of a known SA, sorted.
+    order: Vec<(usize, usize)>,
+    refit: GaussianRefit,
+    solve: Vec<f64>,
+    touched: Vec<ClusterId>,
+}
+
+impl Clone for UpdateScratch {
+    fn clone(&self) -> Self {
+        UpdateScratch::default()
+    }
+}
+
+impl UpdateScratch {
+    /// The clusters the last [`Model::update_online_with`] changed, in
+    /// ascending order. After a failed update these are the clusters it
+    /// committed before the failure.
+    pub fn touched(&self) -> &[ClusterId] {
+        &self.touched
+    }
+}
+
 impl Model {
     /// Folds new edge sets into the model (Algorithm 4). Per touched
     /// cluster this updates the edge-set count `N_n`, the mean, the
     /// covariance (Mahalanobis models), and the max-distance threshold.
     ///
+    /// This is [`Model::update_online_with`] on a collected batch with a
+    /// fresh scratch.
+    ///
     /// # Errors
     ///
-    /// * [`VProfileError::MixedDimensions`] if an edge set has the wrong
-    ///   dimensionality;
-    /// * [`VProfileError::Numeric`] if an updated covariance no longer
-    ///   factors.
+    /// As [`Model::update_online_with`].
     pub fn update_online(
         &mut self,
         new_data: &[LabeledEdgeSet],
     ) -> Result<UpdateOutcome, VProfileError> {
+        self.update_online_with(
+            &UpdateBatch::from_items(new_data),
+            &mut UpdateScratch::default(),
+        )
+    }
+
+    /// [`Model::update_online`] over a flat batch, in place: clusters are
+    /// refit in ascending order through `scratch`, and nothing is
+    /// allocated once `scratch` has seen a batch of this model.
+    ///
+    /// An update that fails stops at the failing cluster: the clusters
+    /// before it keep their refit, the failing one and the rest are
+    /// unchanged ([`UpdateScratch::touched`] lists the refit ones).
+    ///
+    /// # Errors
+    ///
+    /// * [`VProfileError::MixedDimensions`] if an edge set of a known SA has
+    ///   the wrong dimensionality (checked before any cluster changes);
+    /// * [`VProfileError::CovarianceUnavailable`] for a Mahalanobis cluster
+    ///   without a fitted Gaussian;
+    /// * [`VProfileError::Numeric`] if a cluster's count is below two or its
+    ///   updated covariance no longer factors.
+    pub fn update_online_with(
+        &mut self,
+        batch: &UpdateBatch,
+        scratch: &mut UpdateScratch,
+    ) -> Result<UpdateOutcome, VProfileError> {
         let mut outcome = UpdateOutcome::default();
         let dim = self.dim();
+        scratch.touched.clear();
 
-        // GroupByCluster(model.clustSaLut, edgeSets).
-        let mut per_cluster: BTreeMap<usize, Vec<&LabeledEdgeSet>> = BTreeMap::new();
-        for item in new_data {
-            match self.lookup_sa(item.sa) {
+        // GroupByCluster(model.clustSaLut, edgeSets): rows in input order
+        // within each cluster, clusters ascending.
+        scratch.order.clear();
+        for i in 0..batch.len() {
+            let (sa, row) = batch.get(i);
+            match self.lookup_sa(sa) {
                 Some(cluster) => {
-                    if item.edge_set.dim() != dim {
+                    if row.len() != dim {
                         return Err(VProfileError::MixedDimensions {
                             expected: dim,
-                            actual: item.edge_set.dim(),
+                            actual: row.len(),
                         });
                     }
-                    per_cluster.entry(cluster.0).or_default().push(item);
+                    scratch.order.push((cluster.0, i));
                 }
                 None => outcome.skipped_unknown_sa += 1,
             }
         }
+        scratch.order.sort_unstable();
 
-        for (cluster_idx, items) in per_cluster {
+        let UpdateScratch {
+            order,
+            refit,
+            solve,
+            touched,
+        } = scratch;
+        for group in order.chunk_by(|a, b| a.0 == b.0) {
+            let cluster_idx = group[0].0;
+            let rows = || group.iter().map(|&(_, i)| batch.get(i).1);
             let stats = &mut self.clusters[cluster_idx];
             match self.config.metric {
                 DistanceMetric::Mahalanobis => {
                     let gaussian = stats
                         .gaussian
-                        .as_ref()
+                        .as_mut()
                         .ok_or(VProfileError::CovarianceUnavailable)?;
-                    let mut online = OnlineGaussian::from_moments(
-                        gaussian.mean().to_vec(),
-                        gaussian.covariance(),
-                        stats.count,
-                    )?;
-                    for item in &items {
-                        online.push(item.edge_set.samples())?;
+                    refit.seed(gaussian.mean(), gaussian.covariance(), stats.count)?;
+                    for row in rows() {
+                        refit.push(row)?;
                     }
-                    let covariance = online.sample_covariance()?;
-                    let refit =
-                        Gaussian::from_moments(online.mean().to_vec(), covariance, online.count())?;
-                    stats.mean = refit.mean().to_vec();
-                    stats.count = refit.count();
+                    refit.commit(gaussian)?;
+                    stats.mean.clear();
+                    stats.mean.extend_from_slice(gaussian.mean());
+                    stats.count = gaussian.count();
                     // UpdateModel: clustMaxDists = max(old, distance of each
                     // new edge set under the updated statistics).
-                    for item in &items {
-                        let d = refit.mahalanobis(item.edge_set.samples())?;
+                    for row in rows() {
+                        let d = gaussian.mahalanobis_with(row, solve)?;
                         stats.max_distance = stats.max_distance.max(d);
                     }
-                    stats.gaussian = Some(refit);
                 }
                 DistanceMetric::Euclidean => {
                     // Mean-only running update.
-                    let mut mean = stats.mean.clone();
-                    let mut count = stats.count;
-                    for item in &items {
-                        count += 1;
-                        for (m, &x) in mean.iter_mut().zip(item.edge_set.samples()) {
-                            *m += (x - *m) / count as f64;
+                    for row in rows() {
+                        stats.count += 1;
+                        let n = stats.count as f64;
+                        for (m, &x) in stats.mean.iter_mut().zip(row) {
+                            *m += (x - *m) / n;
                         }
                     }
-                    stats.mean = mean;
-                    stats.count = count;
-                    for item in &items {
-                        let d =
-                            stats.distance(item.edge_set.samples(), DistanceMetric::Euclidean)?;
+                    for row in rows() {
+                        let d = euclidean(row, &stats.mean)?;
                         stats.max_distance = stats.max_distance.max(d);
                     }
                 }
             }
+            touched.push(ClusterId(cluster_idx));
             outcome.clusters_touched += 1;
-            outcome.absorbed += items.len();
+            outcome.absorbed += group.len();
         }
         Ok(outcome)
     }
@@ -134,10 +286,12 @@ impl Model {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClusterId, EdgeSet, Trainer, VProfileConfig};
+    use crate::{EdgeSet, Trainer, VProfileConfig};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use vprofile_can::SourceAddress;
+    use std::collections::BTreeMap;
+    use vprofile_sigstat::{Gaussian, OnlineGaussian};
 
     fn sample(rng: &mut StdRng, sa: u8, center: f64) -> LabeledEdgeSet {
         let samples: Vec<f64> = (0..4)
@@ -254,6 +408,203 @@ mod tests {
             model.update_online(&[bad]).unwrap_err(),
             VProfileError::MixedDimensions { .. }
         ));
+    }
+
+    /// The allocating update this module shipped before the in-place
+    /// refit: `BTreeMap` grouping, a fresh `OnlineGaussian::from_moments`,
+    /// `sample_covariance` and `Gaussian::from_moments` per cluster.
+    fn reference_update_online(
+        model: &mut Model,
+        new_data: &[LabeledEdgeSet],
+    ) -> Result<UpdateOutcome, VProfileError> {
+        let mut outcome = UpdateOutcome::default();
+        let dim = model.dim();
+        let mut per_cluster: BTreeMap<usize, Vec<&LabeledEdgeSet>> = BTreeMap::new();
+        for item in new_data {
+            match model.lookup_sa(item.sa) {
+                Some(cluster) => {
+                    if item.edge_set.dim() != dim {
+                        return Err(VProfileError::MixedDimensions {
+                            expected: dim,
+                            actual: item.edge_set.dim(),
+                        });
+                    }
+                    per_cluster.entry(cluster.0).or_default().push(item);
+                }
+                None => outcome.skipped_unknown_sa += 1,
+            }
+        }
+        for (cluster_idx, items) in per_cluster {
+            let stats = &mut model.clusters[cluster_idx];
+            match model.config.metric {
+                DistanceMetric::Mahalanobis => {
+                    let gaussian = stats
+                        .gaussian
+                        .as_ref()
+                        .ok_or(VProfileError::CovarianceUnavailable)?;
+                    let mut online = OnlineGaussian::from_moments(
+                        gaussian.mean().to_vec(),
+                        gaussian.covariance(),
+                        stats.count,
+                    )?;
+                    for item in &items {
+                        online.push(item.edge_set.samples())?;
+                    }
+                    let covariance = online.sample_covariance()?;
+                    let refit =
+                        Gaussian::from_moments(online.mean().to_vec(), covariance, online.count())?;
+                    stats.mean = refit.mean().to_vec();
+                    stats.count = refit.count();
+                    for item in &items {
+                        let d = refit.mahalanobis(item.edge_set.samples())?;
+                        stats.max_distance = stats.max_distance.max(d);
+                    }
+                    stats.gaussian = Some(refit);
+                }
+                DistanceMetric::Euclidean => {
+                    let mut mean = stats.mean.clone();
+                    let mut count = stats.count;
+                    for item in &items {
+                        count += 1;
+                        for (m, &x) in mean.iter_mut().zip(item.edge_set.samples()) {
+                            *m += (x - *m) / count as f64;
+                        }
+                    }
+                    stats.mean = mean;
+                    stats.count = count;
+                    for item in &items {
+                        let d =
+                            stats.distance(item.edge_set.samples(), DistanceMetric::Euclidean)?;
+                        stats.max_distance = stats.max_distance.max(d);
+                    }
+                }
+            }
+            outcome.clusters_touched += 1;
+            outcome.absorbed += items.len();
+        }
+        Ok(outcome)
+    }
+
+    /// Three 4-sample clusters (SAs 1, 2, 3) under `metric`.
+    fn three_cluster_model(rng: &mut StdRng, metric: DistanceMetric) -> Model {
+        let mut data = Vec::new();
+        for _ in 0..12 {
+            for (sa, center) in [(1, 100.0), (2, 500.0), (3, 900.0)] {
+                data.push(sample(rng, sa, center));
+            }
+        }
+        let mut config = VProfileConfig::for_adc(&vprofile_analog::AdcConfig::vehicle_b(), 250_000)
+            .with_metric(metric);
+        config.prefix_len = 1;
+        config.suffix_len = 1;
+        Trainer::new(config).train(&data).unwrap()
+    }
+
+    fn json(model: &Model) -> String {
+        serde_json::to_string(model).unwrap()
+    }
+
+    proptest! {
+        /// The in-place update lands on the same model, byte for byte in
+        /// JSON, as the allocating reference, batch after batch with one
+        /// reused scratch, under both metrics. Some batches carry a
+        /// non-finite row in the second cluster they touch: the first
+        /// cluster keeps its refit, the failing one and the rest stay as
+        /// they were, exactly as in the reference.
+        #[test]
+        fn prop_in_place_update_matches_reference(
+            seed in any::<u64>(),
+            batches in 1usize..6,
+            euclidean in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let metric = if euclidean {
+                DistanceMetric::Euclidean
+            } else {
+                DistanceMetric::Mahalanobis
+            };
+            let mut model = three_cluster_model(&mut rng, metric);
+            let mut reference = model.clone();
+            let mut scratch = UpdateScratch::default();
+            for _ in 0..batches {
+                let len = rng.random_range(1..40);
+                let mut items: Vec<LabeledEdgeSet> = (0..len)
+                    .map(|_| {
+                        let (sa, center) = match rng.random_range(0..7) {
+                            0 => (0x77, 300.0),
+                            k => [(1, 102.0), (2, 503.0), (3, 897.0)][k % 3],
+                        };
+                        sample(&mut rng, sa, center)
+                    })
+                    .collect();
+                if !euclidean && rng.random_bool(0.3) {
+                    let mut touched: Vec<usize> = items
+                        .iter()
+                        .filter_map(|o| model.lookup_sa(o.sa).map(|c| c.0))
+                        .collect();
+                    touched.sort_unstable();
+                    touched.dedup();
+                    if let Some(&second) = touched.get(1) {
+                        let sa = model.clusters[second].sas()[0];
+                        let at = rng.random_range(0..=items.len());
+                        items.insert(
+                            at,
+                            LabeledEdgeSet::new(sa, EdgeSet::new(vec![f64::NAN; 4])),
+                        );
+                    }
+                }
+                let got = model.update_online_with(&UpdateBatch::from_items(&items), &mut scratch);
+                let want = reference_update_online(&mut reference, &items);
+                // Debug, not `==`: the failing pivot's diagonal is NaN.
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                prop_assert_eq!(json(&model), json(&reference));
+                // A failure comes from the second touched cluster, after
+                // the first one committed.
+                let committed = want.map_or(1, |o| o.clusters_touched);
+                prop_assert_eq!(scratch.touched().len(), committed);
+            }
+        }
+    }
+
+    #[test]
+    fn failing_cluster_keeps_earlier_refits_and_drops_the_rest() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut model = three_cluster_model(&mut rng, DistanceMetric::Mahalanobis);
+        let before = model.clone();
+        let mut batch = UpdateBatch::default();
+        for (sa, center) in [(3, 900.0), (1, 100.0), (2, 500.0)] {
+            batch.push(
+                SourceAddress(sa),
+                sample(&mut rng, sa, center).edge_set.samples(),
+            );
+        }
+        batch.push(SourceAddress(2), &[f64::INFINITY; 4]);
+        let mut scratch = UpdateScratch::default();
+        assert!(matches!(
+            model.update_online_with(&batch, &mut scratch),
+            Err(VProfileError::Numeric(_))
+        ));
+        assert_eq!(scratch.touched(), &[ClusterId(0)]);
+        assert_ne!(model.clusters[0], before.clusters[0]);
+        assert_eq!(model.clusters[1], before.clusters[1]);
+        assert_eq!(model.clusters[2], before.clusters[2]);
+    }
+
+    #[test]
+    fn batch_discard_compacts_in_order() {
+        let mut batch = UpdateBatch::with_capacity(4, 2);
+        batch.push(SourceAddress(1), &[1.0, 1.5]);
+        batch.push(SourceAddress(2), &[2.0, 2.5]);
+        batch.push(SourceAddress(1), &[3.0, 3.5]);
+        batch.push(SourceAddress(3), &[4.0]);
+        batch.discard(SourceAddress(1));
+        assert_eq!(batch.len(), 2);
+        assert_eq!(batch.get(0), (SourceAddress(2), &[2.0, 2.5][..]));
+        assert_eq!(batch.get(1), (SourceAddress(3), &[4.0][..]));
+        batch.discard(SourceAddress(9));
+        assert_eq!(batch.len(), 2);
+        batch.clear();
+        assert!(batch.is_empty());
     }
 
     #[test]
