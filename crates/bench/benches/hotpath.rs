@@ -6,6 +6,10 @@
 //!   into a reused [`vprofile::ScratchArena`];
 //! * `score/single_frame` — cached nearest-cluster scan plus verdict for
 //!   one already-extracted edge set;
+//! * `score/fleet32_accepted` and `score/fleet32_mismatch` — the same on
+//!   the 32-ECU stress fleet (`K = 32`, `d = 32`): a legitimate frame the
+//!   seeded scan accepts after a few rows per rival cluster, and a mimicry
+//!   frame that ends in `ClusterMismatch`;
 //! * `score/process_window` — the full engine hot path (extract + score)
 //!   for one framed window;
 //! * `score/batched_64` — the flat [`SampleBatch`] Mahalanobis kernel over
@@ -28,10 +32,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use vprofile::{
-    Detector, EdgeSetExtractor, LabeledEdgeSet, ScoringCache, ScratchArena, Trainer, VProfileConfig,
+    AnomalyKind, Detector, EdgeSetExtractor, LabeledEdgeSet, Model, ScoringCache, ScratchArena,
+    Trainer, VProfileConfig, Verdict,
 };
+use vprofile_analog::FrameSynthesizer;
+use vprofile_can::{SourceAddress, WireFrame};
 use vprofile_ids::{DetectionBackend, IdsEngine, UpdatePolicy, VProfileBackend};
 use vprofile_sigstat::{BatchedMahalanobis, Gaussian, Matrix, SampleBatch};
+use vprofile_vehicle::adversary::{mimicry_attacker, AdversaryPlan};
 use vprofile_vehicle::scenario::stress_fleet;
 use vprofile_vehicle::{CaptureConfig, Vehicle};
 
@@ -54,6 +62,63 @@ fn trained() -> (
         .expect("training");
     let window = capture.frames()[0].trace.to_f64();
     (model, extractor, window)
+}
+
+/// The 32-ECU stress fleet (seed 11) with one legitimate edge set the
+/// model accepts and one mimicry edge set (a foreign device re-sending a
+/// replayed frame) it flags as `ClusterMismatch`.
+#[allow(clippy::type_complexity)]
+fn fleet32() -> (Model, (SourceAddress, Vec<f64>), (SourceAddress, Vec<f64>)) {
+    let vehicle = stress_fleet(32, 11);
+    let training = vehicle
+        .capture(&CaptureConfig::default().with_frames(32 * 200).with_seed(11))
+        .expect("capture");
+    let config = VProfileConfig::for_adc(training.adc(), training.bit_rate_bps());
+    let extractor = EdgeSetExtractor::new(config.clone());
+    let model = Trainer::new(config)
+        .train_with_lut(&training.extract(&extractor).labeled(), &vehicle.sa_lut())
+        .expect("training");
+    let cache = ScoringCache::build(&model).expect("cache");
+    let detector = Detector::with_margin(&model, 2.0);
+    let replay = vehicle
+        .capture(&CaptureConfig::default().with_frames(64).with_seed(12))
+        .expect("replay");
+    let synth = FrameSynthesizer::new(replay.bit_rate_bps(), *replay.adc());
+    let mut accepted = None;
+    let mut mimicry = None;
+    for (k, cf) in replay.frames().iter().enumerate() {
+        let Ok(obs) = extractor.extract(&cf.trace.to_f64()) else {
+            continue;
+        };
+        if accepted.is_none() && !detector.classify_cached(&obs, &cache).is_anomaly() {
+            accepted = Some((obs.sa, obs.edge_set.samples().to_vec()));
+        }
+        let plan = AdversaryPlan::new(cf.true_ecu, 0.0, 11);
+        let attacker = mimicry_attacker(&vehicle, &plan).expect("attacker");
+        let mut rng = StdRng::seed_from_u64(11 ^ ((k as u64) << 20));
+        let wire = WireFrame::encode(&cf.frame);
+        let trace = synth.synthesize(wire.bits(), &attacker, replay.env(), &mut rng);
+        if let Ok(forged) = extractor.extract(&trace.to_f64()) {
+            if mimicry.is_none()
+                && matches!(
+                    detector.classify_cached(&forged, &cache),
+                    Verdict::Anomaly {
+                        kind: AnomalyKind::ClusterMismatch { .. }
+                    }
+                )
+            {
+                mimicry = Some((forged.sa, forged.edge_set.samples().to_vec()));
+            }
+        }
+        if accepted.is_some() && mimicry.is_some() {
+            break;
+        }
+    }
+    (
+        model,
+        accepted.expect("a replayed frame is accepted"),
+        mimicry.expect("a mimicry frame is a cluster mismatch"),
+    )
 }
 
 fn bench_extract(c: &mut Criterion) {
@@ -83,10 +148,21 @@ fn bench_score(c: &mut Criterion) {
     let detector = Detector::with_margin(&model, 2.0);
 
     let mut group = c.benchmark_group("score");
-    let mut distances = Vec::new();
     group.bench_function("single_frame", |b| {
-        b.iter(|| detector.classify_cached_with(sa, black_box(&edge_set), &cache, &mut distances))
+        b.iter(|| detector.classify_cached_with(sa, black_box(&edge_set), &cache))
     });
+
+    let (fleet, accepted, mimicry) = fleet32();
+    let fleet_cache = ScoringCache::build(&fleet).expect("cache");
+    let fleet_detector = Detector::with_margin(&fleet, 2.0);
+    for (name, (sa, x)) in [
+        ("fleet32_accepted", &accepted),
+        ("fleet32_mismatch", &mimicry),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| fleet_detector.classify_cached_with(*sa, black_box(x), &fleet_cache))
+        });
+    }
 
     let mut engine = IdsEngine::new(model.clone(), 2.0, UpdatePolicy::disabled());
     engine.process_window(0, &window); // warm cache + scratch

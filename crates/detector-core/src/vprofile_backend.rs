@@ -161,15 +161,9 @@ impl DetectionBackend for VProfileBackend {
     fn classify_into(&mut self, scratch: &mut ScratchArena, sa: SourceAddress) -> Verdict {
         self.ensure_cache();
         let detector = Detector::with_margin(&self.model, self.margin);
-        let ScratchArena {
-            edge_set,
-            distances,
-            ..
-        } = scratch;
+        let edge_set = &scratch.edge_set;
         match &self.cache {
-            CacheState::Ready(cache) => {
-                detector.classify_cached_with(sa, edge_set, cache, distances)
-            }
+            CacheState::Ready(cache) => detector.classify_cached_with(sa, edge_set, cache),
             CacheState::Stale | CacheState::Unavailable => {
                 classify_uncached(&detector, sa, edge_set)
             }

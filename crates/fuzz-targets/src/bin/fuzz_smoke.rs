@@ -11,7 +11,8 @@
 //! `--regen-corpus` rebuilds the seed corpus from synthesized captures:
 //! clean frame windows and streams, chaos-corrupted twins (dropout, EMI
 //! burst, non-finite DMA words), and truncations. The feed target starts
-//! from the framer's streams. The corpus is committed, so regeneration is
+//! from the framer's streams plus the clean stream with one NaN in a
+//! cluster-0 frame's edge set. The corpus is committed, so regeneration is
 //! only needed when the capture substrate changes.
 //!
 //! On hosts with `cargo-fuzz` installed, the `fuzz/` directory at the
@@ -31,7 +32,7 @@ use vprofile::ScratchArena;
 use vprofile_analog::Fault;
 use vprofile_fuzz_targets::{
     decode_samples, encode_samples, extractor, extractor_target, feed_target, framer_target,
-    FramerInput, CORPUS_SEED,
+    nan_in_edge_set, FramerInput, CORPUS_SEED,
 };
 use vprofile_vehicle::scenario::{chaos_inject, chaos_stream};
 use vprofile_vehicle::{CaptureConfig, Vehicle};
@@ -339,6 +340,12 @@ fn regen_corpus(dir: &Path) -> Result<usize, String> {
             write(sub, name, &input.encode())?;
         }
     }
+    // Feed only: the clean stream with one NaN in the edge set of a frame
+    // claiming a cluster-0 SA, which must fail closed.
+    let clean = FramerInput::decode(&streams[0].1.encode());
+    let poisoned =
+        nan_in_edge_set(&clean).ok_or("the clean stream has no cluster-0 frame to poison")?;
+    write("feed", "nan_in_edge_set.bin", &poisoned.encode())?;
 
     // Extractor corpus: single frame windows — clean, chaos-corrupted,
     // non-finite, and a truncation.

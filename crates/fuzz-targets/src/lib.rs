@@ -23,7 +23,9 @@
 //! * **pipeline agreement** — feeding the stream in arbitrary chunks
 //!   through [`IdsPipeline`] at 1 and 2 workers yields one event per
 //!   reference-framer window and the same event stream, byte for byte, as
-//!   the synchronous [`IdsEngine`].
+//!   the synchronous [`IdsEngine`];
+//! * **fail-closed scoring** — no accepted frame ([`Verdict::Ok`]) carries
+//!   a NaN or infinite distance: a non-finite edge set is unscorable.
 //!
 //! The same functions back the in-workspace `fuzz_smoke` binary
 //! (deterministic corpus + seeded mutations, run in CI), plain unit tests
@@ -41,7 +43,7 @@
 //! target reads the same header but uses only its chunk size.
 
 use std::sync::OnceLock;
-use vprofile::{EdgeSetExtractor, ScratchArena, Trainer, VProfileConfig};
+use vprofile::{ClusterId, EdgeSetExtractor, ScratchArena, Trainer, VProfileConfig, Verdict};
 use vprofile_analog::AdcConfig;
 use vprofile_ids::{
     HealthConfig, IdsEngine, IdsEvent, IdsPipeline, PipelineConfig, StreamFramer, UpdatePolicy,
@@ -280,6 +282,15 @@ pub fn feed_target(data: &[u8]) {
     let mut reference = engine.clone();
     let mut expected = reference.process_samples(&input.samples);
     expected.extend(reference.finish());
+    for event in &expected {
+        if let Some(Verdict::Ok { distance, .. }) = event.verdict() {
+            assert!(
+                distance.is_finite(),
+                "frame at {} accepted with distance {distance}",
+                event.stream_pos()
+            );
+        }
+    }
     let expected = normalized_json(expected);
 
     for workers in [1, 2] {
@@ -314,6 +325,44 @@ pub fn feed_target(data: &[u8]) {
             input.chunk
         );
     }
+}
+
+/// `input` with one sample of an edge set set to NaN: the first frame, in
+/// the feed target's framing, whose claimed SA maps to cluster 0 of the
+/// feed target's model, at the first sample whose overwrite leaves the
+/// extraction in place. Scored, such a frame gets a NaN distance that
+/// passes every threshold as [`Verdict::Ok`], so it must fail closed
+/// instead. `None` when the stream has no such frame.
+pub fn nan_in_edge_set(input: &FramerInput) -> Option<FramerInput> {
+    let engine = feed_engine().as_ref().ok()?;
+    let model = engine.model()?;
+    let config = engine.config();
+    let extractor = EdgeSetExtractor::new(config.clone());
+    let mut framer = StreamFramer::new(config.bit_width_samples, config.bit_threshold);
+    let mut windows = framer.push(&input.samples);
+    windows.extend(framer.flush());
+    for (pos, window) in windows {
+        let Ok(clean) = extractor.extract(&window) else {
+            continue;
+        };
+        if model.lookup_sa(clean.sa) != Some(ClusterId(0)) {
+            continue;
+        }
+        let mut probe = window.clone();
+        for (i, &sample) in window.iter().enumerate() {
+            probe[i] = f64::NAN;
+            let kept = extractor.extract(&probe).is_ok_and(|obs| {
+                obs.sa == clean.sa && obs.edge_set.samples().iter().any(|v| v.is_nan())
+            });
+            if kept {
+                let mut out = input.clone();
+                out.samples[usize::try_from(pos).ok()? + i] = f64::NAN;
+                return Some(out);
+            }
+            probe[i] = sample;
+        }
+    }
+    None
 }
 
 /// The fixed extractor configuration the extractor target runs under: the
@@ -395,7 +444,7 @@ mod tests {
             }
         }
         assert!(
-            replayed >= 10,
+            replayed >= 13,
             "expected a seeded corpus, got {replayed} files"
         );
     }

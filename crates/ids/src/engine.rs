@@ -225,9 +225,10 @@ impl IdsEngine {
     /// `(event, extract_ns, score_ns)` so the pipeline can attribute time
     /// to extraction vs. scoring. The hot path runs through the engine's
     /// [`ScratchArena`]: extraction writes into `scratch.edge_set`, the
-    /// nearest-cluster scan into `scratch.distances`, and nothing touches
-    /// the allocator in steady state (observations are only materialized
-    /// for the occasional online-update absorption or uncached fallback).
+    /// backend scores it from there (vProfile's seeded nearest-cluster scan
+    /// needs no buffer), and nothing touches the allocator in steady state
+    /// (observations are only materialized for the occasional
+    /// online-update absorption or uncached fallback).
     pub fn process_window_timed(
         &mut self,
         stream_pos: u64,

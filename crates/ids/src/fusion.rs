@@ -45,6 +45,15 @@ const DEFAULT_SUSPEND_AFTER: u32 = 12;
 /// frames (killed voters never probe).
 const DEFAULT_PROBE_INTERVAL: u32 = 32;
 
+/// A voter's calibrated score for `verdict`, or an abstention when the
+/// score is not finite: one NaN would make the fused mean NaN, which never
+/// reaches θ, and the SA's θ would then track NaN for good.
+fn calibrated(voter: &Backend, sa: SourceAddress, verdict: &Verdict) -> Option<f64> {
+    voter
+        .calibrated_score(sa, verdict)
+        .filter(|score| score.is_finite())
+}
+
 /// Per-voter liveness bookkeeping (engine-global, unlike the per-SA
 /// fusion state: an outage is a property of the voter, not of a sender).
 #[derive(Debug, Clone, Copy, Default)]
@@ -438,7 +447,7 @@ impl FusionEngine {
                     if !verdict.is_unscorable() {
                         rt.suspended = false;
                         rt.unscorable_streak = 0;
-                        *slot = voter.calibrated_score(sa, &verdict);
+                        *slot = calibrated(voter, sa, &verdict);
                         if index == 0 {
                             primary_verdict = verdict;
                         }
@@ -462,7 +471,7 @@ impl FusionEngine {
             } else {
                 rt.unscorable_streak = 0;
             }
-            *slot = voter.calibrated_score(sa, &verdict);
+            *slot = calibrated(voter, sa, &verdict);
             if index == 0 {
                 primary_verdict = verdict;
             }
@@ -899,6 +908,40 @@ mod tests {
             "one outage transition, attributed to the first streaked voter"
         );
         assert!(engine.suspended(0), "the streaked voter is suspended");
+    }
+
+    #[test]
+    fn non_finite_calibrated_scores_abstain() {
+        let (engine, _) = fixture();
+        let sa = Vehicle::vehicle_b(29).ecus()[0].schedules[0].sa;
+        let nan_ok = Verdict::Ok {
+            cluster: ClusterId(0),
+            distance: f64::NAN,
+        };
+        let nan_excess = Verdict::Anomaly {
+            kind: AnomalyKind::ThresholdExceeded {
+                cluster: ClusterId(0),
+                distance: f64::NAN,
+                limit: 1.0,
+            },
+        };
+        let ok = Verdict::Ok {
+            cluster: ClusterId(0),
+            distance: 0.5,
+        };
+        for voter in &engine.voters {
+            for verdict in [nan_ok, nan_excess, ok] {
+                let raw = voter.calibrated_score(sa, &verdict);
+                let want = raw.filter(|s| s.is_finite());
+                assert_eq!(calibrated(voter, sa, &verdict), want, "{verdict:?}");
+            }
+        }
+        // The primary maps an Ok NaN distance to a NaN score: the case
+        // that used to turn θ NaN.
+        assert!(engine.voters[0]
+            .calibrated_score(sa, &nan_ok)
+            .is_some_and(f64::is_nan));
+        assert_eq!(calibrated(&engine.voters[0], sa, &nan_ok), None);
     }
 
     #[test]

@@ -1,27 +1,38 @@
 //! Batched Mahalanobis scoring across many Gaussians at once.
 //!
 //! The per-cluster hot path computes `d_c(x) = ‖L_c⁻¹ (x − μ_c)‖` with one
-//! triangular solve per cluster. For a detector that scores every incoming
-//! frame against *all* `K` clusters, the same result is obtained with a
-//! single dense product: precompute the explicit inverse factors
-//! `W_c = L_c⁻¹` once per model version, stack them into one `(K·d) × d`
-//! matrix `M`, and precompute the offsets `v_c = W_c μ_c`. Then
+//! triangular solve per cluster. A detector that scores every incoming
+//! frame against many clusters instead precomputes the explicit inverse
+//! factors `W_c = L_c⁻¹` once per model version, stacks them into one
+//! `(K·d) × d` matrix `M`, and precomputes the offsets `v_c = W_c μ_c`.
+//! Then
 //!
 //! ```text
-//! y = M x            (one matrix–vector product per frame)
-//! d_c² = ‖y_c − v_c‖²  (the c-th length-d slice of y)
+//! r_c = W_c x − v_c      (row i of W_c has i + 1 non-zeros)
+//! d_c² = ‖r_c‖²          (accumulated row by row)
 //! ```
 //!
-//! and a batch of `B` frames needs one matrix–matrix product `M X` with
-//! `X ∈ ℝ^{d×B}`. The factorization cost is paid once and reused across
-//! frames; an online model update rewrites the blocks of the clusters it
-//! changed, in place ([`BatchedMahalanobis::refresh`]).
+//! [`BatchedMahalanobis::distances_into`] evaluates every row of `M`, one
+//! matrix–vector product per frame. Algorithm 3 only needs the nearest
+//! cluster, so [`BatchedMahalanobis::nearest_to`] scores the claimed
+//! cluster in full and stops every other cluster as soon as its partial
+//! sum of squares proves it cannot come out nearer: for a legitimate frame
+//! that is a few rows per rival instead of `d`. Both return the same bits.
+//! The factorization cost is paid once and reused across frames; an online
+//! model update rewrites the blocks of the clusters it changed, in place
+//! ([`BatchedMahalanobis::refresh`]).
 
 use crate::matrix::dot;
 use crate::{Gaussian, SampleBatch, SigStatError};
+use std::cmp::Ordering;
+
+/// Largest residual bound under which [`BatchedMahalanobis::nearest_to`]
+/// takes its seeded path: far enough below `f64::MAX` that no dot product
+/// or residual the row loop forms can overflow, rounding included.
+const OVERFLOW_FREE: f64 = 1e300;
 
 /// Precomputed stacked-inverse-factor state for scoring one observation
-/// against `K` Gaussians in a single dense product.
+/// against `K` Gaussians.
 ///
 /// Build it from the model's cluster Gaussians with
 /// [`BatchedMahalanobis::from_gaussians`]; after a cluster's covariance
@@ -40,6 +51,9 @@ use crate::{Gaussian, SampleBatch, SigStatError};
 /// let d = batched.distances(&[1.0, 0.0])?;
 /// assert!((d[0] - 1.0).abs() < 1e-12);
 /// assert!((d[1] - 3.0).abs() < 1e-12);
+/// // Claiming cluster 1 still finds cluster 0, with the same bits.
+/// let (nearest, distance) = batched.nearest_to(&[1.0, 0.0], 1)?;
+/// assert_eq!((nearest, distance.to_bits()), (0, d[0].to_bits()));
 /// # Ok(())
 /// # }
 /// ```
@@ -50,8 +64,61 @@ pub struct BatchedMahalanobis {
     stacked: Vec<f64>,
     /// Stacked offsets `v_c = W_c μ_c`, matching `stacked`'s row layout.
     offsets: Vec<f64>,
+    /// Per cluster, the sum of the magnitudes of `v_c` and of the entries
+    /// of `W_c` the row loop reads (NaN or `+∞` if one is not finite).
+    reach: Vec<f64>,
+    /// `Σ reach`: every residual of `x` is at most
+    /// `reach_total · (Σ|x_j| + 1)` in magnitude.
+    reach_total: f64,
     dim: usize,
     clusters: usize,
+}
+
+/// One step of the row loop: adds row `i`'s squared residual
+/// `(W_c x − v_c)_i²` to `q`. Row `i` is one contiguous 4-wide [`dot`]
+/// with `x`; `W_c = L_c⁻¹` is lower triangular, so the row carries only
+/// `i + 1` non-zeros and the dot is truncated accordingly (half the flops
+/// of the dense product). Residuals are consumed as they are produced, so
+/// no intermediate `y` buffer is needed.
+fn step(w: &[f64], vi: f64, x: &[f64], i: usize, q: f64) -> f64 {
+    let start = i * x.len();
+    let r = dot(&w[start..=start + i], &x[..=i]) - vi;
+    r.mul_add(r, q)
+}
+
+/// Rows 0..4 of a cluster block `(w, v)` — the first four steps of the
+/// row loop, on constant lengths the compiler unrolls (most rivals of a
+/// legitimate frame are abandoned right after them) — and the next row
+/// to run. A block of fewer than four rows starts the loop at row 0.
+fn head(w: &[f64], v: &[f64], x: &[f64]) -> (f64, usize) {
+    let (Some(&[v0, v1, v2, v3]), Some(x4)) = (v.first_chunk::<4>(), x.first_chunk::<4>()) else {
+        return (0.0, 0);
+    };
+    let d = x.len();
+    let mut q = 0.0;
+    for r in [
+        dot(&w[..1], &x4[..1]) - v0,
+        dot(&w[d..d + 2], &x4[..2]) - v1,
+        dot(&w[2 * d..2 * d + 3], &x4[..3]) - v2,
+        dot(&w[3 * d..3 * d + 4], x4) - v3,
+    ] {
+        q = r.mul_add(r, q);
+    }
+    (q, 4)
+}
+
+/// `Σ|x_j|` in four lanes, NaN or `+∞` if a sample is.
+fn abs_sum(x: &[f64]) -> f64 {
+    let mut acc = [0.0f64; 4];
+    let mut chunks = x.chunks_exact(4);
+    for chunk in chunks.by_ref() {
+        for (a, v) in acc.iter_mut().zip(chunk) {
+            *a += v.abs();
+        }
+    }
+    let tail: f64 = chunks.remainder().iter().map(|v| v.abs()).sum();
+    let [a0, a1, a2, a3] = acc;
+    (a0 + a2) + (a1 + a3) + tail
 }
 
 impl BatchedMahalanobis {
@@ -73,6 +140,8 @@ impl BatchedMahalanobis {
         let mut batched = BatchedMahalanobis {
             stacked: vec![0.0; clusters * dim * dim],
             offsets: vec![0.0; clusters * dim],
+            reach: vec![0.0; clusters],
+            reach_total: 0.0,
             dim,
             clusters,
         };
@@ -101,9 +170,10 @@ impl BatchedMahalanobis {
                 context: "BatchedMahalanobis::refresh",
             });
         }
-        let (Some(w), Some(offsets)) = (
+        let (Some(w), Some(offsets), Some(reach)) = (
             self.stacked.get_mut(cluster * d * d..(cluster + 1) * d * d),
             self.offsets.get_mut(cluster * d..(cluster + 1) * d),
+            self.reach.get_mut(cluster),
         ) else {
             return Err(SigStatError::DimensionMismatch {
                 expected: self.clusters,
@@ -112,9 +182,12 @@ impl BatchedMahalanobis {
             });
         };
         gaussian.cholesky().inverse_factor_into(w)?;
-        for (v, row) in offsets.iter_mut().zip(w.chunks_exact(d)) {
+        *reach = 0.0;
+        for (i, (v, row)) in offsets.iter_mut().zip(w.chunks_exact(d)).enumerate() {
             *v = dot(row, gaussian.mean());
+            *reach += abs_sum(&row[..=i]) + v.abs();
         }
+        self.reach_total = self.reach.iter().sum();
         Ok(())
     }
 
@@ -136,42 +209,129 @@ impl BatchedMahalanobis {
     /// Returns [`SigStatError::DimensionMismatch`] if `x.len() != self.dim()`.
     // xtask: hot-path
     pub fn distances_into(&self, x: &[f64], out: &mut Vec<f64>) -> Result<(), SigStatError> {
-        if x.len() != self.dim {
-            return Err(SigStatError::DimensionMismatch {
-                expected: self.dim,
-                actual: x.len(),
-                context: "BatchedMahalanobis::distances_into",
-            });
-        }
+        self.check_dim(x, "BatchedMahalanobis::distances_into")?;
         out.clear();
         out.reserve(self.clusters);
         self.score_row(x, out);
         Ok(())
     }
 
-    /// The per-frame kernel: every stacked row is one contiguous 4-wide
-    /// [`dot`] with `x`, the residual against the precomputed offset is
-    /// squared and accumulated per cluster. No intermediate `y` buffer —
-    /// the product row is consumed as it is produced, so the hot path
-    /// never touches the allocator. Each `W_c = L_c⁻¹` is lower
-    /// triangular, so row `i` carries only `i + 1` non-zeros and the dot
-    /// is truncated accordingly (half the flops of the dense product).
-    fn score_row(&self, x: &[f64], out: &mut Vec<f64>) {
-        let stacked = &self.stacked;
-        for c in 0..self.clusters {
-            let base = c * self.dim;
-            let mut q = 0.0;
-            for i in 0..self.dim {
-                let start = (base + i) * self.dim;
-                // xtask: allow(hot-path-panic): offsets holds clusters*dim entries by construction; the innermost kernel keeps bounds checks hoisted
-                let r = dot(&stacked[start..start + i + 1], &x[..=i]) - self.offsets[base + i];
-                q = r.mul_add(r, q);
+    /// The nearest cluster to `x` and its distance, with the claimed
+    /// cluster `claimed` scored first — bit for bit what
+    /// [`BatchedMahalanobis::distances_into`] followed by a first strict
+    /// minimum (`d < best`, from cluster 0) returns, for every input.
+    ///
+    /// The claimed cluster's distance is computed in full. Every other
+    /// cluster, in index order, accumulates its squared distance row by
+    /// row and is abandoned once the partial sum proves it farther than
+    /// the best so far: each row adds `r²`, so the sum never decreases.
+    /// A cluster that finishes replaces the best if it is nearer, or as
+    /// near with a lower index. This is exact as long as no residual can
+    /// overflow or be NaN, which a bound on `Σ|x_j|` against the stacked
+    /// entries guarantees; an input outside that bound (any NaN or `±∞`
+    /// sample, or magnitudes near `f64::MAX`) takes the full loop instead.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SigStatError::DimensionMismatch`] if `x.len() != self.dim()`
+    /// or `claimed >= self.cluster_count()`.
+    // xtask: hot-path
+    pub fn nearest_to(&self, x: &[f64], claimed: usize) -> Result<(usize, f64), SigStatError> {
+        self.check_dim(x, "BatchedMahalanobis::nearest_to")?;
+        if claimed >= self.clusters {
+            return Err(SigStatError::DimensionMismatch {
+                expected: self.clusters,
+                actual: claimed + 1,
+                context: "BatchedMahalanobis::nearest_to",
+            });
+        }
+        let in_range = self.reach_total * (abs_sum(x) + 1.0) <= OVERFLOW_FREE;
+        if !in_range {
+            return Ok(self.nearest_full(x));
+        }
+        // Every residual is finite from here on, so every partial sum is
+        // a finite or infinite non-negative number, never NaN.
+        let mut best_q = self.squared(claimed, x);
+        let mut best = (claimed, best_q.sqrt());
+        'clusters: for c in (0..self.clusters).filter(|&c| c != claimed) {
+            let (w, v) = self.block(c);
+            let (mut q, from) = head(w, v, x);
+            // The final sum is at least q, and sqrt is monotone.
+            if q > best_q && q.sqrt() > best.1 {
+                continue 'clusters;
             }
-            debug_assert!(
-                q >= 0.0 || q.is_nan(),
-                "squared distance is a sum of squares and cannot be negative"
-            );
-            out.push(q.sqrt());
+            for (i, &vi) in v.iter().enumerate().skip(from) {
+                q = step(w, vi, x, i, q);
+                if q > best_q && q.sqrt() > best.1 {
+                    continue 'clusters;
+                }
+            }
+            let distance = q.sqrt();
+            if match distance.total_cmp(&best.1) {
+                Ordering::Less => true,
+                Ordering::Equal => c < best.0,
+                Ordering::Greater => false,
+            } {
+                best = (c, distance);
+                best_q = q;
+            }
+        }
+        Ok(best)
+    }
+
+    /// The reference scan [`BatchedMahalanobis::nearest_to`] falls back
+    /// to: every distance in full, first strict minimum.
+    // xtask: cold
+    fn nearest_full(&self, x: &[f64]) -> (usize, f64) {
+        let mut best = (0, self.squared(0, x).sqrt());
+        for c in 1..self.clusters {
+            let distance = self.squared(c, x).sqrt();
+            if distance < best.1 {
+                best = (c, distance);
+            }
+        }
+        best
+    }
+
+    fn check_dim(&self, x: &[f64], context: &'static str) -> Result<(), SigStatError> {
+        if x.len() == self.dim {
+            Ok(())
+        } else {
+            Err(SigStatError::DimensionMismatch {
+                expected: self.dim,
+                actual: x.len(),
+                context,
+            })
+        }
+    }
+
+    /// Cluster `c`'s stacked factor rows and offsets.
+    fn block(&self, c: usize) -> (&[f64], &[f64]) {
+        let d = self.dim;
+        (
+            &self.stacked[c * d * d..(c + 1) * d * d],
+            &self.offsets[c * d..(c + 1) * d],
+        )
+    }
+
+    /// The row loop: `‖W_c x − v_c‖²` for cluster `c`.
+    fn squared(&self, c: usize, x: &[f64]) -> f64 {
+        let (w, v) = self.block(c);
+        let (mut q, from) = head(w, v, x);
+        for (i, &vi) in v.iter().enumerate().skip(from) {
+            q = step(w, vi, x, i, q);
+        }
+        debug_assert!(
+            q >= 0.0 || q.is_nan(),
+            "squared distance is a sum of squares and cannot be negative"
+        );
+        q
+    }
+
+    /// Every cluster's distance, in index order, appended to `out`.
+    fn score_row(&self, x: &[f64], out: &mut Vec<f64>) {
+        for c in 0..self.clusters {
+            out.push(self.squared(c, x).sqrt());
         }
     }
 

@@ -37,6 +37,33 @@ fn random_gaussian(rng: &mut StdRng, dim: usize) -> Gaussian {
     Gaussian::from_moments(mean, cov, 16).expect("B·Bᵀ + ridge·I is positive definite")
 }
 
+/// The reference answer `nearest_to` must reproduce: every distance from
+/// `distances_into`, then the first strict minimum from cluster 0.
+fn full_scan(batched: &BatchedMahalanobis, x: &[f64]) -> (usize, f64) {
+    let mut distances = Vec::new();
+    batched.distances_into(x, &mut distances).unwrap();
+    let mut best: Option<(usize, f64)> = None;
+    for (c, &d) in distances.iter().enumerate() {
+        if best.map_or(true, |(_, bd)| d < bd) {
+            best = Some((c, d));
+        }
+    }
+    best.unwrap()
+}
+
+/// Samples the seeded scan's inputs also hit: NaN and infinities (which
+/// make distances NaN or infinite), magnitudes whose squares overflow, and
+/// magnitudes whose products with the factors overflow.
+const SPECIALS: [f64; 7] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1e300,
+    -1e300,
+    1e200,
+    f64::MAX,
+];
+
 proptest! {
     /// The stacked one-product kernel must agree with the per-cluster
     /// triangular solves to within 1e-9 on random SPD covariances.
@@ -79,6 +106,82 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// The claimed-cluster-first, early-abandoning scan returns the full
+    /// scan's `(cluster, distance)` bit for bit: K = 1 to 40 random SPD
+    /// Gaussians at scales 1e-4 to 1e4 (some duplicated or nudged by an
+    /// ulp, for exact ties),
+    /// every cluster tried as the claim, on inputs near a mean, at a mean,
+    /// far from all, and with NaN, infinite and huge samples.
+    #[test]
+    fn prop_nearest_to_matches_full_scan_bits(
+        seed in any::<u64>(),
+        dim in 1usize..=12,
+        clusters in 1usize..=40,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut gaussians: Vec<Gaussian> = Vec::with_capacity(clusters);
+        for c in 0..clusters {
+            if c > 0 && rng.random_bool(0.4) {
+                // An exact twin ties every distance; a twin whose mean is
+                // nudged by an ulp ties after the square root on some rows.
+                let twin = &gaussians[rng.random_range(0..c)];
+                if rng.random_bool(0.5) {
+                    gaussians.push(twin.clone());
+                } else {
+                    let mean: Vec<f64> = twin
+                        .mean()
+                        .iter()
+                        .map(|m| if rng.random_bool(0.5) { m.next_up() } else { m.next_down() })
+                        .collect();
+                    let cov = twin.covariance().clone();
+                    gaussians.push(Gaussian::from_moments(mean, cov, 16).unwrap());
+                }
+                continue;
+            }
+            let scale = 10f64.powi(rng.random_range(-2..=2) * 2);
+            let mean: Vec<f64> = (0..dim).map(|_| rng.random_range(-10.0..10.0) * scale).collect();
+            let mut cov = random_spd(&mut rng, dim, 0.05);
+            for i in 0..dim {
+                for j in 0..dim {
+                    cov[(i, j)] *= scale * scale;
+                }
+            }
+            gaussians.push(Gaussian::from_moments(mean, cov, 16).unwrap());
+        }
+        let refs: Vec<&Gaussian> = gaussians.iter().collect();
+        let batched = BatchedMahalanobis::from_gaussians(&refs).unwrap();
+
+        let mut inputs: Vec<Vec<f64>> = Vec::new();
+        for _ in 0..4 {
+            let g = &gaussians[rng.random_range(0..clusters)];
+            let spread = rng.random_range(0.0..3.0);
+            inputs.push(g.mean().iter().map(|m| m + spread * rng.random_range(-1.0..1.0) * m.abs().max(1.0)).collect());
+        }
+        inputs.push(gaussians[rng.random_range(0..clusters)].mean().to_vec());
+        inputs.push((0..dim).map(|_| rng.random_range(-1e6..1e6)).collect());
+        for _ in 0..4 {
+            let mut x = inputs[rng.random_range(0..inputs.len())].clone();
+            for _ in 0..rng.random_range(1..=2usize) {
+                x[rng.random_range(0..dim)] = SPECIALS[rng.random_range(0..SPECIALS.len())];
+            }
+            inputs.push(x);
+        }
+
+        for x in &inputs {
+            let (want, want_d) = full_scan(&batched, x);
+            for claimed in 0..clusters {
+                let (got, got_d) = batched.nearest_to(x, claimed).unwrap();
+                prop_assert!(
+                    got == want && got_d.to_bits() == want_d.to_bits(),
+                    "claimed {}: got ({}, {}) want ({}, {}) for {:?}",
+                    claimed, got, got_d, want, want_d, x
+                );
+            }
+        }
+        prop_assert!(batched.nearest_to(&inputs[0], clusters).is_err());
+        prop_assert!(batched.nearest_to(&vec![0.0; dim + 1], 0).is_err());
     }
 
     /// Welford online mean/covariance must match the two-pass batch

@@ -4,7 +4,7 @@ use crate::{ClusterId, LabeledEdgeSet, Model, VProfileError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use vprofile_can::SourceAddress;
-use vprofile_sigstat::{euclidean, BatchedMahalanobis, DistanceMetric};
+use vprofile_sigstat::{euclidean, BatchedMahalanobis, DistanceMetric, SigStatError};
 
 /// Why a message was flagged as anomalous.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -111,9 +111,11 @@ impl Verdict {
 /// Precomputed scoring state for a specific model version.
 ///
 /// For a Mahalanobis model the cache stacks every cluster's inverse Cholesky
-/// factor into one [`BatchedMahalanobis`] kernel, so nearest-cluster scans
-/// cost a single matrix–vector product instead of one triangular solve per
-/// cluster. The cache is a snapshot: after an online model update,
+/// factor into one [`BatchedMahalanobis`] kernel, so the nearest-cluster
+/// scan ([`ScoringCache::nearest_to`]) needs no triangular solve: it scores
+/// the claimed cluster in full and each rival only until it is provably
+/// farther. A Euclidean cache scans every cluster mean. The cache is a
+/// snapshot: after an online model update,
 /// [`ScoringCache::refresh`] the clusters it changed, and never reuse it
 /// across models (the classify entry points cross-check dimensionality and
 /// cluster count and refuse stale caches).
@@ -238,49 +240,47 @@ impl ScoringCache {
             && self.clusters == model.cluster_count()
     }
 
-    /// The nearest cluster to `x` with its distance — the same
-    /// strict-less-than, first-index-wins scan as
-    /// [`Model::nearest_cluster`], so ties break identically.
+    /// The nearest cluster to `x` with its distance, seeded with the
+    /// cluster the frame claims — the same strict-less-than, first-index-wins
+    /// answer as [`Model::nearest_cluster`], so ties break identically, and
+    /// for a Mahalanobis model the same bits as a full scan of the stacked
+    /// kernel ([`BatchedMahalanobis::nearest_to`]). A Euclidean cache scans
+    /// every mean and ignores the claim. Nothing is allocated.
     ///
     /// # Errors
     ///
-    /// Propagates dimension mismatches; returns [`VProfileError::EmptyModel`]
+    /// Propagates dimension mismatches (including a claimed cluster out of
+    /// range of a Mahalanobis cache); returns [`VProfileError::EmptyModel`]
     /// if the cache covers no clusters.
-    pub fn nearest(&self, x: &[f64]) -> Result<(ClusterId, f64), VProfileError> {
-        let mut distances = Vec::with_capacity(self.clusters);
-        self.nearest_with(x, &mut distances)
-    }
-
-    /// [`Self::nearest`] into a caller-owned distance buffer, so steady-state
-    /// scoring allocates nothing. `distances` is cleared and refilled with
-    /// the per-cluster distances (the pipeline workers reuse one buffer per
-    /// worker, via [`crate::ScratchArena::distances`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension mismatches; returns [`VProfileError::EmptyModel`]
-    /// if the cache covers no clusters.
-    pub fn nearest_with(
+    pub fn nearest_to(
         &self,
         x: &[f64],
-        distances: &mut Vec<f64>,
+        claimed: ClusterId,
     ) -> Result<(ClusterId, f64), VProfileError> {
-        distances.clear();
-        match &self.batched {
-            Some(batched) => batched.distances_into(x, distances)?,
-            None => {
-                for mean in &self.means {
-                    distances.push(euclidean(x, mean)?);
-                }
-            }
+        if let Some(batched) = &self.batched {
+            let (nearest, distance) = batched.nearest_to(x, claimed.0)?;
+            return Ok((ClusterId(nearest), distance));
         }
         let mut best: Option<(ClusterId, f64)> = None;
-        for (idx, &d) in distances.iter().enumerate() {
-            if best.map(|(_, bd)| d < bd).unwrap_or(true) {
+        for (idx, mean) in self.means.iter().enumerate() {
+            let d = euclidean(x, mean)?;
+            if best.is_none_or(|(_, bd)| d < bd) {
                 best = Some((ClusterId(idx), d));
             }
         }
         best.ok_or(VProfileError::EmptyModel)
+    }
+}
+
+/// Fails an edge set with a NaN or infinite sample: its distances would
+/// be NaN or infinite, and a NaN distance passes every `>` check.
+fn finite(x: &[f64]) -> Result<(), VProfileError> {
+    if x.iter().all(|v| v.is_finite()) {
+        Ok(())
+    } else {
+        Err(VProfileError::Numeric(SigStatError::NonFiniteInput {
+            context: "Detector: edge set",
+        }))
     }
 }
 
@@ -344,7 +344,9 @@ impl<'a> Detector<'a> {
     /// # Errors
     ///
     /// Returns [`VProfileError`] on dimensional mismatch between the edge
-    /// set and the model.
+    /// set and the model, and [`SigStatError::NonFiniteInput`] (as
+    /// [`VProfileError::Numeric`]) for an edge set with a NaN or infinite
+    /// sample, so [`Detector::classify`] fails it closed.
     pub fn try_classify(&self, obs: &LabeledEdgeSet) -> Result<Verdict, VProfileError> {
         let Some(expected) = self.model.lookup_sa(obs.sa) else {
             return Ok(Verdict::Anomaly {
@@ -352,6 +354,7 @@ impl<'a> Detector<'a> {
             });
         };
         let x = obs.edge_set.samples();
+        finite(x)?;
         let (predicted, distance) = self.model.nearest_cluster(x)?;
         if predicted != expected {
             return Ok(Verdict::Anomaly {
@@ -379,9 +382,9 @@ impl<'a> Detector<'a> {
     }
 
     /// [`Detector::classify`] through a precomputed [`ScoringCache`]: same
-    /// verdicts, one stacked product instead of per-cluster solves. Fails
-    /// closed as [`AnomalyKind::Unscorable`] on any error, including a cache
-    /// whose shape does not match the model.
+    /// verdicts, the seeded stacked scan instead of per-cluster solves.
+    /// Fails closed as [`AnomalyKind::Unscorable`] on any error, including a
+    /// cache whose shape does not match the model.
     pub fn classify_cached(&self, obs: &LabeledEdgeSet, cache: &ScoringCache) -> Verdict {
         self.try_classify_cached(obs, cache)
             .unwrap_or(Verdict::Anomaly {
@@ -401,42 +404,39 @@ impl<'a> Detector<'a> {
         obs: &LabeledEdgeSet,
         cache: &ScoringCache,
     ) -> Result<Verdict, VProfileError> {
-        let mut distances = Vec::with_capacity(cache.cluster_count());
-        self.try_classify_cached_with(obs.sa, obs.edge_set.samples(), cache, &mut distances)
+        self.try_classify_cached_with(obs.sa, obs.edge_set.samples(), cache)
     }
 
-    /// [`Detector::classify_cached`] on a raw `(sa, edge set)` pair with a
-    /// caller-owned distance buffer — the zero-allocation per-frame entry
-    /// point. Taking the observation as parts (rather than a
-    /// [`LabeledEdgeSet`]) lets a pipeline worker score straight out of its
-    /// extraction scratch while lending the arena's distance buffer, with
-    /// disjoint borrows.
+    /// [`Detector::classify_cached`] on a raw `(sa, edge set)` pair — the
+    /// zero-allocation per-frame entry point. Taking the observation as
+    /// parts (rather than a [`LabeledEdgeSet`]) lets a pipeline worker
+    /// score straight out of its extraction scratch.
     pub fn classify_cached_with(
         &self,
         sa: SourceAddress,
         x: &[f64],
         cache: &ScoringCache,
-        distances: &mut Vec<f64>,
     ) -> Verdict {
-        self.try_classify_cached_with(sa, x, cache, distances)
+        self.try_classify_cached_with(sa, x, cache)
             .unwrap_or(Verdict::Anomaly {
                 kind: AnomalyKind::Unscorable,
             })
     }
 
-    /// Fallible form of [`Detector::classify_cached_with`].
+    /// Fallible form of [`Detector::classify_cached_with`]. The claimed
+    /// SA's cluster seeds the scan ([`ScoringCache::nearest_to`]).
     ///
     /// # Errors
     ///
     /// Returns [`VProfileError::DataUnavailable`] if the cache's shape
     /// (metric, dimensionality, cluster count) does not match the model, and
-    /// propagates scoring failures like [`Detector::try_classify`].
+    /// propagates scoring failures like [`Detector::try_classify`],
+    /// including the rejection of a non-finite edge set.
     pub fn try_classify_cached_with(
         &self,
         sa: SourceAddress,
         x: &[f64],
         cache: &ScoringCache,
-        distances: &mut Vec<f64>,
     ) -> Result<Verdict, VProfileError> {
         if !cache.matches(self.model) {
             return Err(VProfileError::DataUnavailable {
@@ -448,7 +448,8 @@ impl<'a> Detector<'a> {
                 kind: AnomalyKind::UnknownSa { sa },
             });
         };
-        let (predicted, distance) = cache.nearest_with(x, distances)?;
+        finite(x)?;
+        let (predicted, distance) = cache.nearest_to(x, expected)?;
         if predicted != expected {
             return Ok(Verdict::Anomaly {
                 kind: AnomalyKind::ClusterMismatch {
@@ -655,39 +656,55 @@ mod tests {
     }
 
     #[test]
-    fn classify_cached_with_reused_buffer_matches() {
-        let model = two_cluster_model();
-        let cache = ScoringCache::build(&model).unwrap();
-        let detector = Detector::with_margin(&model, 1.0);
-        let mut distances = Vec::new();
-        for probe in [
-            obs(1, 100.0),
-            obs(1, 900.0),
-            obs(2, 900.0),
-            obs(0x99, 1.0),
-            obs(1, 160.0),
-        ] {
-            let fresh = detector.classify_cached(&probe, &cache);
-            let reused = detector.classify_cached_with(
-                probe.sa,
-                probe.edge_set.samples(),
-                &cache,
-                &mut distances,
-            );
-            assert_eq!(fresh, reused);
-        }
-    }
-
-    #[test]
     fn cached_nearest_matches_model_scan() {
         let model = two_cluster_model();
         let cache = ScoringCache::build(&model).unwrap();
         for center in [100.0, 300.0, 500.0, 900.0] {
             let x: Vec<f64> = (0..4).map(|i| center + i as f64 * 5.0).collect();
             let (want_id, want_d) = model.nearest_cluster(&x).unwrap();
-            let (got_id, got_d) = cache.nearest(&x).unwrap();
-            assert_eq!(want_id, got_id);
-            assert!((want_d - got_d).abs() < 1e-9);
+            for claimed in [ClusterId(0), ClusterId(1)] {
+                let (got_id, got_d) = cache.nearest_to(&x, claimed).unwrap();
+                assert_eq!(want_id, got_id);
+                assert!((want_d - got_d).abs() < 1e-9);
+            }
+        }
+        assert!(cache.nearest_to(&[1.0; 4], ClusterId(2)).is_err());
+    }
+
+    #[test]
+    fn non_finite_edge_sets_fail_closed_on_both_paths() {
+        let model = two_cluster_model();
+        let cache = ScoringCache::build(&model).unwrap();
+        let detector = Detector::with_margin(&model, 1.0);
+        let unscorable = Verdict::Anomaly {
+            kind: AnomalyKind::Unscorable,
+        };
+        // SA 1 claims cluster 0, which a NaN distance used to fall back
+        // to; SA 2 claims cluster 1.
+        for (sa, center) in [(1u8, 100.0), (2u8, 900.0)] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for at in 0..4 {
+                    let mut probe = obs(sa, center);
+                    let mut samples = probe.edge_set.samples().to_vec();
+                    samples[at] = bad;
+                    probe.edge_set = EdgeSet::new(samples);
+                    assert!(matches!(
+                        detector.try_classify(&probe),
+                        Err(VProfileError::Numeric(SigStatError::NonFiniteInput { .. }))
+                    ));
+                    assert!(detector.try_classify_cached(&probe, &cache).is_err());
+                    assert_eq!(
+                        detector.classify(&probe),
+                        unscorable,
+                        "SA {sa}, {bad} at {at}"
+                    );
+                    assert_eq!(
+                        detector.classify_cached(&probe, &cache),
+                        unscorable,
+                        "SA {sa}, {bad} at {at}, cached"
+                    );
+                }
+            }
         }
     }
 
@@ -754,9 +771,11 @@ mod tests {
         for center in [100.0, 450.0, 900.0] {
             let x: Vec<f64> = (0..4).map(|i| center + i as f64 * 5.0).collect();
             let (want_id, want_d) = model.nearest_cluster(&x).unwrap();
-            let (got_id, got_d) = cache.nearest(&x).unwrap();
-            assert_eq!(want_id, got_id);
-            assert!((want_d - got_d).abs() < 1e-12);
+            for claimed in [ClusterId(0), ClusterId(1)] {
+                let (got_id, got_d) = cache.nearest_to(&x, claimed).unwrap();
+                assert_eq!(want_id, got_id);
+                assert!((want_d - got_d).abs() < 1e-12);
+            }
         }
     }
 

@@ -1,18 +1,19 @@
 //! Reusable per-worker scratch buffers for the per-frame hot path.
 //!
-//! Extraction and scoring both need small working buffers (the extracted
-//! edge set, the per-cluster distance vector). Allocating them per frame
-//! dominates the steady-state cost of the detection loop, so each pipeline
-//! worker owns one [`ScratchArena`] and threads it through
-//! [`crate::EdgeSetExtractor::extract_into`] and
-//! [`crate::Detector::classify_cached_with`]: after the first frame sizes
-//! the buffers, the loop performs zero heap allocations (verified by the
-//! counting-allocator harness in the bench crate).
+//! Extraction and scoring need small working buffers (the extracted edge
+//! set, a baseline backend's features and per-class scores). Allocating
+//! them per frame dominates the steady-state cost of the detection loop, so
+//! each pipeline worker owns one [`ScratchArena`] and threads it through
+//! [`crate::EdgeSetExtractor::extract_into`] and the backends' scoring,
+//! which for vProfile is [`crate::Detector::classify_cached_with`] on
+//! `scratch.edge_set`: after the first frame sizes the buffers, the loop
+//! performs zero heap allocations (verified by the counting-allocator
+//! harness in the bench crate).
 
 /// A bag of reusable buffers for one detection worker.
 ///
 /// Fields are public so a caller can split borrows — e.g. score
-/// `&scratch.edge_set` while the distance scan fills
+/// `&scratch.edge_set` while a per-class scan fills
 /// `&mut scratch.distances`. Buffer contents are unspecified between
 /// calls (each entry point clears what it writes); only the capacity is
 /// meaningful state, so two arenas always compare equal in the containers
@@ -23,7 +24,9 @@ pub struct ScratchArena {
     pub edge_set: Vec<f64>,
     /// Per-set extraction buffer used when averaging multiple edge sets.
     pub edge_tmp: Vec<f64>,
-    /// Per-cluster distance vector filled by the nearest-cluster scan.
+    /// Per-class score vector for backends that score every class, such
+    /// as the Scission-style posteriors. vProfile's seeded nearest-cluster
+    /// scan does not use it.
     pub distances: Vec<f64>,
     /// Derived-feature buffer for backends that score hand-crafted
     /// features (e.g. the Scission-style 21-value region summary) instead
