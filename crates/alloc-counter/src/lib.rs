@@ -1,7 +1,7 @@
 //! A counting [`GlobalAlloc`] wrapper around the system allocator.
 //!
 //! The vProfile IDS claims its steady-state score path — framed window →
-//! Algorithm 1 extraction → cached Mahalanobis scoring → verdict — performs
+//! Algorithm 1 extraction → stacked Mahalanobis scoring → verdict — performs
 //! **zero heap allocations** after warm-up. That claim is only worth
 //! anything if it is enforced by a measurement, not a comment: install
 //! [`CountingAllocator`] as the `#[global_allocator]` in a harness binary,

@@ -4,16 +4,16 @@
 //!
 //! * `extract` — Algorithm 1 (SOF walk, resync, stuff-skip, edge capture)
 //!   into a reused [`vprofile::ScratchArena`];
-//! * `score/single_frame` — cached nearest-cluster scan plus verdict for
-//!   one already-extracted edge set;
+//! * `score/single_frame` — the model's seeded nearest-cluster scan plus
+//!   verdict for one already-extracted edge set;
 //! * `score/fleet32_accepted` and `score/fleet32_mismatch` — the same on
 //!   the 32-ECU stress fleet (`K = 32`, `d = 32`): a legitimate frame the
 //!   seeded scan accepts after a few rows per rival cluster, and a mimicry
 //!   frame that ends in `ClusterMismatch`;
 //! * `score/process_window` — the full engine hot path (extract + score)
 //!   for one framed window;
-//! * `score/batched_64` — the flat [`SampleBatch`] Mahalanobis kernel over
-//!   64 frames at once;
+//! * `score/batched_64` — the flat [`SampleBatch`] Mahalanobis kernel of
+//!   the model's stacked rows over 64 frames at once;
 //! * `matmul` — the cache-blocked `mul_add` matrix kernel the scoring
 //!   factors are built with;
 //! * `gap_skip` — the block (8-lane) dominant-sample scans behind the
@@ -25,20 +25,20 @@
 //!   `inverse_factor` (its inverse factor into a reused block), the two
 //!   triangular kernels of a refit, and `absorb_16_apply_refresh`, sixteen
 //!   backend absorptions touching all eight clusters, which apply one
-//!   batch and refresh the scoring cache in place.
+//!   batch and refresh the model's scoring rows in place.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use vprofile::{
-    AnomalyKind, Detector, EdgeSetExtractor, LabeledEdgeSet, Model, ScoringCache, ScratchArena,
-    Trainer, VProfileConfig, Verdict,
+    AnomalyKind, Detector, EdgeSetExtractor, LabeledEdgeSet, Model, ScratchArena, Trainer,
+    VProfileConfig, Verdict,
 };
 use vprofile_analog::FrameSynthesizer;
 use vprofile_can::{SourceAddress, WireFrame};
 use vprofile_ids::{DetectionBackend, IdsEngine, UpdatePolicy, VProfileBackend};
-use vprofile_sigstat::{BatchedMahalanobis, Gaussian, Matrix, SampleBatch};
+use vprofile_sigstat::{Matrix, SampleBatch};
 use vprofile_vehicle::adversary::{mimicry_attacker, AdversaryPlan};
 use vprofile_vehicle::scenario::stress_fleet;
 use vprofile_vehicle::{CaptureConfig, Vehicle};
@@ -78,7 +78,6 @@ fn fleet32() -> (Model, (SourceAddress, Vec<f64>), (SourceAddress, Vec<f64>)) {
     let model = Trainer::new(config)
         .train_with_lut(&training.extract(&extractor).labeled(), &vehicle.sa_lut())
         .expect("training");
-    let cache = ScoringCache::build(&model).expect("cache");
     let detector = Detector::with_margin(&model, 2.0);
     let replay = vehicle
         .capture(&CaptureConfig::default().with_frames(64).with_seed(12))
@@ -90,7 +89,7 @@ fn fleet32() -> (Model, (SourceAddress, Vec<f64>), (SourceAddress, Vec<f64>)) {
         let Ok(obs) = extractor.extract(&cf.trace.to_f64()) else {
             continue;
         };
-        if accepted.is_none() && !detector.classify_cached(&obs, &cache).is_anomaly() {
+        if accepted.is_none() && !detector.classify(&obs).is_anomaly() {
             accepted = Some((obs.sa, obs.edge_set.samples().to_vec()));
         }
         let plan = AdversaryPlan::new(cf.true_ecu, 0.0, 11);
@@ -101,7 +100,7 @@ fn fleet32() -> (Model, (SourceAddress, Vec<f64>), (SourceAddress, Vec<f64>)) {
         if let Ok(forged) = extractor.extract(&trace.to_f64()) {
             if mimicry.is_none()
                 && matches!(
-                    detector.classify_cached(&forged, &cache),
+                    detector.classify(&forged),
                     Verdict::Anomaly {
                         kind: AnomalyKind::ClusterMismatch { .. }
                     }
@@ -139,7 +138,6 @@ fn bench_extract(c: &mut Criterion) {
 
 fn bench_score(c: &mut Criterion) {
     let (model, extractor, window) = trained();
-    let cache = ScoringCache::build(&model).expect("cache");
     let mut scratch = ScratchArena::new();
     let sa = extractor
         .extract_into(&window, &mut scratch)
@@ -149,23 +147,22 @@ fn bench_score(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("score");
     group.bench_function("single_frame", |b| {
-        b.iter(|| detector.classify_cached_with(sa, black_box(&edge_set), &cache))
+        b.iter(|| detector.classify_parts(sa, black_box(&edge_set)))
     });
 
     let (fleet, accepted, mimicry) = fleet32();
-    let fleet_cache = ScoringCache::build(&fleet).expect("cache");
     let fleet_detector = Detector::with_margin(&fleet, 2.0);
     for (name, (sa, x)) in [
         ("fleet32_accepted", &accepted),
         ("fleet32_mismatch", &mimicry),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| fleet_detector.classify_cached_with(*sa, black_box(x), &fleet_cache))
+            b.iter(|| fleet_detector.classify_parts(*sa, black_box(x)))
         });
     }
 
     let mut engine = IdsEngine::new(model.clone(), 2.0, UpdatePolicy::disabled());
-    engine.process_window(0, &window); // warm cache + scratch
+    engine.process_window(0, &window); // warm scratch
     group.bench_function("process_window", |b| {
         b.iter(|| engine.process_window(0, black_box(&window)))
     });
@@ -180,14 +177,7 @@ fn bench_score(c: &mut Criterion) {
         }
         batch.push_row(&probe).expect("dims match");
     }
-    let gaussians: Vec<Gaussian> = model
-        .clusters()
-        .iter()
-        .filter_map(|c| c.gaussian().cloned())
-        .collect();
-    let refs: Vec<&Gaussian> = gaussians.iter().collect();
-    if !refs.is_empty() {
-        let batched = BatchedMahalanobis::from_gaussians(&refs).expect("stacked factors");
+    if let Some(batched) = model.scoring_rows() {
         let mut out = SampleBatch::with_capacity(batched.cluster_count(), batch.rows());
         group.bench_function("batched_64", |b| {
             b.iter(|| {
@@ -308,12 +298,6 @@ fn bench_update(c: &mut Criterion) {
         "every stress-fleet ECU has training frames"
     );
     let mut backend = VProfileBackend::new(model, 2.0);
-    let mut scratch = ScratchArena::new();
-    scratch
-        .edge_set
-        .extend_from_slice(batch[0].edge_set.samples());
-    // Builds the scoring cache, so each applied batch refreshes it.
-    backend.classify_into(&mut scratch, batch[0].sa);
     group.bench_function("absorb_16_apply_refresh", |b| {
         b.iter(|| {
             for obs in &batch {

@@ -3,9 +3,9 @@
 //! three-voter ensemble (vProfile + Viden + Scission with drift
 //! detection live), proves the same for vProfile's §5.3 model write path
 //! (`vprofile+updates`: an online update on every accepted frame, a batch
-//! applied every 16, the scoring cache refreshed in place, the drift guard
-//! armed), and bounds what the whole pipeline allocates from `feed` to the
-//! last event.
+//! applied every 16, the model's scoring rows refreshed in place, the
+//! drift guard armed), and bounds what the whole pipeline allocates from
+//! `feed` to the last event.
 //!
 //! ```text
 //! alloc_audit [--frames N] [--seed S] [--out FILE]
@@ -17,7 +17,7 @@
 //! is audited separately below), then, per audited engine:
 //!
 //! 1. **warm-up pass** — one full pass over every window, letting the
-//!    scoring cache build, the [`vprofile::ScratchArena`] buffers grow to
+//!    [`vprofile::ScratchArena`] buffers grow to
 //!    their steady-state capacity, (for the ensemble) the per-SA fusion
 //!    weights and drift-chart state tables fill in, and (for the updating
 //!    engine) about 25 update batches apply, sizing the pending batch and
@@ -268,8 +268,8 @@ fn run(options: &Options) -> Result<Report, String> {
     }
 
     // The §5.3 write path: every accepted frame is absorbed, every 16th
-    // absorption refits the touched clusters and refreshes their cached
-    // factors, and the drift guard reads the drift after each one.
+    // absorption refits the touched clusters and refreshes their scoring
+    // rows, and the drift guard reads the drift after each one.
     let mut updating = IdsEngine::with_backend(
         primary.clone(),
         config.clone(),
@@ -400,7 +400,7 @@ fn audit(
     frames: u64,
     mut score: impl FnMut(u64, &[f64]) -> bool,
 ) -> Result<BackendAudit, String> {
-    // Warm-up: builds the scoring cache and grows the scratch arena to its
+    // Warm-up: grows the scratch arena to its
     // steady-state capacity. Clean stress traffic must score overwhelmingly
     // normal under every audited backend.
     let mut warm_anomalies = 0u64;

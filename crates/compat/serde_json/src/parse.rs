@@ -231,7 +231,9 @@ impl Parser<'_> {
         if text.is_empty() || text == "-" {
             return Err(self.error("invalid number"));
         }
-        if !is_float {
+        // `-0` is the float negative zero, as in serde_json: it is how a
+        // `-0.0` renders, so reading it as the integer 0 would flip its sign.
+        if !is_float && text != "-0" {
             if let Ok(v) = text.parse::<i64>() {
                 return Ok(Content::I64(v));
             }

@@ -23,8 +23,8 @@
 //!   no-ops.
 //!
 //! [`VProfileBackend`] is the reference implementation, wrapping a trained
-//! [`vprofile::Model`] together with its batched scoring cache and pending
-//! online-update buffer.
+//! [`vprofile::Model`] (which carries its own stacked scoring rows)
+//! together with its pending online-update buffer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,8 +4,8 @@
 use crate::{BackendSnapshot, DetectionBackend, SnapshotError};
 use std::collections::BTreeMap;
 use vprofile::{
-    ClusterId, Detector, EdgeSet, LabeledEdgeSet, Model, ScoringCache, ScratchArena, Trainer,
-    UpdateBatch, UpdateScratch, VProfileConfig, VProfileError, Verdict,
+    ClusterId, Detector, LabeledEdgeSet, Model, ScratchArena, Trainer, UpdateBatch, UpdateScratch,
+    VProfileConfig, VProfileError, Verdict,
 };
 use vprofile_can::SourceAddress;
 
@@ -13,40 +13,21 @@ use vprofile_can::SourceAddress;
 /// applied, amortizing the refactorization.
 const UPDATE_BATCH: usize = 16;
 
-/// Lifecycle of the backend's batched-scoring cache.
-///
-/// The cache stacks every cluster's inverse Cholesky factor (see
-/// [`ScoringCache`]), so it must follow the model. It starts `Stale`, is
-/// built lazily on the first scored frame and rebuilt after a model
-/// install; an applied online update refreshes the clusters it changed in
-/// place. A model the cache cannot be built for (a Mahalanobis cluster
-/// without covariance) parks in `Unavailable` so scoring falls back to the
-/// per-cluster path without retrying the build on every frame.
-#[derive(Debug, Clone)]
-enum CacheState {
-    /// No cache; build one before the next frame.
-    Stale,
-    /// Valid for the current model version.
-    Ready(ScoringCache),
-    /// Building failed for this model version; use the uncached path.
-    Unavailable,
-}
-
-/// vProfile's trained model plus the mutable scoring state the streaming
-/// pipeline needs: the batched-scoring cache and the pending
-/// online-update buffer.
+/// vProfile's trained model plus the mutable state the streaming pipeline
+/// needs: the pending online-update buffer and the drift baseline.
 ///
 /// This is the logic that used to live inside `ids::IdsEngine`, extracted
 /// so the engine can treat vProfile as one [`DetectionBackend`] among
-/// several. Neither the steady-state [`DetectionBackend::classify_into`]
-/// path nor the §5.3 write path ([`DetectionBackend::absorb`], the applied
-/// batch and the cache refresh) performs heap allocations once warm
-/// (enforced by the bench crate's counting allocator).
+/// several. Frames score through the model's own stacked rows
+/// ([`Detector::classify_parts`]), which the §5.3 update keeps current.
+/// Neither the steady-state [`DetectionBackend::classify_into`] path nor
+/// the write path ([`DetectionBackend::absorb`] and the applied batch)
+/// performs heap allocations once warm (enforced by the bench crate's
+/// counting allocator).
 #[derive(Debug, Clone)]
 pub struct VProfileBackend {
     model: Model,
     margin: f64,
-    cache: CacheState,
     /// Absorbed observations awaiting the next applied batch, reserved for
     /// a full batch.
     pending: UpdateBatch,
@@ -73,7 +54,6 @@ impl VProfileBackend {
         VProfileBackend {
             model,
             margin,
-            cache: CacheState::Stale,
             pending,
             scratch: UpdateScratch::default(),
             baseline_means,
@@ -92,13 +72,11 @@ impl VProfileBackend {
     }
 
     /// Replaces the model after an external retrain, dropping buffered
-    /// updates and invalidating the scoring cache. The new model is its
-    /// own drift baseline.
+    /// updates. The new model is its own drift baseline.
     pub fn install_model(&mut self, model: Model) {
         self.baseline_means = baseline_of(&model);
         self.model = model;
         self.pending.clear();
-        self.cache = CacheState::Stale;
         self.drift = 0.0;
     }
 
@@ -127,18 +105,6 @@ impl VProfileBackend {
         }
         worst
     }
-
-    /// Rebuilds the batched scoring cache if the model changed since the
-    /// last frame.
-    // xtask: cold
-    fn ensure_cache(&mut self) {
-        if matches!(self.cache, CacheState::Stale) {
-            self.cache = match ScoringCache::build(&self.model) {
-                Ok(cache) => CacheState::Ready(cache),
-                Err(_) => CacheState::Unavailable,
-            };
-        }
-    }
 }
 
 impl DetectionBackend for VProfileBackend {
@@ -159,15 +125,7 @@ impl DetectionBackend for VProfileBackend {
 
     // xtask: hot-path
     fn classify_into(&mut self, scratch: &mut ScratchArena, sa: SourceAddress) -> Verdict {
-        self.ensure_cache();
-        let detector = Detector::with_margin(&self.model, self.margin);
-        let edge_set = &scratch.edge_set;
-        match &self.cache {
-            CacheState::Ready(cache) => detector.classify_cached_with(sa, edge_set, cache),
-            CacheState::Stale | CacheState::Unavailable => {
-                classify_uncached(&detector, sa, edge_set)
-            }
-        }
+        Detector::with_margin(&self.model, self.margin).classify_parts(sa, &scratch.edge_set)
     }
 
     // xtask: cold
@@ -192,13 +150,6 @@ impl DetectionBackend for VProfileBackend {
             .model
             .update_online_with(&self.pending, &mut self.scratch);
         self.pending.clear();
-        // The stacked factors snapshot the covariances: rewrite the ones
-        // the update changed. Should that fail, rebuild from scratch.
-        if let CacheState::Ready(cache) = &mut self.cache {
-            if cache.refresh(&self.model, self.scratch.touched()).is_err() {
-                self.cache = CacheState::Stale;
-            }
-        }
         self.drift = self.measure_drift();
     }
 
@@ -240,17 +191,6 @@ impl DetectionBackend for VProfileBackend {
     }
 }
 
-/// Slow-path classification for windows scored without a cache (a model
-/// the cache cannot be built for): builds an owned observation and runs
-/// the uncached detector. A model install resets the cache to `Stale`, so
-/// the next `ensure_cache` build can return scoring to the zero-alloc
-/// cached path.
-// xtask: cold
-fn classify_uncached(detector: &Detector<'_>, sa: SourceAddress, edge_set: &[f64]) -> Verdict {
-    let obs = LabeledEdgeSet::new(sa, EdgeSet::new(edge_set.to_vec()));
-    detector.classify(&obs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,24 +219,11 @@ mod tests {
         for obs in observations.iter().take(40) {
             scratch.edge_set.clear();
             scratch.edge_set.extend_from_slice(obs.edge_set.samples());
-            let cached = backend.classify_into(&mut scratch, obs.sa);
+            let backend_verdict = backend.classify_into(&mut scratch, obs.sa);
             let direct = Detector::with_margin(&model, 2.0).classify(obs);
-            match (cached, direct) {
-                (
-                    Verdict::Ok {
-                        cluster: a,
-                        distance: da,
-                    },
-                    Verdict::Ok {
-                        cluster: b,
-                        distance: db,
-                    },
-                ) => {
-                    assert_eq!(a, b);
-                    assert!((da - db).abs() < 1e-6, "cached {da} vs direct {db}");
-                }
-                (a, b) => assert_eq!(a.is_anomaly(), b.is_anomaly(), "{a:?} vs {b:?}"),
-            }
+            // Debug renders every f64 in shortest round-trip form, so equal
+            // strings are equal verdict bits.
+            assert_eq!(format!("{backend_verdict:?}"), format!("{direct:?}"));
         }
     }
 

@@ -4,20 +4,23 @@
 //! which is what the CI job gates on.
 //!
 //! ```text
-//! fuzz_smoke [--runs N] [--target framer|extractor|feed|all] [--seed S]
-//!            [--corpus DIR] [--regen-corpus]
+//! fuzz_smoke [--runs N] [--target framer|extractor|feed|model_json|all]
+//!            [--seed S] [--corpus DIR] [--regen-corpus]
 //! ```
 //!
 //! `--regen-corpus` rebuilds the seed corpus from synthesized captures:
 //! clean frame windows and streams, chaos-corrupted twins (dropout, EMI
 //! burst, non-finite DMA words), and truncations. The feed target starts
 //! from the framer's streams plus the clean stream with one NaN in a
-//! cluster-0 frame's edge set. The corpus is committed, so regeneration is
-//! only needed when the capture substrate changes.
+//! cluster-0 frame's edge set. The model target starts from a clean model
+//! file and one edit per invariant model loading checks; regeneration
+//! rewrites only those, so the committed files in the format before the
+//! stored factor was dropped (`old_*.json`) stay as they were written. The
+//! corpus is committed, so regeneration is only needed when the capture
+//! substrate or the model format changes.
 //!
-//! On hosts with `cargo-fuzz` installed, the `fuzz/` directory at the
-//! repository root runs the same targets coverage-guided; this binary is
-//! the dependency-free floor that always runs.
+//! Sample inputs mutate at the byte level. Model files mutate their number
+//! tokens instead, so most mutants still parse and reach validation.
 //!
 //! The binary installs the counting allocator and additionally checks the
 //! hot-path claim on every successfully parsed input: a *warm*
@@ -32,7 +35,7 @@ use vprofile::ScratchArena;
 use vprofile_analog::Fault;
 use vprofile_fuzz_targets::{
     decode_samples, encode_samples, extractor, extractor_target, feed_target, framer_target,
-    nan_in_edge_set, FramerInput, CORPUS_SEED,
+    model_json_seeds, model_json_target, nan_in_edge_set, FramerInput, CORPUS_SEED,
 };
 use vprofile_vehicle::scenario::{chaos_inject, chaos_stream};
 use vprofile_vehicle::{CaptureConfig, Vehicle};
@@ -53,6 +56,7 @@ enum Target {
     Framer,
     Extractor,
     Feed,
+    ModelJson,
     All,
 }
 
@@ -76,8 +80,9 @@ fn main() -> ExitCode {
                 Some("framer") => options.target = Target::Framer,
                 Some("extractor") => options.target = Target::Extractor,
                 Some("feed") => options.target = Target::Feed,
+                Some("model_json") => options.target = Target::ModelJson,
                 Some("all") => options.target = Target::All,
-                _ => return usage_error("--target needs framer|extractor|feed|all"),
+                _ => return usage_error("--target needs framer|extractor|feed|model_json|all"),
             },
             "--seed" => match iter.next().and_then(|v| v.parse().ok()) {
                 Some(v) => options.seed = v,
@@ -126,8 +131,8 @@ fn main() -> ExitCode {
 fn usage_error(message: &str) -> ExitCode {
     eprintln!("error: {message}");
     eprintln!(
-        "usage: fuzz_smoke [--runs N] [--target framer|extractor|feed|all] [--seed S] \
-         [--corpus DIR] [--regen-corpus]"
+        "usage: fuzz_smoke [--runs N] [--target framer|extractor|feed|model_json|all] \
+         [--seed S] [--corpus DIR] [--regen-corpus]"
     );
     ExitCode::FAILURE
 }
@@ -138,16 +143,28 @@ fn default_corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus")
 }
 
+/// A fuzz target and the mutator its inputs take.
+type Harness = (fn(&[u8]), fn(&mut Vec<u8>, &mut StdRng));
+
 /// One named sub-corpus per target.
-fn sub_corpora(target: Target) -> Vec<(&'static str, fn(&[u8]))> {
-    let all: [(Target, &'static str, fn(&[u8])); 3] = [
-        (Target::Framer, "framer", framer_target),
-        (Target::Extractor, "extractor", run_extractor_checks),
-        (Target::Feed, "feed", feed_target),
+fn sub_corpora(target: Target) -> Vec<(&'static str, Harness)> {
+    let all: [(Target, &'static str, Harness); 4] = [
+        (Target::Framer, "framer", (framer_target, mutate)),
+        (
+            Target::Extractor,
+            "extractor",
+            (run_extractor_checks, mutate),
+        ),
+        (Target::Feed, "feed", (feed_target, mutate)),
+        (
+            Target::ModelJson,
+            "model_json",
+            (model_json_target, mutate_numbers),
+        ),
     ];
     all.into_iter()
         .filter(|&(t, _, _)| target == Target::All || target == t)
-        .map(|(_, name, run)| (name, run))
+        .map(|(_, name, harness)| (name, harness))
         .collect()
 }
 
@@ -175,7 +192,7 @@ fn run_extractor_checks(data: &[u8]) {
 fn run(options: &Options) -> Result<(usize, usize), String> {
     let mut seeds = 0usize;
     let mut mutations = 0usize;
-    for (name, target) in sub_corpora(options.target) {
+    for (name, (target, mutator)) in sub_corpora(options.target) {
         let dir = options.corpus.join(name);
         let corpus = load_corpus(&dir)?;
         if corpus.is_empty() {
@@ -196,7 +213,7 @@ fn run(options: &Options) -> Result<(usize, usize), String> {
             let base = &corpus[rng.random_range(0..corpus.len())];
             input.clear();
             input.extend_from_slice(base);
-            mutate(&mut input, &mut rng);
+            mutator(&mut input, &mut rng);
             target(&input);
             mutations += 1;
         }
@@ -260,6 +277,75 @@ fn mutate(input: &mut Vec<u8>, rng: &mut StdRng) {
                 }
             }
         }
+    }
+}
+
+/// Byte spans of the number tokens of a JSON text (outside strings).
+fn number_tokens(text: &[u8]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let (mut i, mut in_string) = (0, false);
+    while i < text.len() {
+        let b = text[i];
+        if in_string {
+            match b {
+                b'\\' => i += 1,
+                b'"' => in_string = false,
+                _ => {}
+            }
+            i += 1;
+        } else if b == b'"' {
+            in_string = true;
+            i += 1;
+        } else if b == b'-' || b.is_ascii_digit() {
+            let start = i;
+            while i < text.len()
+                && matches!(text[i], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+            {
+                i += 1;
+            }
+            spans.push((start, i));
+        } else {
+            i += 1;
+        }
+    }
+    spans
+}
+
+/// Replaces 1–4 number tokens of a JSON text with boundary values
+/// (zeros, ±1, huge, tiny, overflowing to ±∞), another token of the same
+/// text, a negation, or a nudged last digit: the values a model file's
+/// validation has to catch, in a text that still parses.
+fn mutate_numbers(input: &mut Vec<u8>, rng: &mut StdRng) {
+    const BOUNDARY: [&[u8]; 12] = [
+        b"0", b"-0", b"-0.0", b"1", b"-1", b"1e308", b"-1e308", b"1e300", b"1e-300", b"5e-324",
+        b"1e999", b"-1e999",
+    ];
+    for _ in 0..1 + rng.random_range(0..4usize) {
+        let spans = number_tokens(input);
+        if spans.is_empty() {
+            return;
+        }
+        let (start, end) = spans[rng.random_range(0..spans.len())];
+        let token = input[start..end].to_vec();
+        let replacement = match rng.random_range(0..4u8) {
+            0 => BOUNDARY[rng.random_range(0..BOUNDARY.len())].to_vec(),
+            1 => {
+                let (s, e) = spans[rng.random_range(0..spans.len())];
+                input[s..e].to_vec()
+            }
+            2 => match token.split_first() {
+                Some((b'-', rest)) => rest.to_vec(),
+                _ => [b"-".as_slice(), &token].concat(),
+            },
+            _ => {
+                let mut nudged = token.clone();
+                if let Some(d) = nudged.iter_mut().rev().find(|b| b.is_ascii_digit()) {
+                    *d = b'0' + (*d - b'0' + 1 + rng.random_range(0..9u8)) % 10;
+                }
+                nudged
+            }
+        };
+        input.splice(start..end, replacement);
     }
 }
 
@@ -368,5 +454,10 @@ fn regen_corpus(dir: &Path) -> Result<usize, String> {
         "truncated_frame.bin",
         &encoded[..encoded.len() / 3],
     )?;
+
+    // Model corpus: the clean model file and one edit per invariant.
+    for (name, json) in model_json_seeds()? {
+        write("model_json", &name, json.as_bytes())?;
+    }
     Ok(written)
 }

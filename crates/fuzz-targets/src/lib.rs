@@ -1,13 +1,13 @@
-//! Fuzz targets for the code that faces raw, untrusted sample data: the
-//! stream framer ([`vprofile_ids::StreamFramer`]), the Algorithm 1 edge-set
-//! extractor ([`vprofile::EdgeSetExtractor`]), and the pipeline's feed path
+//! Fuzz targets for the code that faces raw, untrusted data: the stream
+//! framer ([`vprofile_ids::StreamFramer`]), the Algorithm 1 edge-set
+//! extractor ([`vprofile::EdgeSetExtractor`]), the pipeline's feed path
 //! ([`vprofile_ids::IdsPipeline::feed`]), whose splitter runs on the
-//! caller's thread.
+//! caller's thread, and model loading ([`Model::from_json`]).
 //!
-//! Each target takes an arbitrary byte slice, decodes it into a sample
-//! stream (plus framer parameters), and checks structural invariants that
-//! must hold for *any* input — crashing on violation, which is what a fuzz
-//! engine looks for:
+//! The sample targets take an arbitrary byte slice, decode it into a
+//! sample stream (plus framer parameters), and check structural invariants
+//! that must hold for *any* input — crashing on violation, which is what a
+//! fuzz engine looks for:
 //!
 //! * **no panics** on any input, including NaN/±∞ samples, negative
 //!   thresholds, and truncated frames;
@@ -27,10 +27,13 @@
 //! * **fail-closed scoring** — no accepted frame ([`Verdict::Ok`]) carries
 //!   a NaN or infinite distance: a non-finite edge set is unscorable.
 //!
+//! The model target ([`model_json_target`]) reads its bytes as a model
+//! file: each one is rejected at load, or loads into a model that scores
+//! fail-closed and survives a JSON round trip bit for bit.
+//!
 //! The same functions back the in-workspace `fuzz_smoke` binary
-//! (deterministic corpus + seeded mutations, run in CI), plain unit tests
-//! replaying the committed corpus, and — framer and extractor only — the
-//! `cargo fuzz` targets under the repository's `fuzz/` directory.
+//! (deterministic corpus + seeded mutations, run in CI) and plain unit
+//! tests replaying the committed corpus.
 //!
 //! # Input encoding
 //!
@@ -42,9 +45,16 @@
 //! can explore parameter space; see [`FramerInput::decode`]. The feed
 //! target reads the same header but uses only its chunk size.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use serde_json::Value;
 use std::sync::OnceLock;
-use vprofile::{ClusterId, EdgeSetExtractor, ScratchArena, Trainer, VProfileConfig, Verdict};
+use vprofile::{
+    ClusterId, Detector, EdgeSet, EdgeSetExtractor, LabeledEdgeSet, Model, ScratchArena, Trainer,
+    VProfileConfig, Verdict,
+};
 use vprofile_analog::AdcConfig;
+use vprofile_can::SourceAddress;
 use vprofile_ids::{
     HealthConfig, IdsEngine, IdsEvent, IdsPipeline, PipelineConfig, StreamFramer, UpdatePolicy,
 };
@@ -416,6 +426,215 @@ pub fn extractor_target(data: &[u8]) {
     }
 }
 
+/// Fuzz target for [`Model::from_json`]: the bytes are read as a model
+/// file. An input that loads must score a fixed probe set under every
+/// cluster's first SA — each cluster's mean, and that SA's cluster mean
+/// with its first sample, or all of them, set to NaN, ±∞ or
+/// [`HUGE_SAMPLE`] — with no panic and no [`Verdict::Ok`] carrying a
+/// non-finite distance, and `from_json(to_json(m))` must equal `m` bit for
+/// bit, its derived factors and scoring rows included.
+pub fn model_json_target(data: &[u8]) {
+    let Ok(text) = std::str::from_utf8(data) else {
+        return;
+    };
+    let Ok(model) = Model::from_json(text) else {
+        return;
+    };
+    let detector = Detector::new(&model);
+    for claimed in model.clusters() {
+        let Some(&sa) = claimed.sas().first() else {
+            continue;
+        };
+        let mut probes: Vec<Vec<f64>> =
+            model.clusters().iter().map(|c| c.mean().to_vec()).collect();
+        for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, HUGE_SAMPLE] {
+            let mut one = claimed.mean().to_vec();
+            if let Some(first) = one.first_mut() {
+                *first = special;
+            }
+            probes.push(one);
+            probes.push(vec![special; model.dim()]);
+        }
+        for x in &probes {
+            if let Verdict::Ok { distance, .. } = detector.classify_parts(sa, x) {
+                assert!(
+                    distance.is_finite(),
+                    "SA {sa:?} accepted {x:?} with distance {distance}"
+                );
+            }
+        }
+    }
+    let back = model.to_json().map(|json| Model::from_json(&json));
+    assert!(
+        matches!(&back, Ok(Ok(_))),
+        "a loaded model must serialize and reload: {back:?}"
+    );
+    // Debug renders every f64 in shortest round-trip form: equal strings
+    // are equal bits, -0.0 included.
+    if let Ok(Ok(back)) = back {
+        assert!(
+            format!("{back:?}") == format!("{model:?}"),
+            "from_json(to_json(m)) must equal m bit for bit"
+        );
+    }
+}
+
+/// The model the `model_json` seeds are edited from: SAs 1 and 2, twelve
+/// 4-sample edge sets each around 100 and 500, trained Mahalanobis.
+///
+/// # Errors
+///
+/// Training failure, rendered.
+pub fn seed_model() -> Result<Model, String> {
+    let mut rng = StdRng::seed_from_u64(CORPUS_SEED);
+    let mut data = Vec::new();
+    for (sa, center) in [(1u8, 100.0), (2u8, 500.0)] {
+        for _ in 0..12 {
+            let samples: Vec<f64> = (0..4u8)
+                .map(|i| center + f64::from(i) * 3.0 + rng.random_range(-1.0..1.0))
+                .collect();
+            data.push(LabeledEdgeSet::new(
+                SourceAddress(sa),
+                EdgeSet::new(samples),
+            ));
+        }
+    }
+    let mut config = VProfileConfig::for_adc(&AdcConfig::vehicle_b(), 250_000);
+    config.prefix_len = 1;
+    config.suffix_len = 1;
+    Trainer::new(config)
+        .train(&data)
+        .map_err(|e| format!("seed model: {e}"))
+}
+
+/// A number no seed model holds: edits write it, and the rendered JSON
+/// swaps it for `1e999`, which parses as `+∞` (JSON has no literal for it).
+const INFINITY_MARKER: f64 = 0.987_654_321;
+
+/// Sets the value at `path`, object keys and array indices joined by `/`.
+fn set(json: &mut Value, path: &str, to: Value) {
+    let mut at = json;
+    for key in path.split('/') {
+        at = match key.parse::<usize>() {
+            Ok(index) => &mut at[index],
+            Err(_) => &mut at[key],
+        };
+    }
+    *at = to;
+}
+
+/// The `model_json` seed corpus as `(file name, JSON)`: the clean
+/// [`seed_model`] and one edit per invariant [`Model::from_json`] checks.
+///
+/// # Errors
+///
+/// Training or serialization failure, rendered.
+pub fn model_json_seeds() -> Result<Vec<(String, String)>, String> {
+    let clean = seed_model()?.to_json().map_err(|e| e.to_string())?;
+    let base: Value = serde_json::from_str(&clean).map_err(|e| e.to_string())?;
+    let inf = || Value::from(INFINITY_MARKER);
+    let array = |v: f64, n: usize| Value::Array(vec![Value::from(v); n]);
+    // A 1e-300 covariance inverts to 1e150, which times a 1e200 mean
+    // overflows the scoring offsets.
+    let tiny = (0..16).map(|i| Value::from(if i % 5 == 0 { 1e-300 } else { 0.0 }));
+    let c0 = "clusters/0/gaussian/covariance";
+    // A valid model whose 1e-18 variances invert to 1e9: a huge edge set
+    // overflows its residuals to ±∞ of both signs, and a distance to NaN.
+    let Value::Array(covariance) = &base["clusters"][0]["gaussian"]["covariance"]["data"] else {
+        return Err("the seed model has no covariance".into());
+    };
+    let scaled = covariance.iter().filter_map(Value::as_f64);
+    let tiny_variances = Value::Array(scaled.map(|v| Value::from(v * 1e-18)).collect());
+    // One edit per file; consecutive edits of one file stack.
+    let edits = [
+        ("nonfinite_mean", "clusters/0/mean/1".to_string(), inf()),
+        ("nonfinite_covariance", format!("{c0}/data/5"), inf()),
+        (
+            "nonfinite_threshold",
+            "clusters/1/max_distance".into(),
+            inf(),
+        ),
+        (
+            "nonfinite_extraction_threshold",
+            "clusters/0/extraction_threshold".into(),
+            inf(),
+        ),
+        (
+            "negative_threshold",
+            "clusters/0/max_distance".into(),
+            Value::from(-1.0),
+        ),
+        (
+            "mixed_dimensions",
+            "clusters/1/mean".into(),
+            array(500.0, 3),
+        ),
+        ("covariance_shape", format!("{c0}/rows"), Value::from(3)),
+        (
+            "missing_covariance",
+            "clusters/1/gaussian".into(),
+            Value::Null,
+        ),
+        (
+            "asymmetric_covariance",
+            format!("{c0}/data/1"),
+            Value::from(0.5),
+        ),
+        (
+            "indefinite_covariance",
+            format!("{c0}/data/0"),
+            Value::from(-1.0),
+        ),
+        (
+            "nonfinite_rows",
+            format!("{c0}/data"),
+            Value::Array(tiny.collect()),
+        ),
+        ("nonfinite_rows", "clusters/0/mean".into(), array(1e200, 4)),
+        ("tiny_variances", format!("{c0}/data"), tiny_variances),
+        ("duplicate_sa", "clusters/1/sas/0".into(), Value::from(1)),
+        ("empty_model", "clusters".into(), Value::Array(Vec::new())),
+        (
+            "config_nonfinite_float",
+            "config/bit_threshold".into(),
+            inf(),
+        ),
+        (
+            "config_bit_width",
+            "config/bit_width_samples".into(),
+            Value::from(0.0),
+        ),
+        (
+            "config_negative_margin",
+            "config/margin".into(),
+            Value::from(-1e9),
+        ),
+        (
+            "config_negative_ridge",
+            "config/max_ridge".into(),
+            Value::from(-1.0),
+        ),
+        (
+            "config_edge_sets",
+            "config/edge_sets_per_message".into(),
+            Value::from(0),
+        ),
+    ];
+    let mut seeds = vec![("clean_model.json".to_string(), clean)];
+    for file in edits.chunk_by(|a, b| a.0 == b.0) {
+        let mut model = base.clone();
+        for (_, path, to) in file {
+            set(&mut model, path, to.clone());
+        }
+        let json = model.to_string();
+        seeds.push((
+            format!("{}.json", file[0].0),
+            json.replace(&INFINITY_MARKER.to_string(), "1e999"),
+        ));
+    }
+    Ok(seeds)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,6 +650,7 @@ mod tests {
             ("framer", framer_target as fn(&[u8])),
             ("extractor", extractor_target as fn(&[u8])),
             ("feed", feed_target as fn(&[u8])),
+            ("model_json", model_json_target as fn(&[u8])),
         ] {
             let mut entries: Vec<_> = std::fs::read_dir(root.join(dir))
                 .expect("corpus dir (regenerate with fuzz_smoke --regen-corpus)")
@@ -444,9 +664,87 @@ mod tests {
             }
         }
         assert!(
-            replayed >= 13,
+            replayed >= 36,
             "expected a seeded corpus, got {replayed} files"
         );
+    }
+
+    /// Each invariant seed of the committed model corpus is rejected at
+    /// load with the typed error of the invariant it breaks; the clean
+    /// model and the files in the format that stored the factor load.
+    #[test]
+    fn model_seeds_are_rejected_with_their_typed_error() {
+        let expected = [
+            ("nonfinite_mean", r#"NonFinite { cluster: ClusterId(0), field: "mean" }"#),
+            (
+                "nonfinite_covariance",
+                r#"NonFinite { cluster: ClusterId(0), field: "covariance" }"#,
+            ),
+            (
+                "nonfinite_threshold",
+                r#"NonFinite { cluster: ClusterId(1), field: "max_distance" }"#,
+            ),
+            (
+                "nonfinite_extraction_threshold",
+                r#"NonFinite { cluster: ClusterId(0), field: "extraction_threshold" }"#,
+            ),
+            (
+                "negative_threshold",
+                "NegativeThreshold { cluster: ClusterId(0), threshold: -1.0 }",
+            ),
+            (
+                "mixed_dimensions",
+                r#"MixedDimensions { cluster: ClusterId(1), field: "mean", expected: 4, actual: 3 }"#,
+            ),
+            (
+                "covariance_shape",
+                r#"MixedDimensions { cluster: ClusterId(0), field: "covariance", expected: 4, actual: 3 }"#,
+            ),
+            ("missing_covariance", "MissingCovariance { cluster: ClusterId(1) }"),
+            ("asymmetric_covariance", "AsymmetricCovariance { cluster: ClusterId(0) }"),
+            (
+                "indefinite_covariance",
+                "Unfactorable { cluster: ClusterId(0), source: NotPositiveDefinite { pivot: 0, diagonal: -1.0 } }",
+            ),
+            (
+                "nonfinite_rows",
+                "NonFiniteRows { cluster: ClusterId(0) }",
+            ),
+            (
+                "duplicate_sa",
+                "DuplicateSa { sa: SourceAddress(1), first: ClusterId(0), second: ClusterId(1) }",
+            ),
+            ("config_nonfinite_float", r#"Config { field: "bit_threshold" }"#),
+            ("config_bit_width", r#"Config { field: "bit_width_samples" }"#),
+            ("config_negative_margin", r#"Config { field: "margin" }"#),
+            ("config_negative_ridge", r#"Config { field: "max_ridge" }"#),
+            ("config_edge_sets", r#"Config { field: "edge_sets_per_message" }"#),
+        ];
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus/model_json");
+        let load = |name: &str| {
+            let json = std::fs::read_to_string(dir.join(format!("{name}.json")));
+            Model::from_json(&json.expect("model corpus file"))
+        };
+        for (name, defect) in expected {
+            let err = load(name).expect_err(name);
+            assert_eq!(
+                format!("{err:?}"),
+                format!("Invalid(InvalidModel({defect}))")
+            );
+        }
+        assert_eq!(
+            format!("{:?}", load("empty_model").expect_err("empty")),
+            "Invalid(EmptyModel)"
+        );
+        for name in [
+            "clean_model",
+            "tiny_variances",
+            "old_chol_zero_pivot",
+            "old_chol_truncated",
+            "old_gaussian_mean_1e308",
+        ] {
+            assert!(load(name).is_ok(), "{name} must load");
+        }
     }
 
     #[test]
@@ -489,6 +787,9 @@ mod tests {
         framer_target(&[]);
         extractor_target(&[]);
         feed_target(&[]);
+        model_json_target(&[]);
+        model_json_target(b"{\"clusters\":[],\"config\":null}");
+        model_json_target(&[0xFF, 0xFE]);
         framer_target(&[0, 0, 0, 0]);
         let specials: Vec<u8> = [SPECIAL_NAN, SPECIAL_POS_INF, SPECIAL_NEG_INF, SPECIAL_HUGE]
             .iter()

@@ -226,9 +226,7 @@ impl IdsEngine {
     /// to extraction vs. scoring. The hot path runs through the engine's
     /// [`ScratchArena`]: extraction writes into `scratch.edge_set`, the
     /// backend scores it from there (vProfile's seeded nearest-cluster scan
-    /// needs no buffer), and nothing touches the allocator in steady state
-    /// (observations are only materialized for the occasional
-    /// online-update absorption or uncached fallback).
+    /// needs no buffer), and nothing touches the allocator in steady state.
     pub fn process_window_timed(
         &mut self,
         stream_pos: u64,
@@ -372,22 +370,12 @@ mod tests {
             let event = engine.process_window(i as u64, &window);
             let obs = extractor.extract(&window).unwrap();
             let direct = Detector::with_margin(&model, 2.0).classify(&obs);
-            match (*event.verdict().unwrap(), direct) {
-                (
-                    Verdict::Ok {
-                        cluster: a,
-                        distance: da,
-                    },
-                    Verdict::Ok {
-                        cluster: b,
-                        distance: db,
-                    },
-                ) => {
-                    assert_eq!(a, b);
-                    assert!((da - db).abs() < 1e-6, "cached {da} vs direct {db}");
-                }
-                (a, b) => assert_eq!(a.is_anomaly(), b.is_anomaly(), "{a:?} vs {b:?}"),
-            }
+            // Debug renders every f64 in shortest round-trip form, so equal
+            // strings are equal verdict bits.
+            assert_eq!(
+                format!("{:?}", event.verdict().unwrap()),
+                format!("{direct:?}")
+            );
         }
     }
 
@@ -401,8 +389,8 @@ mod tests {
             stream.extend(frame.trace.to_f64());
         }
         // Updates apply in batches of 16 mid-stream, each refreshing the
-        // cached factors of the clusters it refit; a stale cache would
-        // misscore against the old factors.
+        // scoring rows of the clusters it refit; stale rows would misscore
+        // against the old factors.
         let events = engine.process_samples(&stream);
         assert_eq!(events.len(), 80);
         let anomalies = events.iter().filter(|e| e.is_anomaly()).count();

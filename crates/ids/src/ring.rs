@@ -122,8 +122,14 @@ impl<T> SpscRing<T> {
             let tail = self.tail.load(Ordering::Acquire);
             let avail = tail.saturating_sub(head) as usize;
             if avail == 0 {
+                // The producer publishes before it closes, so a batch it
+                // published after the `tail` load above is visible once
+                // `closed` is: re-read `tail` before reporting the end.
                 if self.closed.load(Ordering::Acquire) {
-                    return 0;
+                    if self.tail.load(Ordering::Acquire) == head {
+                        return 0;
+                    }
+                    continue;
                 }
                 self.park_until_not_empty(head);
                 continue;

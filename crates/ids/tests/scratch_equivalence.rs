@@ -17,9 +17,7 @@
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use vprofile::{
-    AnomalyKind, Detector, EdgeSetExtractor, Model, ScoringCache, Trainer, VProfileConfig, Verdict,
-};
+use vprofile::{AnomalyKind, Detector, EdgeSetExtractor, Model, Trainer, VProfileConfig, Verdict};
 use vprofile_analog::Fault;
 use vprofile_can::SourceAddress;
 use vprofile_ids::{
@@ -60,12 +58,11 @@ fn setup(fleet: usize) -> &'static Setup {
 }
 
 /// Reference path: fresh allocations per frame — `extract` builds a new
-/// observation, `classify_cached` a new distance buffer — mirroring the
-/// engine's framing and failure semantics exactly.
+/// observation that `classify` scores — mirroring the engine's framing
+/// and failure semantics exactly.
 fn fresh_alloc_events(model: &Model, stream: &[f64]) -> Vec<IdsEvent> {
     let config = model.config().clone();
     let extractor = EdgeSetExtractor::new(config.clone());
-    let cache = ScoringCache::build(model).expect("cache builds for a trained model");
     let detector = Detector::with_margin(model, MARGIN);
     let mut framer = StreamFramer::new(config.bit_width_samples, config.bit_threshold);
     let mut windows = framer.push(stream);
@@ -79,7 +76,7 @@ fn fresh_alloc_events(model: &Model, stream: &[f64]) -> Vec<IdsEvent> {
                 Ok(obs) => ScoredEvent {
                     stream_pos: *stream_pos,
                     sa: Some(obs.sa),
-                    verdict: detector.classify_cached(&obs, &cache),
+                    verdict: detector.classify(&obs),
                     extraction_failed: false,
                     retrain_due: false,
                 },

@@ -191,6 +191,15 @@ impl BatchedMahalanobis {
         Ok(())
     }
 
+    /// `true` when every stacked factor entry and offset of `cluster` is
+    /// finite; `false` for a cluster out of range.
+    pub fn is_finite(&self, cluster: usize) -> bool {
+        cluster < self.clusters && {
+            let (w, v) = self.block(cluster);
+            w.iter().chain(v).all(|x| x.is_finite())
+        }
+    }
+
     /// Dimensionality of the scored observations.
     pub fn dim(&self) -> usize {
         self.dim

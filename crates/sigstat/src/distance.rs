@@ -73,7 +73,9 @@ pub fn euclidean(x: &[f64], y: &[f64]) -> Result<f64, SigStatError> {
 /// queries.
 ///
 /// One `Gaussian` corresponds to one ECU cluster in the vProfile model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// It does not serialize: its factor is derived state, so a stored form
+/// keeps the moments and refactors them through [`Gaussian::from_moments`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gaussian {
     mean: Vec<f64>,
     covariance: Matrix,

@@ -185,9 +185,9 @@ impl Matrix {
     ///
     /// Returns [`SigStatError::DimensionMismatch`] if `data.len() != rows * cols`.
     pub fn from_row_major(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, SigStatError> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(SigStatError::DimensionMismatch {
-                expected: rows * cols,
+                expected: rows.saturating_mul(cols),
                 actual: data.len(),
                 context: "Matrix::from_row_major",
             });
@@ -418,6 +418,15 @@ impl Matrix {
         true
     }
 
+    /// `true` when the matrix is square and symmetric to within the
+    /// tolerance [`Matrix::cholesky`] assumes of its input: `1e-9` of the
+    /// largest diagonal magnitude, and at least `1e-9`. The factorization
+    /// reads only the lower triangle, so it would factor a matrix outside
+    /// this tolerance as a different matrix than the one stored.
+    pub fn is_cholesky_symmetric(&self) -> bool {
+        self.is_square() && self.is_symmetric(1e-9 * self.max_abs_diagonal().max(1.0))
+    }
+
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -472,7 +481,7 @@ impl Matrix {
         }
         let n = self.rows;
         debug_assert!(
-            self.is_symmetric(1e-9 * self.max_abs_diagonal().max(1.0)),
+            self.is_cholesky_symmetric(),
             "cholesky input must be symmetric"
         );
         if out.l.rows != n || out.l.cols != n {
@@ -675,7 +684,7 @@ impl Mul<f64> for &Matrix {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cholesky {
     l: Matrix,
 }

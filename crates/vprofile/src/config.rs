@@ -1,3 +1,4 @@
+use crate::InvalidModel;
 use serde::{Deserialize, Serialize};
 use vprofile_analog::AdcConfig;
 use vprofile_sigstat::DistanceMetric;
@@ -102,6 +103,37 @@ impl VProfileConfig {
     pub fn with_max_ridge(mut self, max_ridge: f64) -> Self {
         self.max_ridge = max_ridge;
         self
+    }
+
+    /// Checks the ranges a model's configuration must hold: finite
+    /// floats, `bit_width_samples > 0`, non-negative `margin` and
+    /// `max_ridge`, and at least one edge set per message.
+    ///
+    /// # Errors
+    ///
+    /// [`InvalidModel::Config`] naming the first field out of range.
+    pub(crate) fn check(&self) -> Result<(), InvalidModel> {
+        let checks = [
+            (
+                "bit_width_samples",
+                self.bit_width_samples.is_finite() && self.bit_width_samples > 0.0,
+            ),
+            ("bit_threshold", self.bit_threshold.is_finite()),
+            ("margin", self.margin.is_finite() && self.margin >= 0.0),
+            (
+                "max_ridge",
+                self.max_ridge.is_finite() && self.max_ridge >= 0.0,
+            ),
+            (
+                "linkage_threshold",
+                self.linkage_threshold.is_none_or(f64::is_finite),
+            ),
+            ("edge_sets_per_message", self.edge_sets_per_message > 0),
+        ];
+        match checks.iter().find(|(_, ok)| !ok) {
+            Some(&(field, _)) => Err(InvalidModel::Config { field }),
+            None => Ok(()),
+        }
     }
 
     /// Number of samples in one edge set: prefix+suffix for the rising edge

@@ -4,7 +4,7 @@ use crate::{ClusterId, LabeledEdgeSet, Model, VProfileError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use vprofile_can::SourceAddress;
-use vprofile_sigstat::{euclidean, BatchedMahalanobis, DistanceMetric, SigStatError};
+use vprofile_sigstat::SigStatError;
 
 /// Why a message was flagged as anomalous.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -108,170 +108,6 @@ impl Verdict {
     }
 }
 
-/// Precomputed scoring state for a specific model version.
-///
-/// For a Mahalanobis model the cache stacks every cluster's inverse Cholesky
-/// factor into one [`BatchedMahalanobis`] kernel, so the nearest-cluster
-/// scan ([`ScoringCache::nearest_to`]) needs no triangular solve: it scores
-/// the claimed cluster in full and each rival only until it is provably
-/// farther. A Euclidean cache scans every cluster mean. The cache is a
-/// snapshot: after an online model update,
-/// [`ScoringCache::refresh`] the clusters it changed, and never reuse it
-/// across models (the classify entry points cross-check dimensionality and
-/// cluster count and refuse stale caches).
-#[derive(Debug, Clone)]
-pub struct ScoringCache {
-    metric: DistanceMetric,
-    dim: usize,
-    clusters: usize,
-    /// Stacked kernel for Mahalanobis models; `None` for Euclidean.
-    batched: Option<BatchedMahalanobis>,
-    /// Cluster means for the Euclidean fallback path.
-    means: Vec<Vec<f64>>,
-}
-
-impl ScoringCache {
-    /// Builds a cache from the model's current cluster statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VProfileError::CovarianceUnavailable`] if a Mahalanobis
-    /// model has a cluster without a fitted Gaussian, and propagates
-    /// factorization failures as [`VProfileError::Numeric`].
-    pub fn build(model: &Model) -> Result<Self, VProfileError> {
-        let metric = model.metric();
-        let batched = match metric {
-            DistanceMetric::Mahalanobis => {
-                let mut gaussians = Vec::with_capacity(model.cluster_count());
-                for cluster in model.clusters() {
-                    gaussians.push(
-                        cluster
-                            .gaussian()
-                            .ok_or(VProfileError::CovarianceUnavailable)?,
-                    );
-                }
-                Some(BatchedMahalanobis::from_gaussians(&gaussians)?)
-            }
-            DistanceMetric::Euclidean => None,
-        };
-        let means = match metric {
-            DistanceMetric::Euclidean => {
-                model.clusters().iter().map(|c| c.mean().to_vec()).collect()
-            }
-            DistanceMetric::Mahalanobis => Vec::new(),
-        };
-        Ok(ScoringCache {
-            metric,
-            dim: model.dim(),
-            clusters: model.cluster_count(),
-            batched,
-            means,
-        })
-    }
-
-    /// Brings the cache up to date after an online update changed
-    /// `clusters` of `model` (e.g. [`crate::UpdateScratch::touched`]):
-    /// only those clusters' stacked factors and offsets, or means, are
-    /// rewritten, in place and through the kernel [`ScoringCache::build`]
-    /// runs per cluster. The refreshed cache is bit-identical to a fresh
-    /// build of the updated model, and nothing is allocated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VProfileError::DataUnavailable`] if the cache's shape does
-    /// not match `model` or a cluster is out of range,
-    /// [`VProfileError::CovarianceUnavailable`] for a Mahalanobis cluster
-    /// without a fitted Gaussian, and propagates kernel failures as
-    /// [`VProfileError::Numeric`]. Clusters before the failing one are
-    /// refreshed; rebuild the cache after an error.
-    pub fn refresh(&mut self, model: &Model, clusters: &[ClusterId]) -> Result<(), VProfileError> {
-        if !self.matches(model) {
-            return Err(VProfileError::DataUnavailable {
-                context: "scoring cache does not match the model shape",
-            });
-        }
-        for &id in clusters {
-            let cluster = model
-                .clusters()
-                .get(id.0)
-                .ok_or(VProfileError::DataUnavailable {
-                    context: "refreshed cluster is not in the model",
-                })?;
-            match &mut self.batched {
-                Some(batched) => batched.refresh(
-                    id.0,
-                    cluster
-                        .gaussian()
-                        .ok_or(VProfileError::CovarianceUnavailable)?,
-                )?,
-                None => {
-                    if let Some(mean) = self.means.get_mut(id.0) {
-                        mean.clear();
-                        mean.extend_from_slice(cluster.mean());
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The metric the cache was built for.
-    pub fn metric(&self) -> DistanceMetric {
-        self.metric
-    }
-
-    /// Edge-set dimensionality the cache expects.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of clusters the cache covers.
-    pub fn cluster_count(&self) -> usize {
-        self.clusters
-    }
-
-    /// `true` if the cache's shape matches `model` (dimensionality, cluster
-    /// count, and metric). A shape match does not prove the cache is fresh —
-    /// callers must still refresh it after online updates — but a mismatch
-    /// proves it is unusable.
-    pub fn matches(&self, model: &Model) -> bool {
-        self.metric == model.metric()
-            && self.dim == model.dim()
-            && self.clusters == model.cluster_count()
-    }
-
-    /// The nearest cluster to `x` with its distance, seeded with the
-    /// cluster the frame claims — the same strict-less-than, first-index-wins
-    /// answer as [`Model::nearest_cluster`], so ties break identically, and
-    /// for a Mahalanobis model the same bits as a full scan of the stacked
-    /// kernel ([`BatchedMahalanobis::nearest_to`]). A Euclidean cache scans
-    /// every mean and ignores the claim. Nothing is allocated.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension mismatches (including a claimed cluster out of
-    /// range of a Mahalanobis cache); returns [`VProfileError::EmptyModel`]
-    /// if the cache covers no clusters.
-    pub fn nearest_to(
-        &self,
-        x: &[f64],
-        claimed: ClusterId,
-    ) -> Result<(ClusterId, f64), VProfileError> {
-        if let Some(batched) = &self.batched {
-            let (nearest, distance) = batched.nearest_to(x, claimed.0)?;
-            return Ok((ClusterId(nearest), distance));
-        }
-        let mut best: Option<(ClusterId, f64)> = None;
-        for (idx, mean) in self.means.iter().enumerate() {
-            let d = euclidean(x, mean)?;
-            if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((ClusterId(idx), d));
-            }
-        }
-        best.ok_or(VProfileError::EmptyModel)
-    }
-}
-
 /// Fails an edge set with a NaN or infinite sample: its distances would
 /// be NaN or infinite, and a NaN distance passes every `>` check.
 fn finite(x: &[f64]) -> Result<(), VProfileError> {
@@ -329,7 +165,15 @@ impl<'a> Detector<'a> {
     /// [`AnomalyKind::Unscorable`]. Use [`Detector::try_classify`] to get
     /// the underlying [`VProfileError`] instead.
     pub fn classify(&self, obs: &LabeledEdgeSet) -> Verdict {
-        self.try_classify(obs).unwrap_or(Verdict::Anomaly {
+        self.classify_parts(obs.sa, obs.edge_set.samples())
+    }
+
+    /// [`Detector::classify`] on a raw `(sa, edge set)` pair — the
+    /// zero-allocation per-frame entry point. Taking the observation as
+    /// parts (rather than a [`LabeledEdgeSet`]) lets a pipeline worker
+    /// score straight out of its extraction scratch.
+    pub fn classify_parts(&self, sa: SourceAddress, x: &[f64]) -> Verdict {
+        self.algorithm_3(sa, x).unwrap_or(Verdict::Anomaly {
             kind: AnomalyKind::Unscorable,
         })
     }
@@ -341,115 +185,35 @@ impl<'a> Detector<'a> {
     /// 3. distance beyond `max_distance + margin` → anomaly;
     /// 4. otherwise OK.
     ///
+    /// The nearest-cluster scan is the model's own
+    /// ([`Model::nearest_to`]), seeded with the claimed SA's cluster.
+    ///
     /// # Errors
     ///
     /// Returns [`VProfileError`] on dimensional mismatch between the edge
     /// set and the model, and [`SigStatError::NonFiniteInput`] (as
     /// [`VProfileError::Numeric`]) for an edge set with a NaN or infinite
-    /// sample, so [`Detector::classify`] fails it closed.
+    /// sample or one whose distance overflows to NaN, so
+    /// [`Detector::classify`] fails it closed.
     pub fn try_classify(&self, obs: &LabeledEdgeSet) -> Result<Verdict, VProfileError> {
-        let Some(expected) = self.model.lookup_sa(obs.sa) else {
-            return Ok(Verdict::Anomaly {
-                kind: AnomalyKind::UnknownSa { sa: obs.sa },
-            });
-        };
-        let x = obs.edge_set.samples();
-        finite(x)?;
-        let (predicted, distance) = self.model.nearest_cluster(x)?;
-        if predicted != expected {
-            return Ok(Verdict::Anomaly {
-                kind: AnomalyKind::ClusterMismatch {
-                    expected,
-                    predicted,
-                    distance,
-                },
-            });
-        }
-        let limit = self.model.cluster(predicted).max_distance() + self.margin;
-        if distance > limit {
-            return Ok(Verdict::Anomaly {
-                kind: AnomalyKind::ThresholdExceeded {
-                    cluster: predicted,
-                    distance,
-                    limit,
-                },
-            });
-        }
-        Ok(Verdict::Ok {
-            cluster: predicted,
-            distance,
-        })
+        self.algorithm_3(obs.sa, obs.edge_set.samples())
     }
 
-    /// [`Detector::classify`] through a precomputed [`ScoringCache`]: same
-    /// verdicts, the seeded stacked scan instead of per-cluster solves.
-    /// Fails closed as [`AnomalyKind::Unscorable`] on any error, including a
-    /// cache whose shape does not match the model.
-    pub fn classify_cached(&self, obs: &LabeledEdgeSet, cache: &ScoringCache) -> Verdict {
-        self.try_classify_cached(obs, cache)
-            .unwrap_or(Verdict::Anomaly {
-                kind: AnomalyKind::Unscorable,
-            })
-    }
-
-    /// [`Detector::try_classify`] through a precomputed [`ScoringCache`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VProfileError::DataUnavailable`] if the cache's shape
-    /// (metric, dimensionality, cluster count) does not match the model, and
-    /// propagates scoring failures like [`Detector::try_classify`].
-    pub fn try_classify_cached(
-        &self,
-        obs: &LabeledEdgeSet,
-        cache: &ScoringCache,
-    ) -> Result<Verdict, VProfileError> {
-        self.try_classify_cached_with(obs.sa, obs.edge_set.samples(), cache)
-    }
-
-    /// [`Detector::classify_cached`] on a raw `(sa, edge set)` pair — the
-    /// zero-allocation per-frame entry point. Taking the observation as
-    /// parts (rather than a [`LabeledEdgeSet`]) lets a pipeline worker
-    /// score straight out of its extraction scratch.
-    pub fn classify_cached_with(
-        &self,
-        sa: SourceAddress,
-        x: &[f64],
-        cache: &ScoringCache,
-    ) -> Verdict {
-        self.try_classify_cached_with(sa, x, cache)
-            .unwrap_or(Verdict::Anomaly {
-                kind: AnomalyKind::Unscorable,
-            })
-    }
-
-    /// Fallible form of [`Detector::classify_cached_with`]. The claimed
-    /// SA's cluster seeds the scan ([`ScoringCache::nearest_to`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VProfileError::DataUnavailable`] if the cache's shape
-    /// (metric, dimensionality, cluster count) does not match the model, and
-    /// propagates scoring failures like [`Detector::try_classify`],
-    /// including the rejection of a non-finite edge set.
-    pub fn try_classify_cached_with(
-        &self,
-        sa: SourceAddress,
-        x: &[f64],
-        cache: &ScoringCache,
-    ) -> Result<Verdict, VProfileError> {
-        if !cache.matches(self.model) {
-            return Err(VProfileError::DataUnavailable {
-                context: "scoring cache does not match the model shape",
-            });
-        }
+    fn algorithm_3(&self, sa: SourceAddress, x: &[f64]) -> Result<Verdict, VProfileError> {
         let Some(expected) = self.model.lookup_sa(sa) else {
             return Ok(Verdict::Anomaly {
                 kind: AnomalyKind::UnknownSa { sa },
             });
         };
         finite(x)?;
-        let (predicted, distance) = cache.nearest_to(x, expected)?;
+        let (predicted, distance) = self.model.nearest_to(x, expected)?;
+        // A NaN distance passes every `>` check; only an overflowing
+        // residual of a huge finite sample produces one.
+        if distance.is_nan() {
+            return Err(VProfileError::Numeric(SigStatError::NonFiniteInput {
+                context: "Detector: distance",
+            }));
+        }
         if predicted != expected {
             return Ok(Verdict::Anomaly {
                 kind: AnomalyKind::ClusterMismatch {
@@ -615,66 +379,8 @@ mod tests {
     }
 
     #[test]
-    fn cached_classify_matches_uncached_verdicts() {
+    fn non_finite_edge_sets_fail_closed() {
         let model = two_cluster_model();
-        let cache = ScoringCache::build(&model).unwrap();
-        assert!(cache.matches(&model));
-        let detector = Detector::with_margin(&model, 1.0);
-        for probe in [
-            obs(1, 100.0),  // legitimate
-            obs(1, 900.0),  // hijack: cluster mismatch
-            obs(2, 900.0),  // legitimate, other cluster
-            obs(0x99, 1.0), // unknown SA
-            obs(1, 160.0),  // threshold exceeded
-        ] {
-            let plain = detector.classify(&probe);
-            let cached = detector.classify_cached(&probe, &cache);
-            match (plain, cached) {
-                (
-                    Verdict::Ok {
-                        cluster: a,
-                        distance: da,
-                    },
-                    Verdict::Ok {
-                        cluster: b,
-                        distance: db,
-                    },
-                ) => {
-                    assert_eq!(a, b);
-                    assert!((da - db).abs() < 1e-9);
-                }
-                (Verdict::Anomaly { kind: a }, Verdict::Anomaly { kind: b }) => {
-                    assert_eq!(
-                        std::mem::discriminant(&a),
-                        std::mem::discriminant(&b),
-                        "anomaly kinds diverge: {a:?} vs {b:?}"
-                    );
-                }
-                (p, c) => panic!("cached verdict {c:?} diverges from {p:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn cached_nearest_matches_model_scan() {
-        let model = two_cluster_model();
-        let cache = ScoringCache::build(&model).unwrap();
-        for center in [100.0, 300.0, 500.0, 900.0] {
-            let x: Vec<f64> = (0..4).map(|i| center + i as f64 * 5.0).collect();
-            let (want_id, want_d) = model.nearest_cluster(&x).unwrap();
-            for claimed in [ClusterId(0), ClusterId(1)] {
-                let (got_id, got_d) = cache.nearest_to(&x, claimed).unwrap();
-                assert_eq!(want_id, got_id);
-                assert!((want_d - got_d).abs() < 1e-9);
-            }
-        }
-        assert!(cache.nearest_to(&[1.0; 4], ClusterId(2)).is_err());
-    }
-
-    #[test]
-    fn non_finite_edge_sets_fail_closed_on_both_paths() {
-        let model = two_cluster_model();
-        let cache = ScoringCache::build(&model).unwrap();
         let detector = Detector::with_margin(&model, 1.0);
         let unscorable = Verdict::Anomaly {
             kind: AnomalyKind::Unscorable,
@@ -692,16 +398,10 @@ mod tests {
                         detector.try_classify(&probe),
                         Err(VProfileError::Numeric(SigStatError::NonFiniteInput { .. }))
                     ));
-                    assert!(detector.try_classify_cached(&probe, &cache).is_err());
                     assert_eq!(
                         detector.classify(&probe),
                         unscorable,
                         "SA {sa}, {bad} at {at}"
-                    );
-                    assert_eq!(
-                        detector.classify_cached(&probe, &cache),
-                        unscorable,
-                        "SA {sa}, {bad} at {at}, cached"
                     );
                 }
             }
@@ -709,45 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_cache_is_refused() {
-        let model = two_cluster_model();
-        let mut rng = StdRng::seed_from_u64(9);
-        // A second model with different dimensionality (6 samples).
-        let mut data = Vec::new();
-        for (sa, center) in [(1u8, 100.0), (2u8, 900.0)] {
-            for _ in 0..14 {
-                let samples: Vec<f64> = (0..6)
-                    .map(|i| center + i as f64 * 5.0 + rng.random_range(-1.0..1.0))
-                    .collect();
-                data.push(LabeledEdgeSet::new(
-                    SourceAddress(sa),
-                    EdgeSet::new(samples),
-                ));
-            }
-        }
-        let mut config = VProfileConfig::for_adc(&vprofile_analog::AdcConfig::vehicle_b(), 250_000);
-        config.prefix_len = 1;
-        config.suffix_len = 1;
-        let other = Trainer::new(config).train(&data).unwrap();
-        let stale = ScoringCache::build(&other).unwrap();
-        assert!(!stale.matches(&model));
-
-        let detector = Detector::new(&model);
-        let probe = obs(1, 100.0);
-        assert!(matches!(
-            detector.try_classify_cached(&probe, &stale),
-            Err(VProfileError::DataUnavailable { .. })
-        ));
-        assert!(matches!(
-            detector.classify_cached(&probe, &stale),
-            Verdict::Anomaly {
-                kind: AnomalyKind::Unscorable
-            }
-        ));
-    }
-
-    #[test]
-    fn euclidean_cache_matches_model_scan() {
+    fn euclidean_model_classifies_by_mean_distance() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut data = Vec::new();
         for (sa, center) in [(1u8, 100.0), (2u8, 900.0)] {
@@ -766,56 +428,27 @@ mod tests {
         config.suffix_len = 1;
         config.metric = vprofile_sigstat::DistanceMetric::Euclidean;
         let model = Trainer::new(config).train(&data).unwrap();
-        let cache = ScoringCache::build(&model).unwrap();
-        assert_eq!(cache.metric(), vprofile_sigstat::DistanceMetric::Euclidean);
-        for center in [100.0, 450.0, 900.0] {
-            let x: Vec<f64> = (0..4).map(|i| center + i as f64 * 5.0).collect();
-            let (want_id, want_d) = model.nearest_cluster(&x).unwrap();
-            for claimed in [ClusterId(0), ClusterId(1)] {
-                let (got_id, got_d) = cache.nearest_to(&x, claimed).unwrap();
-                assert_eq!(want_id, got_id);
-                assert!((want_d - got_d).abs() < 1e-12);
+        let detector = Detector::with_margin(&model, 1.0);
+        let probe = obs(1, 100.0);
+        let want =
+            vprofile_sigstat::euclidean(probe.edge_set.samples(), model.clusters()[0].mean())
+                .unwrap();
+        assert_eq!(
+            detector.classify(&probe),
+            Verdict::Ok {
+                cluster: ClusterId(0),
+                distance: want,
             }
-        }
-    }
-
-    #[test]
-    fn refreshed_cache_equals_a_fresh_build_bit_for_bit() {
-        for metric in [DistanceMetric::Mahalanobis, DistanceMetric::Euclidean] {
-            let mut model = two_cluster_model();
-            model.config.metric = metric;
-            let mut cache = ScoringCache::build(&model).unwrap();
-            let mut scratch = crate::UpdateScratch::default();
-            let mut batch = crate::UpdateBatch::default();
-            let mut rng = StdRng::seed_from_u64(11);
-            for round in 0..4 {
-                batch.clear();
-                for _ in 0..16 {
-                    // Even rounds touch one cluster, odd rounds both.
-                    let sa = if round % 2 == 0 || rng.random_bool(0.5) {
-                        1
-                    } else {
-                        2
-                    };
-                    let center = if sa == 1 { 101.0 } else { 899.0 };
-                    let x: Vec<f64> = (0..4)
-                        .map(|i| center + i as f64 * 5.0 + rng.random_range(-1.0..1.0))
-                        .collect();
-                    batch.push(SourceAddress(sa), &x);
+        );
+        assert!(matches!(
+            detector.classify(&obs(1, 900.0)),
+            Verdict::Anomaly {
+                kind: AnomalyKind::ClusterMismatch {
+                    predicted: ClusterId(1),
+                    ..
                 }
-                model.update_online_with(&batch, &mut scratch).unwrap();
-                cache.refresh(&model, scratch.touched()).unwrap();
-                // Debug renders every f64 in shortest round-trip form, so
-                // equal strings are equal bits for these finite values.
-                let fresh = ScoringCache::build(&model).unwrap();
-                assert_eq!(
-                    format!("{cache:?}"),
-                    format!("{fresh:?}"),
-                    "{metric} round {round}"
-                );
             }
-            assert!(cache.refresh(&model, &[ClusterId(2)]).is_err());
-        }
+        ));
     }
 
     #[test]

@@ -1,6 +1,122 @@
+use crate::ClusterId;
 use std::fmt;
 use vprofile_analog::AnalogError;
+use vprofile_can::SourceAddress;
 use vprofile_sigstat::SigStatError;
+
+/// A model invariant that a set of cluster statistics breaks: why
+/// training, loading or deserializing refuses to build a [`crate::Model`]
+/// from them. Each variant names the offending cluster or field.
+#[derive(Debug, Clone, PartialEq)]
+pub enum InvalidModel {
+    /// A stored mean, covariance, threshold or extraction threshold entry
+    /// is NaN or infinite.
+    NonFinite {
+        /// The offending cluster.
+        cluster: ClusterId,
+        /// Which statistic.
+        field: &'static str,
+    },
+    /// A max-distance threshold (`clustMaxDists`) is negative.
+    NegativeThreshold {
+        /// The offending cluster.
+        cluster: ClusterId,
+        /// The stored threshold.
+        threshold: f64,
+    },
+    /// A mean or covariance disagrees with the model's edge-set dimension
+    /// (that of the first cluster's mean).
+    MixedDimensions {
+        /// The offending cluster.
+        cluster: ClusterId,
+        /// Which statistic.
+        field: &'static str,
+        /// The model's edge-set dimension.
+        expected: usize,
+        /// The statistic's dimension (for a covariance, its row count, or
+        /// its entry count when that disagrees with its shape).
+        actual: usize,
+    },
+    /// A Mahalanobis model has a cluster without a covariance.
+    MissingCovariance {
+        /// The offending cluster.
+        cluster: ClusterId,
+    },
+    /// A covariance is not symmetric to within the tolerance the Cholesky
+    /// factorization assumes, so its factor would describe another matrix.
+    AsymmetricCovariance {
+        /// The offending cluster.
+        cluster: ClusterId,
+    },
+    /// A covariance does not factor
+    /// ([`SigStatError::NotPositiveDefinite`]).
+    Unfactorable {
+        /// The offending cluster.
+        cluster: ClusterId,
+        /// The factorization failure.
+        source: SigStatError,
+    },
+    /// The stacked scoring rows derived from a cluster's factor (its
+    /// inverse, and the inverse times the mean) are not finite.
+    NonFiniteRows {
+        /// The offending cluster.
+        cluster: ClusterId,
+    },
+    /// Two clusters list the same source address.
+    DuplicateSa {
+        /// The source address.
+        sa: SourceAddress,
+        /// The first cluster listing it.
+        first: ClusterId,
+        /// The second cluster listing it.
+        second: ClusterId,
+    },
+    /// A configuration value is out of range: a non-finite float,
+    /// `bit_width_samples <= 0`, a negative `margin` or `max_ridge`, or
+    /// `edge_sets_per_message == 0`.
+    Config {
+        /// The offending field.
+        field: &'static str,
+    },
+}
+
+impl fmt::Display for InvalidModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            InvalidModel::NonFinite { cluster, field } => {
+                write!(f, "{cluster}: {field} is not finite")
+            }
+            InvalidModel::NegativeThreshold { cluster, threshold } => {
+                write!(f, "{cluster}: negative max-distance threshold {threshold}")
+            }
+            InvalidModel::MixedDimensions {
+                cluster,
+                field,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "{cluster}: {field} dimension {actual} conflicts with the model's {expected}"
+            ),
+            InvalidModel::MissingCovariance { cluster } => {
+                write!(f, "{cluster}: mahalanobis model without a covariance")
+            }
+            InvalidModel::AsymmetricCovariance { cluster } => {
+                write!(f, "{cluster}: covariance is not symmetric")
+            }
+            InvalidModel::Unfactorable { cluster, source } => {
+                write!(f, "{cluster}: covariance does not factor: {source}")
+            }
+            InvalidModel::NonFiniteRows { cluster } => {
+                write!(f, "{cluster}: scoring rows are not finite")
+            }
+            InvalidModel::DuplicateSa { sa, first, second } => {
+                write!(f, "source address 0x{sa} is listed by {first} and {second}")
+            }
+            InvalidModel::Config { field } => write!(f, "config: {field} out of range"),
+        }
+    }
+}
 
 /// Errors produced by the vProfile pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,6 +157,8 @@ pub enum VProfileError {
     Numeric(SigStatError),
     /// The model contains no clusters.
     EmptyModel,
+    /// The cluster statistics or configuration break a model invariant.
+    InvalidModel(InvalidModel),
     /// A pipeline step needed data that the preceding steps did not produce
     /// — e.g. an experiment sweep yielded no traffic for a required
     /// condition.
@@ -79,6 +197,7 @@ impl fmt::Display for VProfileError {
             }
             VProfileError::Numeric(err) => write!(f, "numeric failure: {err}"),
             VProfileError::EmptyModel => f.write_str("model contains no clusters"),
+            VProfileError::InvalidModel(err) => write!(f, "invalid model: {err}"),
             VProfileError::DataUnavailable { context } => {
                 write!(f, "required data unavailable: {context}")
             }
@@ -100,6 +219,12 @@ impl std::error::Error for VProfileError {
 impl From<SigStatError> for VProfileError {
     fn from(err: SigStatError) -> Self {
         VProfileError::Numeric(err)
+    }
+}
+
+impl From<InvalidModel> for VProfileError {
+    fn from(err: InvalidModel) -> Self {
+        VProfileError::InvalidModel(err)
     }
 }
 
@@ -130,6 +255,9 @@ mod tests {
             VProfileError::CovarianceUnavailable,
             VProfileError::Numeric(SigStatError::EmptyInput { context: "mean" }),
             VProfileError::EmptyModel,
+            VProfileError::InvalidModel(InvalidModel::MissingCovariance {
+                cluster: ClusterId(1),
+            }),
             VProfileError::DataUnavailable {
                 context: "baseline capture",
             },

@@ -5,6 +5,7 @@
 //! between processes. Models serialize to JSON: self-describing,
 //! versionable, and human-inspectable when debugging a fleet.
 
+use crate::model::StoredModel;
 use crate::{Model, VProfileError};
 use std::fmt;
 use std::path::Path;
@@ -25,7 +26,7 @@ impl fmt::Display for ModelIoError {
         match self {
             ModelIoError::Io(err) => write!(f, "model file i/o failed: {err}"),
             ModelIoError::Format(err) => write!(f, "model payload malformed: {err}"),
-            ModelIoError::Invalid(err) => write!(f, "model invariants violated: {err}"),
+            ModelIoError::Invalid(err) => write!(f, "model rejected: {err}"),
         }
     }
 }
@@ -53,7 +54,7 @@ impl From<serde_json::Error> for ModelIoError {
 }
 
 impl Model {
-    /// Serializes the model to a JSON string.
+    /// Serializes the model's sufficient statistics to a JSON string.
     ///
     /// # Errors
     ///
@@ -63,19 +64,20 @@ impl Model {
         Ok(serde_json::to_string(self)?)
     }
 
-    /// Restores a model from its JSON form, re-validating invariants
-    /// (non-empty, uniform dimensionality, factorizable covariance for
-    /// Mahalanobis clusters).
+    /// Restores a model from its JSON form: the stored statistics are
+    /// validated and the factors, scoring rows and SA table re-derived, as
+    /// training derives them.
     ///
     /// # Errors
     ///
     /// * [`ModelIoError::Format`] for malformed JSON;
     /// * [`ModelIoError::Invalid`] when the payload parses but describes an
-    ///   unusable model (e.g. tampered covariance).
+    ///   unusable model, with the broken invariant
+    ///   ([`VProfileError::InvalidModel`], or
+    ///   [`VProfileError::EmptyModel`] for no clusters).
     pub fn from_json(json: &str) -> Result<Model, ModelIoError> {
-        let model: Model = serde_json::from_str(json)?;
-        model.validate().map_err(ModelIoError::Invalid)?;
-        Ok(model)
+        let stored: StoredModel = serde_json::from_str(json)?;
+        Model::from_stored(stored).map_err(ModelIoError::Invalid)
     }
 
     /// Writes the model to a file as JSON.
@@ -97,46 +99,12 @@ impl Model {
         let json = std::fs::read_to_string(path)?;
         Model::from_json(&json)
     }
-
-    /// Checks the invariants `from_json` relies on.
-    pub(crate) fn validate(&self) -> Result<(), VProfileError> {
-        if self.clusters.is_empty() {
-            return Err(VProfileError::EmptyModel);
-        }
-        let dim = self.clusters[0].dim();
-        for cluster in &self.clusters {
-            if cluster.dim() != dim {
-                return Err(VProfileError::MixedDimensions {
-                    expected: dim,
-                    actual: cluster.dim(),
-                });
-            }
-            if let Some(gaussian) = cluster.gaussian() {
-                if gaussian.dim() != dim {
-                    return Err(VProfileError::MixedDimensions {
-                        expected: dim,
-                        actual: gaussian.dim(),
-                    });
-                }
-            }
-            if !cluster.max_distance().is_finite() || cluster.max_distance() < 0.0 {
-                return Err(VProfileError::EmptyModel);
-            }
-        }
-        // Every LUT entry must point at an existing cluster.
-        for &idx in self.sa_lut.values() {
-            if idx >= self.clusters.len() {
-                return Err(VProfileError::EmptyModel);
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EdgeSet, LabeledEdgeSet, Trainer, VProfileConfig};
+    use crate::{ClusterId, EdgeSet, InvalidModel, LabeledEdgeSet, Trainer, VProfileConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use vprofile_can::SourceAddress;
@@ -162,17 +130,10 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_behaviour() {
+    fn json_round_trip_is_exact() {
         let model = model();
-        let json = model.to_json().unwrap();
-        let restored = Model::from_json(&json).unwrap();
-        assert_eq!(restored.cluster_count(), model.cluster_count());
-        assert_eq!(restored.dim(), model.dim());
-        let probe = vec![100.0, 103.0, 106.0, 109.0];
-        let (a, da) = model.nearest_cluster(&probe).unwrap();
-        let (b, db) = restored.nearest_cluster(&probe).unwrap();
-        assert_eq!(a, b);
-        assert!((da - db).abs() < 1e-6);
+        let restored = Model::from_json(&model.to_json().unwrap()).unwrap();
+        assert_eq!(restored, model);
     }
 
     #[test]
@@ -183,13 +144,22 @@ mod tests {
     }
 
     #[test]
-    fn tampered_lut_is_rejected() {
+    fn duplicate_sa_is_rejected_and_a_stored_lut_ignored() {
         let model = model();
         let mut value: serde_json::Value = serde_json::from_str(&model.to_json().unwrap()).unwrap();
-        // Point an SA at a cluster index that does not exist.
+        // A stale SA table from an older file has no say.
         value["sa_lut"]["1"] = serde_json::json!(99);
+        assert_eq!(Model::from_json(&value.to_string()).unwrap(), model);
+        value["clusters"][1]["sas"][0] = serde_json::json!(1);
         let err = Model::from_json(&value.to_string()).unwrap_err();
-        assert!(matches!(err, ModelIoError::Invalid(_)));
+        assert!(matches!(
+            err,
+            ModelIoError::Invalid(VProfileError::InvalidModel(InvalidModel::DuplicateSa {
+                sa: SourceAddress(1),
+                first: ClusterId(0),
+                second: ClusterId(1),
+            }))
+        ));
     }
 
     #[test]
@@ -198,7 +168,12 @@ mod tests {
         let mut value: serde_json::Value = serde_json::from_str(&model.to_json().unwrap()).unwrap();
         value["clusters"][0]["max_distance"] = serde_json::json!(-1.0);
         let err = Model::from_json(&value.to_string()).unwrap_err();
-        assert!(matches!(err, ModelIoError::Invalid(_)));
+        assert!(matches!(
+            err,
+            ModelIoError::Invalid(VProfileError::InvalidModel(
+                InvalidModel::NegativeThreshold { .. }
+            ))
+        ));
     }
 
     #[test]
@@ -208,8 +183,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.json");
         model.save(&path).unwrap();
-        let restored = Model::load(&path).unwrap();
-        assert_eq!(restored.cluster_count(), model.cluster_count());
+        assert_eq!(Model::load(&path).unwrap(), model);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -82,9 +82,9 @@ mod update;
 
 pub use cluster::{cluster_by_distance, cluster_by_lut, group_by_sa, ClusterId, SaGroups};
 pub use config::VProfileConfig;
-pub use detect::{AnomalyKind, Detector, ScoringCache, Verdict};
+pub use detect::{AnomalyKind, Detector, Verdict};
 pub use edge::{EdgeSet, LabeledEdgeSet};
-pub use error::VProfileError;
+pub use error::{InvalidModel, VProfileError};
 pub use extract::{cluster_extraction_threshold, EdgeSetExtractor};
 pub use io::ModelIoError;
 pub use model::{ClusterStats, Model};

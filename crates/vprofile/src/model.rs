@@ -1,12 +1,14 @@
-use crate::{ClusterId, VProfileConfig, VProfileError};
+use crate::{ClusterId, InvalidModel, VProfileConfig, VProfileError};
+use serde::content::Content;
+use serde::de::{DeError, Error as _};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vprofile_can::SourceAddress;
-use vprofile_sigstat::{euclidean, DistanceMetric, Gaussian};
+use vprofile_sigstat::{euclidean, BatchedMahalanobis, DistanceMetric, Gaussian, Matrix};
 
 /// The trained statistics of one ECU cluster: the model entry Algorithm 2
 /// produces per cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterStats {
     /// Source addresses this ECU transmits under.
     pub(crate) sas: Vec<SourceAddress>,
@@ -61,7 +63,10 @@ impl ClusterStats {
         self.mean.len()
     }
 
-    /// Distance from `x` to this cluster under `metric`.
+    /// Distance from `x` to this cluster under `metric`, through the
+    /// per-cluster kernel ([`Gaussian::mahalanobis`]) that fits the
+    /// max-distance thresholds. Detection scores through
+    /// [`Model::nearest_to`] instead.
     ///
     /// # Errors
     ///
@@ -82,55 +87,218 @@ impl ClusterStats {
     }
 }
 
+/// One cluster's sufficient statistics, as a model file stores them and as
+/// training fits them. The field names and nesting are those of the
+/// original model file, whose extra fields (the Cholesky factor, a second
+/// mean and count, the SA table) are ignored on load.
+#[derive(Debug, Serialize, Deserialize)]
+pub(crate) struct StoredCluster {
+    pub(crate) sas: Vec<SourceAddress>,
+    pub(crate) mean: Vec<f64>,
+    pub(crate) gaussian: Option<StoredGaussian>,
+    pub(crate) max_distance: f64,
+    pub(crate) count: usize,
+    pub(crate) extraction_threshold: Option<f64>,
+}
+
+/// The covariance of a Mahalanobis cluster.
+#[derive(Debug, Serialize, Deserialize)]
+pub(crate) struct StoredGaussian {
+    pub(crate) covariance: Matrix,
+}
+
+/// A model's sufficient statistics: the form [`Model::from_stored`]
+/// builds every model from.
+#[derive(Debug, Serialize, Deserialize)]
+pub(crate) struct StoredModel {
+    pub(crate) clusters: Vec<StoredCluster>,
+    pub(crate) config: VProfileConfig,
+}
+
+fn all_finite(values: &[f64]) -> bool {
+    values.iter().all(|v| v.is_finite())
+}
+
+impl StoredCluster {
+    /// Checks this cluster's statistics against a model of dimension `dim`
+    /// and derives its Cholesky factor (Mahalanobis only; a Euclidean
+    /// model keeps no covariance).
+    fn into_stats(
+        self,
+        cluster: ClusterId,
+        dim: usize,
+        metric: DistanceMetric,
+    ) -> Result<ClusterStats, InvalidModel> {
+        let non_finite = |field| InvalidModel::NonFinite { cluster, field };
+        if self.mean.len() != dim {
+            return Err(InvalidModel::MixedDimensions {
+                cluster,
+                field: "mean",
+                expected: dim,
+                actual: self.mean.len(),
+            });
+        }
+        if !all_finite(&self.mean) {
+            return Err(non_finite("mean"));
+        }
+        if !self.max_distance.is_finite() {
+            return Err(non_finite("max_distance"));
+        }
+        if self.max_distance < 0.0 {
+            return Err(InvalidModel::NegativeThreshold {
+                cluster,
+                threshold: self.max_distance,
+            });
+        }
+        if self.extraction_threshold.is_some_and(|t| !t.is_finite()) {
+            return Err(non_finite("extraction_threshold"));
+        }
+        let gaussian = match metric {
+            DistanceMetric::Euclidean => None,
+            DistanceMetric::Mahalanobis => {
+                let covariance = self
+                    .gaussian
+                    .ok_or(InvalidModel::MissingCovariance { cluster })?
+                    .covariance;
+                let shape = [
+                    ("covariance", dim, covariance.rows()),
+                    ("covariance", dim, covariance.cols()),
+                    ("covariance entries", dim * dim, covariance.as_slice().len()),
+                ];
+                if let Some(&(field, expected, actual)) = shape.iter().find(|s| s.1 != s.2) {
+                    return Err(InvalidModel::MixedDimensions {
+                        cluster,
+                        field,
+                        expected,
+                        actual,
+                    });
+                }
+                if !all_finite(covariance.as_slice()) {
+                    return Err(non_finite("covariance"));
+                }
+                if !covariance.is_cholesky_symmetric() {
+                    return Err(InvalidModel::AsymmetricCovariance { cluster });
+                }
+                // The factor of a covariance that factors is finite: each
+                // entry feeds a later pivot, and a non-finite pivot is refused.
+                let gaussian = Gaussian::from_moments(self.mean.clone(), covariance, self.count)
+                    .map_err(|source| InvalidModel::Unfactorable { cluster, source })?;
+                Some(gaussian)
+            }
+        };
+        Ok(ClusterStats {
+            sas: self.sas,
+            mean: self.mean,
+            gaussian,
+            max_distance: self.max_distance,
+            count: self.count,
+            extraction_threshold: self.extraction_threshold,
+        })
+    }
+}
+
 /// A trained vProfile model: per-cluster statistics, the SA → cluster
 /// lookup table, and the detection configuration (Algorithm 2's
 /// `(clustSaLut, clustMeans, clustMaxDists)` plus the covariance data the
 /// Mahalanobis upgrade of §4.2.2 adds).
 ///
-/// Models serialize with serde, so a trained model can be shipped to the
-/// embedded monitor that runs detection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A model holds its sufficient statistics (per cluster: SAs, mean,
+/// count, threshold, optional extraction threshold, and the covariance of
+/// a Mahalanobis cluster) plus what is derived from them: the SA table,
+/// each covariance's Cholesky factor, and the stacked scoring rows of
+/// [`Model::nearest_to`]. Training and loading build it through one
+/// validating constructor, and the §5.3 online update keeps the derived
+/// values in step. It serializes as the statistics alone, so a trained
+/// model can be shipped to the embedded monitor, and deserializing it
+/// re-derives and re-validates the rest.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     pub(crate) clusters: Vec<ClusterStats>,
-    pub(crate) sa_lut: BTreeMap<u8, usize>,
+    sa_lut: BTreeMap<SourceAddress, ClusterId>,
+    /// Stacked inverse factors of a Mahalanobis model; `None` for a
+    /// Euclidean one, whose scan reads the cluster means.
+    pub(crate) rows: Option<BatchedMahalanobis>,
     pub(crate) config: VProfileConfig,
 }
 
 impl Model {
-    /// Assembles a model from trained cluster statistics.
+    /// Builds a model from its sufficient statistics: checks every
+    /// invariant a scorable model needs and derives the SA table, the
+    /// Cholesky factors ([`vprofile_sigstat::Matrix::cholesky`], the call
+    /// training makes) and the stacked scoring rows
+    /// ([`BatchedMahalanobis::from_gaussians`]).
     ///
     /// # Errors
     ///
-    /// Returns [`VProfileError::EmptyModel`] for an empty cluster list and
-    /// [`VProfileError::MixedDimensions`] if clusters disagree on edge-set
-    /// dimensionality.
-    pub(crate) fn from_clusters(
-        clusters: Vec<ClusterStats>,
-        config: VProfileConfig,
-    ) -> Result<Self, VProfileError> {
-        if clusters.is_empty() {
-            return Err(VProfileError::EmptyModel);
-        }
-        let dim = clusters[0].dim();
-        for c in &clusters {
-            if c.dim() != dim {
-                return Err(VProfileError::MixedDimensions {
-                    expected: dim,
-                    actual: c.dim(),
-                });
-            }
-        }
+    /// [`VProfileError::EmptyModel`] for no clusters, and
+    /// [`VProfileError::InvalidModel`] naming the first broken invariant.
+    pub(crate) fn from_stored(stored: StoredModel) -> Result<Self, VProfileError> {
+        let StoredModel {
+            clusters: stored,
+            config,
+        } = stored;
+        config.check()?;
+        let dim = stored.first().ok_or(VProfileError::EmptyModel)?.mean.len();
+        let mut clusters = Vec::with_capacity(stored.len());
         let mut sa_lut = BTreeMap::new();
-        for (idx, cluster) in clusters.iter().enumerate() {
-            for sa in &cluster.sas {
-                sa_lut.insert(sa.raw(), idx);
+        for (idx, cluster) in stored.into_iter().enumerate() {
+            let id = ClusterId(idx);
+            let cluster = cluster.into_stats(id, dim, config.metric)?;
+            for &sa in &cluster.sas {
+                if let Some(first) = sa_lut.insert(sa, id) {
+                    return Err(InvalidModel::DuplicateSa {
+                        sa,
+                        first,
+                        second: id,
+                    }
+                    .into());
+                }
             }
+            clusters.push(cluster);
         }
+        let rows = match config.metric {
+            DistanceMetric::Euclidean => None,
+            DistanceMetric::Mahalanobis => {
+                let gaussians: Vec<&Gaussian> =
+                    clusters.iter().filter_map(ClusterStats::gaussian).collect();
+                let rows = BatchedMahalanobis::from_gaussians(&gaussians)?;
+                if let Some(c) = (0..clusters.len()).find(|&c| !rows.is_finite(c)) {
+                    return Err(InvalidModel::NonFiniteRows {
+                        cluster: ClusterId(c),
+                    }
+                    .into());
+                }
+                Some(rows)
+            }
+        };
         Ok(Model {
             clusters,
             sa_lut,
+            rows,
             config,
         })
+    }
+
+    /// The model's sufficient statistics, the form it serializes as.
+    fn stored(&self) -> StoredModel {
+        let clusters = self
+            .clusters
+            .iter()
+            .map(|c| StoredCluster {
+                sas: c.sas.clone(),
+                mean: c.mean.clone(),
+                gaussian: c.gaussian.as_ref().map(|g| StoredGaussian {
+                    covariance: g.covariance().clone(),
+                }),
+                max_distance: c.max_distance,
+                count: c.count,
+                extraction_threshold: c.extraction_threshold,
+            })
+            .collect();
+        StoredModel {
+            clusters,
+            config: self.config.clone(),
+        }
     }
 
     /// Number of ECU clusters.
@@ -156,7 +324,13 @@ impl Model {
     /// The cluster a source address belongs to, or `None` for an SA the
     /// model has never seen (trivially detectable intruders, §3.1).
     pub fn lookup_sa(&self, sa: SourceAddress) -> Option<ClusterId> {
-        self.sa_lut.get(&sa.raw()).copied().map(ClusterId)
+        self.sa_lut.get(&sa).copied()
+    }
+
+    /// The SA → cluster table (`clustSaLut`), derived from the clusters'
+    /// SA lists.
+    pub fn sa_table(&self) -> &BTreeMap<SourceAddress, ClusterId> {
+        &self.sa_lut
     }
 
     /// The distance metric the model was trained with.
@@ -171,22 +345,42 @@ impl Model {
 
     /// Edge-set dimensionality the model expects.
     pub fn dim(&self) -> usize {
-        // xtask: allow(hot-path-panic): a trained model always holds at least one cluster
+        // xtask: allow(hot-path-panic): a model always holds at least one cluster
         self.clusters[0].dim()
     }
 
-    /// The nearest cluster to `x` under the model metric, with its
-    /// distance — the `predClust`/`minDist` scan of Algorithm 3.
+    /// The stacked Mahalanobis scoring rows, one block per cluster;
+    /// `None` for a Euclidean model.
+    pub fn scoring_rows(&self) -> Option<&BatchedMahalanobis> {
+        self.rows.as_ref()
+    }
+
+    /// The nearest cluster to `x` with its distance — the
+    /// `predClust`/`minDist` scan of Algorithm 3, seeded with the cluster
+    /// the frame claims. A Mahalanobis model runs the seeded scan over its
+    /// stacked rows ([`BatchedMahalanobis::nearest_to`]); a Euclidean one
+    /// scans every cluster mean and ignores the claim. Either way the
+    /// answer is the first strict minimum in cluster order, and nothing is
+    /// allocated.
     ///
     /// # Errors
     ///
-    /// Propagates distance failures (dimension mismatch, missing
-    /// covariance).
-    pub fn nearest_cluster(&self, x: &[f64]) -> Result<(ClusterId, f64), VProfileError> {
+    /// [`VProfileError::Numeric`] if `x` has the wrong dimension or, for a
+    /// Mahalanobis model, `claimed` is out of range.
+    // xtask: hot-path
+    pub fn nearest_to(
+        &self,
+        x: &[f64],
+        claimed: ClusterId,
+    ) -> Result<(ClusterId, f64), VProfileError> {
+        if let Some(rows) = &self.rows {
+            let (nearest, distance) = rows.nearest_to(x, claimed.0)?;
+            return Ok((ClusterId(nearest), distance));
+        }
         let mut best: Option<(ClusterId, f64)> = None;
         for (idx, cluster) in self.clusters.iter().enumerate() {
-            let d = cluster.distance(x, self.config.metric)?;
-            if best.map(|(_, bd)| d < bd).unwrap_or(true) {
+            let d = euclidean(x, &cluster.mean)?;
+            if best.is_none_or(|(_, bd)| d < bd) {
                 best = Some((ClusterId(idx), d));
             }
         }
@@ -197,86 +391,120 @@ impl Model {
     /// [`crate::EdgeSetExtractor`] for this cluster should then be built
     /// with [`crate::EdgeSetExtractor::with_threshold`].
     ///
+    /// # Errors
+    ///
+    /// [`InvalidModel::NonFinite`] for a NaN or infinite threshold.
+    ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn set_extraction_threshold(&mut self, id: ClusterId, threshold: f64) {
+    pub fn set_extraction_threshold(
+        &mut self,
+        id: ClusterId,
+        threshold: f64,
+    ) -> Result<(), VProfileError> {
+        if !threshold.is_finite() {
+            return Err(InvalidModel::NonFinite {
+                cluster: id,
+                field: "extraction_threshold",
+            }
+            .into());
+        }
         self.clusters[id.0].extraction_threshold = Some(threshold);
+        Ok(())
+    }
+}
+
+impl Serialize for Model {
+    fn to_content(&self) -> Content {
+        self.stored().to_content()
+    }
+}
+
+impl<'de> Deserialize<'de> for Model {
+    /// Deserializes the sufficient statistics and builds the model through
+    /// [`Model::from_stored`], so it validates exactly as
+    /// [`Model::from_json`] does.
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        Model::from_stored(StoredModel::from_content(content)?)
+            .map_err(|err| DeError::custom(format!("model rejected: {err}")))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vprofile_sigstat::Matrix;
 
-    fn stats(sa: u8, mean: Vec<f64>, with_gaussian: bool) -> ClusterStats {
-        let gaussian = with_gaussian.then(|| {
-            Gaussian::from_moments(mean.clone(), Matrix::identity(mean.len()), 10).unwrap()
-        });
-        ClusterStats {
+    fn config() -> VProfileConfig {
+        VProfileConfig::for_adc(&vprofile_analog::AdcConfig::vehicle_b(), 250_000)
+    }
+
+    fn stats(sa: u8, mean: Vec<f64>) -> StoredCluster {
+        let dim = mean.len();
+        StoredCluster {
             sas: vec![SourceAddress(sa)],
             mean,
-            gaussian,
+            gaussian: Some(StoredGaussian {
+                covariance: Matrix::identity(dim),
+            }),
             max_distance: 1.0,
             count: 10,
             extraction_threshold: None,
         }
     }
 
+    fn build(clusters: Vec<StoredCluster>) -> Result<Model, VProfileError> {
+        Model::from_stored(StoredModel {
+            clusters,
+            config: config(),
+        })
+    }
+
     #[test]
     fn model_requires_clusters() {
-        let config =
-            crate::VProfileConfig::for_adc(&vprofile_analog::AdcConfig::vehicle_b(), 250_000);
-        assert_eq!(
-            Model::from_clusters(vec![], config).unwrap_err(),
-            VProfileError::EmptyModel
-        );
+        assert_eq!(build(vec![]).unwrap_err(), VProfileError::EmptyModel);
     }
 
     #[test]
     fn model_rejects_mixed_dimensions() {
-        let config =
-            crate::VProfileConfig::for_adc(&vprofile_analog::AdcConfig::vehicle_b(), 250_000);
-        let err = Model::from_clusters(
-            vec![stats(1, vec![0.0; 4], true), stats(2, vec![0.0; 8], true)],
-            config,
-        )
-        .unwrap_err();
-        assert!(matches!(err, VProfileError::MixedDimensions { .. }));
+        let err = build(vec![stats(1, vec![0.0; 4]), stats(2, vec![0.0; 8])]).unwrap_err();
+        assert!(matches!(
+            err,
+            VProfileError::InvalidModel(InvalidModel::MixedDimensions {
+                cluster: ClusterId(1),
+                ..
+            })
+        ));
     }
 
     #[test]
     fn sa_lut_maps_every_cluster_sa() {
-        let config =
-            crate::VProfileConfig::for_adc(&vprofile_analog::AdcConfig::vehicle_b(), 250_000);
-        let model = Model::from_clusters(
-            vec![stats(1, vec![0.0; 4], true), stats(9, vec![5.0; 4], true)],
-            config,
-        )
-        .unwrap();
+        let model = build(vec![stats(1, vec![0.0; 4]), stats(9, vec![5.0; 4])]).unwrap();
         assert_eq!(model.lookup_sa(SourceAddress(1)), Some(ClusterId(0)));
         assert_eq!(model.lookup_sa(SourceAddress(9)), Some(ClusterId(1)));
         assert_eq!(model.lookup_sa(SourceAddress(77)), None);
+        assert_eq!(model.sa_table().len(), 2);
     }
 
     #[test]
-    fn nearest_cluster_finds_minimum() {
-        let config =
-            crate::VProfileConfig::for_adc(&vprofile_analog::AdcConfig::vehicle_b(), 250_000);
-        let model = Model::from_clusters(
-            vec![stats(1, vec![0.0; 4], true), stats(2, vec![10.0; 4], true)],
-            config,
-        )
-        .unwrap();
-        let (id, d) = model.nearest_cluster(&[9.0; 4]).unwrap();
-        assert_eq!(id, ClusterId(1));
-        assert!((d - 2.0).abs() < 1e-12); // identity covariance: sqrt(4*1)
+    fn nearest_to_finds_minimum_from_either_claim() {
+        let model = build(vec![stats(1, vec![0.0; 4]), stats(2, vec![10.0; 4])]).unwrap();
+        for claimed in [ClusterId(0), ClusterId(1)] {
+            let (id, d) = model.nearest_to(&[9.0; 4], claimed).unwrap();
+            assert_eq!(id, ClusterId(1));
+            assert!((d - 2.0).abs() < 1e-12); // identity covariance: sqrt(4*1)
+        }
     }
 
     #[test]
     fn euclidean_cluster_rejects_mahalanobis_queries() {
-        let c = stats(1, vec![0.0; 4], false);
+        let model = Model::from_stored(StoredModel {
+            clusters: vec![stats(1, vec![0.0; 4])],
+            config: config().with_metric(DistanceMetric::Euclidean),
+        })
+        .unwrap();
+        let c = model.cluster(ClusterId(0));
+        assert!(c.gaussian().is_none());
         assert_eq!(
             c.distance(&[1.0; 4], DistanceMetric::Mahalanobis)
                 .unwrap_err(),
@@ -287,34 +515,17 @@ mod tests {
 
     #[test]
     fn extraction_threshold_is_settable() {
-        let config =
-            crate::VProfileConfig::for_adc(&vprofile_analog::AdcConfig::vehicle_b(), 250_000);
-        let mut model = Model::from_clusters(vec![stats(1, vec![0.0; 4], true)], config).unwrap();
+        let mut model = build(vec![stats(1, vec![0.0; 4])]).unwrap();
         assert_eq!(model.cluster(ClusterId(0)).extraction_threshold(), None);
-        model.set_extraction_threshold(ClusterId(0), 2047.5);
+        model
+            .set_extraction_threshold(ClusterId(0), 2047.5)
+            .unwrap();
         assert_eq!(
             model.cluster(ClusterId(0)).extraction_threshold(),
             Some(2047.5)
         );
-    }
-
-    #[test]
-    fn model_serde_round_trip() {
-        let config =
-            crate::VProfileConfig::for_adc(&vprofile_analog::AdcConfig::vehicle_b(), 250_000);
-        let model = Model::from_clusters(
-            vec![stats(1, vec![0.0; 3], true), stats(2, vec![4.0; 3], true)],
-            config,
-        )
-        .unwrap();
-        let json = serde_json_like(&model);
-        assert!(json.contains("max_distance") || !json.is_empty());
-    }
-
-    /// Serde smoke check without pulling in serde_json: round-trip through
-    /// the `Debug` representation's non-emptiness plus a bincode-less
-    /// equality of a clone.
-    fn serde_json_like(model: &Model) -> String {
-        format!("{model:?}")
+        assert!(model
+            .set_extraction_threshold(ClusterId(0), f64::NAN)
+            .is_err());
     }
 }

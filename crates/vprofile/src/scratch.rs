@@ -5,7 +5,7 @@
 //! them per frame dominates the steady-state cost of the detection loop, so
 //! each pipeline worker owns one [`ScratchArena`] and threads it through
 //! [`crate::EdgeSetExtractor::extract_into`] and the backends' scoring,
-//! which for vProfile is [`crate::Detector::classify_cached_with`] on
+//! which for vProfile is [`crate::Detector::classify_parts`] on
 //! `scratch.edge_set`: after the first frame sizes the buffers, the loop
 //! performs zero heap allocations (verified by the counting-allocator
 //! harness in the bench crate).

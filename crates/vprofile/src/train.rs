@@ -2,10 +2,11 @@
 //! extension of §4.2.2 ("Updates to vProfile").
 
 use crate::cluster::{cluster_by_distance, cluster_by_lut, group_by_sa, ClusterData};
-use crate::{ClusterId, ClusterStats, LabeledEdgeSet, Model, VProfileConfig, VProfileError};
+use crate::model::{StoredCluster, StoredGaussian, StoredModel};
+use crate::{ClusterId, LabeledEdgeSet, Model, VProfileConfig, VProfileError};
 use std::collections::BTreeMap;
 use vprofile_can::SourceAddress;
-use vprofile_sigstat::{CovarianceEstimate, DistanceMetric, Gaussian};
+use vprofile_sigstat::{euclidean, CovarianceEstimate, DistanceMetric, Gaussian, SigStatError};
 
 /// Trains vProfile models from labeled edge sets.
 ///
@@ -66,15 +67,15 @@ impl Trainer {
         self.build_model(clusters)
     }
 
-    /// Fits per-cluster statistics and assembles the model: means,
-    /// covariance matrices (Mahalanobis only), and the per-cluster
-    /// max-distance thresholds of Algorithm 2.
+    /// Fits per-cluster statistics and builds the model from them, as a
+    /// load does: means, covariance matrices (Mahalanobis only), and the
+    /// per-cluster max-distance thresholds of Algorithm 2.
     fn build_model(&self, clusters: Vec<ClusterData>) -> Result<Model, VProfileError> {
         if clusters.is_empty() {
             return Err(VProfileError::EmptyModel);
         }
         let need = self.config.min_cluster_observations();
-        let mut stats = Vec::with_capacity(clusters.len());
+        let mut stored = Vec::with_capacity(clusters.len());
         for cluster in clusters {
             if cluster.edge_sets.len() < need {
                 return Err(VProfileError::NotEnoughTrainingData {
@@ -99,31 +100,49 @@ impl Trainer {
                 .collect();
             let estimate = CovarianceEstimate::fit(&observations, self.config.max_ridge)?;
             let count = estimate.count;
-            let (mean, gaussian) = match self.config.metric {
-                DistanceMetric::Euclidean => (estimate.mean, None),
+            // clustMaxDists: the largest training distance to the fit, through
+            // the per-cluster kernel.
+            let (mean, gaussian, max_distance) = match self.config.metric {
+                DistanceMetric::Euclidean => {
+                    let max_distance =
+                        largest_distance(&observations, |obs| euclidean(obs, &estimate.mean))?;
+                    (estimate.mean, None, max_distance)
+                }
                 DistanceMetric::Mahalanobis => {
                     let gaussian = Gaussian::from_estimate(estimate)?;
-                    (gaussian.mean().to_vec(), Some(gaussian))
+                    let max_distance =
+                        largest_distance(&observations, |obs| gaussian.mahalanobis(obs))?;
+                    let covariance = gaussian.covariance().clone();
+                    let stored = Some(StoredGaussian { covariance });
+                    (gaussian.mean().to_vec(), stored, max_distance)
                 }
             };
-            let mut entry = ClusterStats {
+            stored.push(StoredCluster {
                 sas: cluster.sas,
                 mean,
                 gaussian,
-                max_distance: 0.0,
+                max_distance,
                 count,
                 extraction_threshold: None,
-            };
-            let mut max_distance = 0.0f64;
-            for obs in &observations {
-                let d = entry.distance(obs, self.config.metric)?;
-                max_distance = max_distance.max(d);
-            }
-            entry.max_distance = max_distance;
-            stats.push(entry);
+            });
         }
-        Model::from_clusters(stats, self.config.clone())
+        Model::from_stored(StoredModel {
+            clusters: stored,
+            config: self.config.clone(),
+        })
     }
+}
+
+/// The largest of `distance` over the observations (zero for none).
+fn largest_distance(
+    observations: &[Vec<f64>],
+    distance: impl Fn(&[f64]) -> Result<f64, SigStatError>,
+) -> Result<f64, SigStatError> {
+    let mut max = 0.0f64;
+    for obs in observations {
+        max = max.max(distance(obs)?);
+    }
+    Ok(max)
 }
 
 /// All training edge sets must share one dimensionality before clustering

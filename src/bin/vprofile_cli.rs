@@ -175,18 +175,7 @@ fn detect(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let extracted = capture.extract(&extractor);
     let mut messages = vprofile_suite::vehicle::attack::false_positive_test(&extracted);
     if hijack > 0.0 {
-        // Rebuild the LUT from the model for the synthetic hijack replay.
-        let lut: BTreeMap<_, _> = model
-            .clusters()
-            .iter()
-            .enumerate()
-            .flat_map(|(idx, c)| {
-                c.sas()
-                    .iter()
-                    .map(move |&sa| (sa, vprofile_suite::core::ClusterId(idx)))
-            })
-            .collect();
-        messages = hijack_imitation_test(&extracted, &lut, hijack, 0xC11);
+        messages = hijack_imitation_test(&extracted, model.sa_table(), hijack, 0xC11);
     }
 
     let detector = Detector::with_margin(&model, margin);

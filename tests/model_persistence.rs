@@ -25,23 +25,14 @@ fn model_round_trips_through_json() {
     let json = serde_json::to_string(&model).expect("serializes");
     let restored: Model = serde_json::from_str(&json).expect("deserializes");
 
-    // JSON float parsing can be one ULP off, so equality is behavioural:
-    // same structure, statistics within numerical tolerance, and — the
-    // property a deployed monitor needs — identical verdicts.
-    assert_eq!(restored.cluster_count(), model.cluster_count());
-    for (a, b) in restored.clusters().iter().zip(model.clusters()) {
-        assert_eq!(a.sas(), b.sas());
-        assert_eq!(a.count(), b.count());
-        let rel = (a.max_distance() - b.max_distance()).abs() / b.max_distance();
-        assert!(rel < 1e-9, "max distance drifted by {rel}");
-    }
+    // The file holds the statistics, and loading re-derives the factors
+    // and scoring rows from them: the same model, and — the property a
+    // deployed monitor needs — the same verdicts.
+    assert_eq!(restored, model);
     let before = Detector::with_margin(&model, 1.5);
     let after = Detector::with_margin(&restored, 1.5);
     for obs in observations.iter().take(200) {
-        assert_eq!(
-            before.classify(obs).is_anomaly(),
-            after.classify(obs).is_anomaly()
-        );
+        assert_eq!(before.classify(obs), after.classify(obs));
     }
 }
 
