@@ -646,13 +646,14 @@ impl IdsPipeline {
                 checkpoint_interval,
                 restart_budget: config.restart_budget,
                 backoff_base_ms: config.backoff_base_ms,
-                health: config.health,
             };
-            let worker_engine = engine.clone();
-            let worker_shadows = shadows.clone();
-            worker_handles.push(std::thread::spawn(move || {
-                supervised_worker(worker_engine, worker_shadows, rt)
-            }));
+            // Built here, restart checkpoint included, so that a worker
+            // allocates nothing until it scores: per-thread allocator
+            // arenas keep what their threads once held, and a worker that
+            // copied its engine on start-up would leave an engine-sized
+            // block behind even when closed unused.
+            let state = WorkerState::new(engine.clone(), shadows.clone(), config.health);
+            worker_handles.push(std::thread::spawn(move || supervised_worker(state, rt)));
         }
 
         // The router keeps the last scored sender, for its DropOldest shed
@@ -1087,7 +1088,6 @@ struct WorkerRuntime {
     checkpoint_interval: usize,
     restart_budget: u32,
     backoff_base_ms: u64,
-    health: HealthConfig,
 }
 
 /// Mutable worker state that survives a panic of the scoring loop: the
@@ -1111,6 +1111,23 @@ struct WorkerState {
 }
 
 impl WorkerState {
+    /// A shard's state before its first window: `engine` and `shadows`,
+    /// each with its restart checkpoint.
+    fn new(engine: CoreEngine, shadows: Vec<IdsEngine>, health: HealthConfig) -> Self {
+        WorkerState {
+            checkpoint: engine.clone(),
+            engine,
+            shadow_checkpoints: shadows.clone(),
+            shadows,
+            pending: VecDeque::new(),
+            batch: Vec::new(),
+            window: Vec::new(),
+            in_flight: None,
+            monitor: HealthMonitor::new(health),
+            processed: 0,
+        }
+    }
+
     /// Refreshes the restart checkpoint — primary and shadows together,
     /// so a rollback replays both from the same stream position.
     fn refresh_checkpoint(&mut self) {
@@ -1333,23 +1350,11 @@ fn outcome_of(event: &IdsEvent) -> WindowOutcome {
 /// exponential backoff); past the budget the shard fails permanently and
 /// its windows drain as [`IdsEvent::Dropped`] placeholders so the merger's
 /// reorder buffer never stalls on a sequence gap.
-fn supervised_worker(engine: CoreEngine, shadows: Vec<IdsEngine>, rt: WorkerRuntime) -> CoreEngine {
+fn supervised_worker(mut state: WorkerState, rt: WorkerRuntime) -> CoreEngine {
     // Held for the whole thread: if this worker dies in any way
     // supervision does not cover, `feed` must not park forever on a ring
     // nobody will ever drain again.
     let _consumer_guard = RingConsumerGuard(Arc::clone(&rt.ring));
-    let mut state = WorkerState {
-        checkpoint: engine.clone(),
-        engine,
-        shadow_checkpoints: shadows.clone(),
-        shadows,
-        pending: VecDeque::new(),
-        batch: Vec::new(),
-        window: Vec::new(),
-        in_flight: None,
-        monitor: HealthMonitor::new(rt.health),
-        processed: 0,
-    };
     let mut restarts = 0u32;
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| state.run(&rt)));
