@@ -38,9 +38,10 @@
 //! The pipeline rows then run the vProfile engine through
 //! [`vprofile_ids::IdsPipeline`] at 1 and 2 workers, feed to last event,
 //! with the chunks built before the counters start and one warm-up pass
-//! first. What remains is the `Arc` each fed chunk moves into, the std
-//! channels' blocks (one per 31 messages on each of the two event
-//! channels) and the supervisor's engine checkpoint every 256 windows.
+//! first. What remains is the `Arc` each fed chunk moves into, the event
+//! channel's blocks (one per 31 events; the pipeline has no other
+//! channel on its per-frame path) and the supervisor's engine checkpoint
+//! every 256 windows.
 //! The process exits non-zero at one or more allocations per frame, which
 //! would mean a per-window allocation came back. A JSON artifact with
 //! every counter delta is written for the benchmark record.

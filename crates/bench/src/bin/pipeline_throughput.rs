@@ -53,8 +53,9 @@ struct WorkerRun {
     shard_frames: Vec<u64>,
     /// Cumulative per-stage nanoseconds (splitting inside `feed`, copies
     /// of chunk-straddling windows, worker extraction, worker scoring,
-    /// merger reordering). Worker stages sum across workers, so they can
-    /// exceed the run's wall clock.
+    /// the reorder-and-emit merge on whichever thread finished a window).
+    /// These stages sum across threads, so they can exceed the run's wall
+    /// clock.
     stage_ns: StageBreakdown,
 }
 

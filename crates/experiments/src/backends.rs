@@ -98,7 +98,7 @@ pub struct BackendReport {
 /// differ only in the detectors themselves. One extra shadow-mode replay
 /// (vProfile primary, the three baselines as passive shadows) supplies
 /// the per-shadow disagreement counts and the shadow-stage wall clock
-/// that the merger counts but previously never reported.
+/// that the pipeline counts but previously never reported.
 ///
 /// # Errors
 ///
@@ -157,7 +157,7 @@ pub fn backend_comparison(seed: u64, frames: usize) -> Result<Vec<BackendReport>
     }
 
     // Shadow-mode replay: the primary carries the three baselines as
-    // passive shadows, surfacing the merger's per-shadow disagreement
+    // passive shadows, surfacing the pipeline's per-shadow disagreement
     // counters and the shadow-stage clock in the report.
     let primary = IdsEngine::with_backend(
         backends[0].clone(),

@@ -4,12 +4,14 @@
 //! Shard workers own disjoint SA slots, so fusion *decisions* need no
 //! shared state — but operators want one chronological answer to "what
 //! drifted, when, and which voter dropped out?" across the whole
-//! pipeline. The merger records notable fusion frames here after it has
-//! released the stats lock.
+//! pipeline. The pipeline records notable fusion frames here inside the
+//! critical section that counts and emits them, so records keep framing
+//! order across shards.
 //!
 //! Lock discipline: the ledger's internal mutex (`fusion_ledger` in
-//! `lock-order.toml`) is a leaf lock — it is acquired last and never
-//! held across a blocking call or another lock acquisition.
+//! `lock-order.toml`) is a leaf lock — it nests under the pipeline's
+//! stats lock, is acquired last, and is never held across a blocking call
+//! or another lock acquisition.
 
 use crate::drift::DriftVerdict;
 use parking_lot::Mutex;

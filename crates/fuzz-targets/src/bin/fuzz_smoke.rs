@@ -12,7 +12,8 @@
 //! clean frame windows and streams, chaos-corrupted twins (dropout, EMI
 //! burst, non-finite DMA words), and truncations. The feed target starts
 //! from the framer's streams plus the clean stream with one NaN in a
-//! cluster-0 frame's edge set. The model target starts from a clean model
+//! cluster-0 frame's edge set, and a run of twelve unparseable windows.
+//! The model target starts from a clean model
 //! file and one edit per invariant model loading checks; regeneration
 //! rewrites only those, so the committed files in the format before the
 //! stored factor was dropped (`old_*.json`) stay as they were written. The
@@ -35,7 +36,8 @@ use vprofile::ScratchArena;
 use vprofile_analog::Fault;
 use vprofile_fuzz_targets::{
     decode_samples, encode_samples, extractor, extractor_target, feed_target, framer_target,
-    model_json_seeds, model_json_target, nan_in_edge_set, FramerInput, CORPUS_SEED,
+    model_json_seeds, model_json_target, nan_in_edge_set, unparseable_blips, FramerInput,
+    CORPUS_SEED,
 };
 use vprofile_vehicle::scenario::{chaos_inject, chaos_stream};
 use vprofile_vehicle::{CaptureConfig, Vehicle};
@@ -432,6 +434,10 @@ fn regen_corpus(dir: &Path) -> Result<usize, String> {
     let poisoned =
         nan_in_edge_set(&clean).ok_or("the clean stream has no cluster-0 frame to poison")?;
     write("feed", "nan_in_edge_set.bin", &poisoned.encode())?;
+    // Feed only: twelve unparseable windows in a row, which a breaker
+    // configured never to trip must score, one extraction failure each.
+    let blips = unparseable_blips(12).ok_or("the feed target's engine is unavailable")?;
+    write("feed", "unparseable_run.bin", &blips.encode())?;
 
     // Extractor corpus: single frame windows — clean, chaos-corrupted,
     // non-finite, and a truncation.

@@ -375,6 +375,29 @@ pub fn nan_in_edge_set(input: &FramerInput) -> Option<FramerInput> {
     None
 }
 
+/// `count` unparseable windows in a row, in the feed target's geometry:
+/// 20-sample dominant blips, each closed by an idle gap of twice the
+/// framer's end-of-frame run. Every blip frames as a window whose
+/// extraction fails, so a breaker that trips on a run of failures would
+/// turn the pipeline's events into `Degraded` ones the engine never emits.
+/// `None` when the feed target's engine is unavailable.
+pub fn unparseable_blips(count: usize) -> Option<FramerInput> {
+    let config = feed_engine().as_ref().ok()?.config();
+    let idle = vec![0.0; (16.0 * config.bit_width_samples) as usize];
+    let blip = [2.0 * config.bit_threshold; 20];
+    let mut samples = idle.clone();
+    for _ in 0..count {
+        samples.extend_from_slice(&blip);
+        samples.extend_from_slice(&idle);
+    }
+    Some(FramerInput {
+        bit_width: config.bit_width_samples,
+        threshold: config.bit_threshold,
+        chunk: 131,
+        samples,
+    })
+}
+
 /// The fixed extractor configuration the extractor target runs under: the
 /// deployment ADC at the workspace's standard 500 kbit/s.
 pub fn extractor() -> EdgeSetExtractor {
@@ -664,7 +687,7 @@ mod tests {
             }
         }
         assert!(
-            replayed >= 36,
+            replayed >= 37,
             "expected a seeded corpus, got {replayed} files"
         );
     }

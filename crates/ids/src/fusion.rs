@@ -82,7 +82,7 @@ pub struct FusedScore {
 }
 
 /// Compact per-frame fusion telemetry attached to the pipeline's scored
-/// items and surfaced through [`FusionPipeline::fusion_events`] and the
+/// windows and surfaced through [`FusionPipeline::fusion_events`] and the
 /// fusion counters in [`PipelineStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FusionRecord {
@@ -109,8 +109,9 @@ pub struct FusionRecord {
     pub outage: Option<u8>,
 }
 
-/// Emitted by the pipeline merger for every *notable* fusion frame — one
-/// carrying a drift verdict or a voter outage — in framing order.
+/// Emitted by the pipeline for every *notable* fusion frame — one carrying
+/// a drift verdict or a voter outage — in framing order, just before the
+/// frame's own event and in the critical section that counts it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FusionEvent {
     /// Sample index of the frame's first sample in the input stream.

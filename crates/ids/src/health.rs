@@ -138,7 +138,8 @@ pub struct HealthConfig {
     /// failure must not blackout a shard).
     pub min_samples: usize,
     /// Failure ratio (extraction failures + unscorable verdicts over the
-    /// rolling window) at which the breaker opens.
+    /// rolling window) at which the breaker opens. A ratio never exceeds
+    /// 1, so a value above 1 never opens the breaker.
     pub trip_ratio: f64,
     /// While open, score every `probe_interval`-th window as a recovery
     /// probe.
@@ -189,7 +190,7 @@ impl HealthMonitor {
             config: HealthConfig {
                 window: config.window.max(1),
                 min_samples: config.min_samples.max(1),
-                trip_ratio: config.trip_ratio.clamp(0.0, 1.0),
+                trip_ratio: config.trip_ratio.max(0.0),
                 probe_interval: config.probe_interval.max(1),
                 close_after: config.close_after.max(1),
             },
@@ -420,6 +421,19 @@ mod tests {
         m.note_sa(0x10);
         assert_eq!(m.drain_recent_sas(), vec![0x10, 0x11]);
         assert!(m.drain_recent_sas().is_empty());
+    }
+
+    #[test]
+    fn trip_ratio_above_one_never_trips() {
+        let mut m = HealthMonitor::new(HealthConfig {
+            trip_ratio: 2.0,
+            ..HealthConfig::default()
+        });
+        for _ in 0..100 {
+            assert_eq!(m.observe(WindowOutcome::ExtractionFailure), None);
+            assert_eq!(m.observe(WindowOutcome::Unscorable), None);
+        }
+        assert_eq!(m.state(), BreakerState::Closed);
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //! * [`IdsPipeline`] — a threaded, sharded wrapper: [`IdsPipeline::feed`]
 //!   *splits* each chunk into frame windows on the calling thread (peeking
 //!   only the arbitration field) and routes each window to one of N
-//!   detection workers by a stable hash of the claimed source address
-//!   ([`stable_shard`], seedable via [`stable_shard_seeded`]) over bounded
-//!   per-shard SPSC rings with batched hand-off. Frames are located once:
-//!   workers score each window in place, so every worker owns a disjoint
-//!   set of per-SA cluster state; a merger re-serializes events through a
-//!   sequence-numbered [`ReorderBuffer`], making the output order
-//!   deterministic and identical to a single-worker run;
+//!   detection workers by a stable, seedable hash of the claimed source
+//!   address ([`stable_shard_seeded`]) over bounded per-shard SPSC rings
+//!   with batched hand-off. Frames are located once: workers score each
+//!   window in place, so every worker owns a disjoint set of per-SA
+//!   cluster state. The worker that finishes a window merges it, under the
+//!   stats lock, through a sequence-numbered [`ReorderBuffer`], making the
+//!   output order deterministic and identical to a single-worker run;
 //! * self-healing — each worker runs under a supervisor that absorbs
 //!   panics and restarts the shard from a checkpointed engine snapshot
 //!   (bounded budget, exponential backoff), a per-shard circuit breaker
@@ -96,7 +96,7 @@ pub use period::{PeriodMonitor, PeriodVerdict};
 pub use pipeline::{IdsPipeline, PipelineConfig, PipelineError, PipelineStats, StageBreakdown};
 pub use reorder::ReorderBuffer;
 pub use shadow::{ShadowEvent, ShadowPipeline, ShadowVerdict};
-pub use shard::{stable_shard, stable_shard_seeded};
+pub use shard::stable_shard_seeded;
 pub use vprofile_detector_core::{
     BackendSnapshot, DetectionBackend, SnapshotError, VProfileBackend,
 };

@@ -17,27 +17,31 @@
 //!   each worker owns a *disjoint* set of per-SA cluster state, so online
 //!   updates never race across workers.
 //!
-//! Behind the rings run
+//! Behind the rings run **N supervised detection workers**, each owning a
+//! clone of the [`IdsEngine`], and they are the only threads a pipeline
+//! starts. A routed segment already *is* the framer's window, so the
+//! worker scores it in place: a frame that closed in its own chunk is
+//! borrowed from that chunk, and only a frame straddling a chunk boundary
+//! is copied once into a reusable per-worker buffer. Each worker runs
+//! under a supervisor that catches panics and respawns the scoring loop
+//! from a periodically-refreshed engine checkpoint, with exponential
+//! backoff and a bounded restart budget; past the budget the shard fails
+//! permanently and its windows drain as [`IdsEvent::Dropped`]
+//! placeholders. Each worker also runs a
+//! [`crate::health::HealthMonitor`]: sustained extraction failures or
+//! unscorable verdicts trip a circuit breaker into degraded mode
+//! ([`IdsEvent::Degraded`] instead of hard verdicts, affected SAs
+//! quarantined from online updates) until recovery probes succeed.
 //!
-//! * **N supervised detection workers**, each owning a clone of the
-//!   [`IdsEngine`]. A routed segment already *is* the framer's window, so
-//!   the worker scores it in place: a frame that closed in its own chunk
-//!   is borrowed from that chunk, and only a frame straddling a chunk
-//!   boundary is copied once into a reusable per-worker buffer. Each
-//!   worker runs under a supervisor that catches panics and respawns the
-//!   scoring loop from a periodically-refreshed engine checkpoint, with
-//!   exponential backoff and a bounded restart budget; past the budget the
-//!   shard fails permanently and its windows drain as
-//!   [`IdsEvent::Dropped`] placeholders. Each worker also runs a
-//!   [`crate::health::HealthMonitor`]: sustained extraction failures or
-//!   unscorable verdicts trip a circuit breaker into degraded mode
-//!   ([`IdsEvent::Degraded`] instead of hard verdicts, affected SAs
-//!   quarantined from online updates) until recovery probes succeed;
-//! * a **merger** that feeds events through a [`crate::ReorderBuffer`]
-//!   keyed by the feed's sequence numbers, so the emitted event order is
-//!   deterministic, and updates the shared [`PipelineStats`] *in the same
-//!   critical section* that emits each event — a stats snapshot can
-//!   therefore never disagree with the events already delivered.
+//! Merging needs no thread of its own either. Whichever thread finishes
+//! a window — the worker that scored it, its supervisor's restart
+//! placeholder, a failed shard's drain, or `feed` shedding under
+//! `DropOldest` — takes the one lock around the shared [`PipelineStats`]
+//! and pushes the window into a [`crate::ReorderBuffer`] keyed by the
+//! feed's sequence numbers (flat combining). In that same critical
+//! section it counts and emits every event now in framing order, so the
+//! emitted order is deterministic and a stats snapshot can never disagree
+//! with the events already delivered.
 //!
 //! Events leave over an unbounded channel. What `feed` does at a full
 //! shard ring (capacity [`PipelineConfig::high_water`] windows) is the
@@ -119,7 +123,7 @@ type FaultHook = Arc<dyn Fn(usize, u64) + Send + Sync>;
 
 /// The engine a shard worker runs: a single-backend [`IdsEngine`] or a
 /// multi-voter [`FusionEngine`]. One enum keeps the routing, supervisor,
-/// breaker, checkpoint, and merger machinery identical for both — a
+/// breaker, checkpoint, and merge machinery identical for both — a
 /// fused pipeline is the same pipeline with a different core.
 #[derive(Debug, Clone)]
 pub(crate) enum CoreEngine {
@@ -218,9 +222,6 @@ pub struct PipelineConfig {
     /// [`IdsPipeline::feed`] does at a full ring is
     /// [`PipelineConfig::backpressure`].
     pub high_water: usize,
-    /// Largest number of queued windows a worker drains per wakeup; the
-    /// batch shares one scoring-cache lookup run.
-    pub batch_max: usize,
     /// What [`IdsPipeline::feed`] does at a full shard ring.
     pub backpressure: BackpressurePolicy,
     /// How many times a panicked worker is respawned from its checkpoint
@@ -249,7 +250,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             workers: 0,
             high_water: 64,
-            batch_max: 32,
             backpressure: BackpressurePolicy::Block,
             restart_budget: 3,
             backoff_base_ms: 5,
@@ -266,7 +266,6 @@ impl std::fmt::Debug for PipelineConfig {
         f.debug_struct("PipelineConfig")
             .field("workers", &self.workers)
             .field("high_water", &self.high_water)
-            .field("batch_max", &self.batch_max)
             .field("backpressure", &self.backpressure)
             .field("restart_budget", &self.restart_budget)
             .field("backoff_base_ms", &self.backoff_base_ms)
@@ -290,13 +289,6 @@ impl PipelineConfig {
     #[must_use]
     pub fn with_high_water(mut self, high_water: usize) -> Self {
         self.high_water = high_water;
-        self
-    }
-
-    /// Sets the per-wakeup worker drain bound.
-    #[must_use]
-    pub fn with_batch_max(mut self, batch_max: usize) -> Self {
-        self.batch_max = batch_max;
         self
     }
 
@@ -357,8 +349,8 @@ impl PipelineConfig {
 ///
 /// The per-frame counters are mutually exclusive and partition the total:
 /// `frames == anomalies + normals + extraction_failures + dropped +
-/// degraded` holds in every snapshot, because the merger updates them in
-/// the same critical section that emits the corresponding event.
+/// degraded` holds in every snapshot, because each is updated in the same
+/// critical section that emits the corresponding event.
 /// `rejected_chunks` counts chunks refused at the feed boundary — a refused
 /// chunk never became frames, so it sits outside the frame identity by
 /// construction. Ring-level shedding is different: a shed window is already
@@ -455,14 +447,14 @@ pub struct StageBreakdown {
     pub frame_ns: u64,
     /// Algorithm 1 edge-set extraction, across all workers.
     pub extract_ns: u64,
-    /// Scoring — cache upkeep, nearest-cluster classification, and online
-    /// update absorption — across all workers.
+    /// Scoring — nearest-cluster classification and online update
+    /// absorption — across all workers.
     pub score_ns: u64,
     /// Shadow-backend scoring (extraction + classification for every
     /// shadow engine), across all workers; zero without shadow mode.
     pub shadow_ns: u64,
-    /// Reorder-buffer pushes and the stats/emit critical sections in the
-    /// merger thread.
+    /// The merge critical sections — reorder-buffer push, counting and
+    /// event emission — summed over every thread that merges a window.
     pub merge_ns: u64,
 }
 
@@ -498,17 +490,38 @@ struct SegmentItem {
     segment: RawSegment,
 }
 
-/// One event travelling from a worker to the merger. `shadow` is empty
-/// unless the pipeline runs shadow backends, so the non-shadow hot path
-/// stays allocation-free; `fusion` is `None` unless the core is a
-/// [`FusionEngine`] (the record itself is `Copy`, so attaching it costs
-/// no allocation either way).
-struct ScoredItem {
-    seq: u64,
-    shard: usize,
-    event: IdsEvent,
-    shadow: Vec<ShadowVerdict>,
-    fusion: Option<FusionRecord>,
+/// One finished window waiting in the reorder buffer: its shard, event,
+/// shadow verdicts and fusion record. The shadow vector is empty unless
+/// the pipeline runs shadow backends, so the non-shadow hot path stays
+/// allocation-free; the fusion record is `None` unless the core is a
+/// [`FusionEngine`] (the record itself is `Copy`).
+type Finished = (usize, IdsEvent, Vec<ShadowVerdict>, Option<FusionRecord>);
+
+/// What every producing thread merges into, under the one
+/// `pipeline_stats` lock: the counters, the reorder buffer, and the
+/// scratch its releases drain through.
+#[derive(Debug)]
+struct MergeState {
+    stats: PipelineStats,
+    reorder: ReorderBuffer<Finished>,
+    /// Windows released by the current critical section; empty between
+    /// sections.
+    ready: Vec<Finished>,
+}
+
+/// A producing thread's end of the merge: the shared [`MergeState`] and
+/// the thread's own clones of the output senders. Every worker owns one,
+/// and the feed router owns one until the input closes, so the event
+/// stream ends only once the last producer is done, with every notable
+/// fusion frame and shadow event already queued.
+#[derive(Debug, Clone)]
+struct Emitter {
+    merge: Arc<Mutex<MergeState>>,
+    event_tx: Sender<IdsEvent>,
+    shadow_tx: Sender<ShadowEvent>,
+    fusion_tx: Sender<FusionEvent>,
+    ledger: Option<Arc<DriftLedger>>,
+    clocks: Arc<StageClocks>,
 }
 
 /// Live per-shard gauges, written by supervisors and read by
@@ -533,11 +546,10 @@ pub struct IdsPipeline {
     /// [`IdsPipeline::stats`] never waits on a `feed` parked on a ring.
     rejected_chunks: AtomicU64,
     event_rx: Receiver<IdsEvent>,
-    stats: Arc<Mutex<PipelineStats>>,
+    merge: Arc<Mutex<MergeState>>,
     gauges: Arc<Vec<ShardGauges>>,
     clocks: Arc<StageClocks>,
     workers: Vec<JoinHandle<CoreEngine>>,
-    merger: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ShardGauges {
@@ -550,8 +562,8 @@ impl std::fmt::Debug for ShardGauges {
 }
 
 impl IdsPipeline {
-    /// Spawns a single-worker pipeline around an engine — the original
-    /// one-thread-per-stage topology, kept as the compatibility entry point.
+    /// Spawns a single-worker pipeline around an engine; kept as the
+    /// compatibility entry point.
     ///
     /// `ring_capacity` bounds the worker's ring (frame windows, not
     /// samples).
@@ -565,12 +577,13 @@ impl IdsPipeline {
     }
 
     /// Spawns the sharded pipeline: `config.workers` supervised detection
-    /// workers (each a clone of `engine`) and one merging thread; the
-    /// routing runs inside [`IdsPipeline::feed`].
+    /// workers (each a clone of `engine`), the only threads it starts.
+    /// Routing runs inside [`IdsPipeline::feed`], and merging on whichever
+    /// thread finishes a window.
     ///
     /// Windows are routed by a stable hash of the claimed source address,
     /// so each worker owns a disjoint set of per-SA cluster state; the
-    /// merger re-serializes events into framing order, making the output
+    /// merge re-serializes events into framing order, making the output
     /// stream deterministic and — when online updates are disabled —
     /// identical to a single-worker run.
     pub fn spawn_sharded(engine: IdsEngine, config: PipelineConfig) -> Self {
@@ -592,7 +605,7 @@ impl IdsPipeline {
 
     /// Spawns the sharded pipeline around any [`CoreEngine`] — the one
     /// construction path behind every public `spawn*`. `ledger`, when
-    /// given, receives every notable fusion frame from the merger.
+    /// given, receives every notable fusion frame, in framing order.
     pub(crate) fn spawn_core(
         engine: CoreEngine,
         shadows: Vec<IdsEngine>,
@@ -607,28 +620,38 @@ impl IdsPipeline {
             config.workers
         };
         let high_water = config.high_water.max(1);
-        let batch_max = config.batch_max.max(1);
         let checkpoint_interval = config.checkpoint_interval.max(1);
 
         let (event_tx, event_rx) = unbounded::<IdsEvent>();
-        let (scored_tx, scored_rx) = unbounded::<ScoredItem>();
         let (shadow_tx, shadow_rx) = unbounded::<ShadowEvent>();
         let (fusion_tx, fusion_rx) = unbounded::<FusionEvent>();
-        let stats = Arc::new(Mutex::new(PipelineStats {
-            shard_frames: vec![0; workers],
-            shard_sheds: vec![0; workers],
-            queue_depths: vec![0; workers],
-            restarts: vec![0; workers],
-            breaker: vec![BreakerState::Closed; workers],
-            shard_failed: vec![false; workers],
-            quarantined_sas: vec![0; workers],
-            shadow_disagreements: vec![0; shadows.len()],
-            voter_disagreements: vec![0; engine.voter_count()],
-            ..PipelineStats::default()
+        let merge = Arc::new(Mutex::new(MergeState {
+            stats: PipelineStats {
+                shard_frames: vec![0; workers],
+                shard_sheds: vec![0; workers],
+                queue_depths: vec![0; workers],
+                restarts: vec![0; workers],
+                breaker: vec![BreakerState::Closed; workers],
+                shard_failed: vec![false; workers],
+                quarantined_sas: vec![0; workers],
+                shadow_disagreements: vec![0; shadows.len()],
+                voter_disagreements: vec![0; engine.voter_count()],
+                ..PipelineStats::default()
+            },
+            reorder: ReorderBuffer::new(),
+            ready: Vec::new(),
         }));
         let gauges: Arc<Vec<ShardGauges>> =
             Arc::new((0..workers).map(|_| ShardGauges::default()).collect());
         let clocks = Arc::new(StageClocks::default());
+        let emitter = Emitter {
+            merge: Arc::clone(&merge),
+            event_tx,
+            shadow_tx,
+            fusion_tx,
+            ledger,
+            clocks: Arc::clone(&clocks),
+        };
 
         let mut rings: Vec<Arc<SpscRing<SegmentItem>>> = Vec::with_capacity(workers);
         let mut worker_handles = Vec::with_capacity(workers);
@@ -638,11 +661,10 @@ impl IdsPipeline {
             let rt = WorkerRuntime {
                 shard,
                 ring,
-                scored_tx: scored_tx.clone(),
+                emitter: emitter.clone(),
                 gauges: Arc::clone(&gauges),
                 clocks: Arc::clone(&clocks),
                 hook: config.fault_hook.clone(),
-                batch_max,
                 checkpoint_interval,
                 restart_budget: config.restart_budget,
                 backoff_base_ms: config.backoff_base_ms,
@@ -656,10 +678,10 @@ impl IdsPipeline {
             worker_handles.push(std::thread::spawn(move || supervised_worker(state, rt)));
         }
 
-        // The router keeps the last scored sender, for its DropOldest shed
+        // The router keeps the last emitter, for its DropOldest shed
         // placeholders, until the input closes; beyond that only workers
-        // hold one, so the merger exits once the input is closed and the
-        // last worker has drained its ring.
+        // hold one, so the event stream ends once the input is closed and
+        // the last worker has drained its ring.
         let model_config = engine.config();
         let router = FeedRouter {
             splitter: FrameSplitter::new(
@@ -671,7 +693,7 @@ impl IdsPipeline {
             publisher: Publisher {
                 batches: (0..workers).map(|_| Vec::new()).collect(),
                 rings,
-                scored_tx,
+                emitter,
                 gauges: Arc::clone(&gauges),
                 policy: config.backpressure,
                 shard_seed: config.shard_seed,
@@ -680,29 +702,14 @@ impl IdsPipeline {
             },
         };
 
-        let merger_stats = Arc::clone(&stats);
-        let merger_clocks = Arc::clone(&clocks);
-        let merger = std::thread::spawn(move || {
-            merger_loop(
-                scored_rx,
-                event_tx,
-                shadow_tx,
-                fusion_tx,
-                ledger,
-                merger_stats,
-                merger_clocks,
-            )
-        });
-
         let pipeline = IdsPipeline {
             router: Mutex::new(Some(router)),
             rejected_chunks: AtomicU64::new(0),
             event_rx,
-            stats,
+            merge,
             gauges,
             clocks,
             workers: worker_handles,
-            merger: Some(merger),
         };
         (pipeline, shadow_rx, fusion_rx)
     }
@@ -751,11 +758,11 @@ impl IdsPipeline {
     }
 
     /// Snapshot of the aggregate counters. The per-frame counters are
-    /// internally consistent (taken under the merger's lock); the queue
+    /// internally consistent (taken under the merge lock); the queue
     /// depths, restart counts, breaker states and quarantine sizes are
     /// sampled from the live gauges at call time.
     pub fn stats(&self) -> PipelineStats {
-        let mut snapshot = self.stats.lock().clone();
+        let mut snapshot = self.merge.lock().stats.clone();
         snapshot.queue_depths = self
             .gauges
             .iter()
@@ -825,9 +832,6 @@ impl IdsPipeline {
                 Err(_) => panicked = true,
             }
         }
-        if let Some(merger) = self.merger.take() {
-            panicked |= merger.join().is_err();
-        }
         if panicked {
             return Err(PipelineError::WorkerPanicked);
         }
@@ -860,9 +864,6 @@ impl Drop for IdsPipeline {
         for worker in std::mem::take(&mut self.workers) {
             let _ = worker.join();
         }
-        if let Some(merger) = self.merger.take() {
-            let _ = merger.join();
-        }
     }
 }
 
@@ -872,6 +873,10 @@ impl Drop for IdsPipeline {
 /// Batches are also flushed at the end of every chunk so a trickle of
 /// input never strands a frame in a half-full batch.
 const ROUTE_BATCH: usize = 8;
+
+/// Largest number of queued windows a worker pops from its ring per
+/// wakeup.
+const WORKER_BATCH: usize = 32;
 
 /// The routing state [`IdsPipeline::feed`] runs under its lock: the one
 /// framing state machine of the pipeline, and the producer ends of the
@@ -945,9 +950,9 @@ impl FeedRouter {
 struct Publisher {
     rings: Vec<Arc<SpscRing<SegmentItem>>>,
     batches: Vec<Vec<SegmentItem>>,
-    /// Sender for the `DropOldest` shed placeholders; dropped with the
-    /// router when the input closes.
-    scored_tx: Sender<ScoredItem>,
+    /// Merges the `DropOldest` shed placeholders; dropped with the router
+    /// when the input closes.
+    emitter: Emitter,
     gauges: Arc<Vec<ShardGauges>>,
     policy: BackpressurePolicy,
     shard_seed: u64,
@@ -1029,7 +1034,8 @@ impl Publisher {
                 } else {
                     let accepted = ring.try_push_batch(batch);
                     gauge.depth.fetch_add(accepted, Ordering::Relaxed);
-                    batch.is_empty() || shed_overflow(&self.scored_tx, shard, batch)
+                    shed_overflow(&self.emitter, shard, batch);
+                    true
                 }
             }
         };
@@ -1044,35 +1050,19 @@ impl Publisher {
 
 /// Sheds a full ring's incoming overflow under `DropOldest`. An SPSC
 /// producer cannot retract items it already published, so the ring-level
-/// analogue of "drop oldest" sheds the *incoming* windows: each becomes a
-/// `Dropped` placeholder sent straight to the merger, keeping the sequence
-/// space gapless and the loss attributed to exactly this shard. Returns
-/// `false` when the merger is gone.
+/// analogue of "drop oldest" sheds the *incoming* windows: the feeding
+/// thread merges each as a `Dropped` placeholder, keeping the sequence
+/// space gapless and the loss attributed to exactly this shard.
 // xtask: cold
-fn shed_overflow(
-    scored_tx: &Sender<ScoredItem>,
-    shard: usize,
-    batch: &mut Vec<SegmentItem>,
-) -> bool {
-    let mut merger_alive = true;
+fn shed_overflow(emitter: &Emitter, shard: usize, batch: &mut Vec<SegmentItem>) {
     for item in batch.drain(..) {
-        if merger_alive {
-            merger_alive = scored_tx
-                .send(ScoredItem {
-                    seq: item.seq,
-                    shard,
-                    event: IdsEvent::Dropped {
-                        stream_pos: item.segment.base,
-                        shard,
-                        reason: DropReason::Backlogged,
-                    },
-                    shadow: Vec::new(),
-                    fusion: None,
-                })
-                .is_ok();
-        }
+        let event = IdsEvent::Dropped {
+            stream_pos: item.segment.base,
+            shard,
+            reason: DropReason::Backlogged,
+        };
+        emitter.merge_window(item.seq, shard, event, Vec::new(), None);
     }
-    merger_alive
 }
 
 /// Everything a shard's supervisor and scoring loop need; owned by the
@@ -1080,11 +1070,10 @@ fn shed_overflow(
 struct WorkerRuntime {
     shard: usize,
     ring: Arc<SpscRing<SegmentItem>>,
-    scored_tx: Sender<ScoredItem>,
+    emitter: Emitter,
     gauges: Arc<Vec<ShardGauges>>,
     clocks: Arc<StageClocks>,
     hook: Option<FaultHook>,
-    batch_max: usize,
     checkpoint_interval: usize,
     restart_budget: u32,
     backoff_base_ms: u64,
@@ -1175,12 +1164,11 @@ impl WorkerState {
     }
 
     /// The scoring loop proper; returns when the shard's ring closes and
-    /// drains (clean shutdown) or the merger is gone. May panic — the
-    /// supervisor catches it.
+    /// drains. May panic — the supervisor catches it.
     fn run(&mut self, rt: &WorkerRuntime) {
         loop {
             if self.pending.is_empty() {
-                let got = rt.ring.pop_batch(&mut self.batch, rt.batch_max);
+                let got = rt.ring.pop_batch(&mut self.batch, WORKER_BATCH);
                 if got == 0 {
                     return;
                 }
@@ -1226,17 +1214,8 @@ impl WorkerState {
                 if self.processed.is_multiple_of(rt.checkpoint_interval) {
                     self.refresh_checkpoint();
                 }
-                let scored = ScoredItem {
-                    seq: item.seq,
-                    shard: rt.shard,
-                    event,
-                    shadow,
-                    fusion,
-                };
-                if rt.scored_tx.send(scored).is_err() {
-                    // Merger gone (panicked): nothing downstream to feed.
-                    return;
-                }
+                rt.emitter
+                    .merge_window(item.seq, rt.shard, event, shadow, fusion);
             }
         }
     }
@@ -1348,8 +1327,8 @@ fn outcome_of(event: &IdsEvent) -> WindowOutcome {
 /// Runs one shard's scoring loop under supervision: panics roll the engine
 /// back to its checkpoint and resume (bounded by the restart budget with
 /// exponential backoff); past the budget the shard fails permanently and
-/// its windows drain as [`IdsEvent::Dropped`] placeholders so the merger's
-/// reorder buffer never stalls on a sequence gap.
+/// its windows drain as [`IdsEvent::Dropped`] placeholders so the reorder
+/// buffer never stalls on a sequence gap.
 fn supervised_worker(mut state: WorkerState, rt: WorkerRuntime) -> CoreEngine {
     // Held for the whole thread: if this worker dies in any way
     // supervision does not cover, `feed` must not park forever on a ring
@@ -1369,19 +1348,15 @@ fn supervised_worker(mut state: WorkerState, rt: WorkerRuntime) -> CoreEngine {
                 // The window that was in flight died with the panic. It is
                 // *not* retried: a deterministic fault would otherwise
                 // panic-loop the shard through its whole budget. A
-                // placeholder keeps the merger's sequence space gapless.
+                // placeholder keeps the sequence space gapless.
                 if let Some((seq, stream_pos)) = state.in_flight.take() {
-                    let _ = rt.scored_tx.send(ScoredItem {
-                        seq,
+                    let event = IdsEvent::Dropped {
+                        stream_pos,
                         shard: rt.shard,
-                        event: IdsEvent::Dropped {
-                            stream_pos,
-                            shard: rt.shard,
-                            reason: DropReason::WorkerRestart,
-                        },
-                        shadow: Vec::new(),
-                        fusion: None,
-                    });
+                        reason: DropReason::WorkerRestart,
+                    };
+                    rt.emitter
+                        .merge_window(seq, rt.shard, event, Vec::new(), None);
                 }
                 if restarts > rt.restart_budget {
                     rt.gauges[rt.shard].failed.store(true, Ordering::Relaxed);
@@ -1413,30 +1388,27 @@ impl Drop for RingConsumerGuard {
 /// Drains a permanently failed shard: everything still queued (and
 /// everything `feed` routes here from now on) becomes a `Dropped`
 /// placeholder at its window's stream position, so `feed` never blocks on
-/// a dead shard and the merger never waits on a missing sequence number.
+/// a dead shard and the reorder buffer never waits on a missing sequence
+/// number.
 fn drain_failed_shard(
     rt: &WorkerRuntime,
     pending: VecDeque<SegmentItem>,
     batch: &mut Vec<SegmentItem>,
 ) {
     let drop_item = |item: SegmentItem| {
-        let _ = rt.scored_tx.send(ScoredItem {
-            seq: item.seq,
+        let event = IdsEvent::Dropped {
+            stream_pos: item.segment.base,
             shard: rt.shard,
-            event: IdsEvent::Dropped {
-                stream_pos: item.segment.base,
-                shard: rt.shard,
-                reason: DropReason::ShardFailed,
-            },
-            shadow: Vec::new(),
-            fusion: None,
-        });
+            reason: DropReason::ShardFailed,
+        };
+        rt.emitter
+            .merge_window(item.seq, rt.shard, event, Vec::new(), None);
     };
     for item in pending {
         drop_item(item);
     }
     loop {
-        let got = rt.ring.pop_batch(batch, rt.batch_max);
+        let got = rt.ring.pop_batch(batch, WORKER_BATCH);
         if got == 0 {
             return;
         }
@@ -1447,45 +1419,34 @@ fn drain_failed_shard(
     }
 }
 
-/// Re-serializes events into framing order and keeps the shared
-/// statistics consistent with the emitted event stream.
-// xtask: hot-path
-// xtask: accounting(IdsEvent)
-fn merger_loop(
-    scored_rx: Receiver<ScoredItem>,
-    event_tx: Sender<IdsEvent>,
-    shadow_tx: Sender<ShadowEvent>,
-    fusion_tx: Sender<FusionEvent>,
-    ledger: Option<Arc<DriftLedger>>,
-    stats: Arc<Mutex<PipelineStats>>,
-    clocks: Arc<StageClocks>,
-) {
-    let mut buffer: ReorderBuffer<(usize, IdsEvent, Vec<ShadowVerdict>, Option<FusionRecord>)> =
-        ReorderBuffer::new();
-    // xtask: allow(hot-path-alloc): one scratch Vec per merger-thread lifetime, drained and reused across frames
-    let mut ready: Vec<(usize, IdsEvent, Vec<ShadowVerdict>, Option<FusionRecord>)> = Vec::new();
-    // xtask: allow(hot-path-alloc): one scratch Vec per merger-thread lifetime, drained and reused across frames
-    let mut notables: Vec<(u64, usize, FusionRecord)> = Vec::new();
-    for item in scored_rx {
-        let merging = Instant::now();
-        buffer.push(
-            item.seq,
-            (item.shard, item.event, item.shadow, item.fusion),
-            &mut ready,
-        );
-        if ready.is_empty() {
-            clocks
-                .merge
-                .fetch_add(elapsed_ns(merging), Ordering::Relaxed);
-            continue;
-        }
-        // Counter update and event emission share one critical section, so
-        // `stats()` can never observe a count without its event (or vice
-        // versa) — `frames == anomalies + normals + extraction_failures +
-        // dropped + degraded` holds in every snapshot. Shadow counters
-        // live in the same section for the same reason.
+impl Emitter {
+    /// Merges one finished window: pushes it into the reorder buffer, then
+    /// for every window that is now in framing order counts it, records a
+    /// drift or outage frame in the ledger and on the fusion channel,
+    /// sends its shadow event and then its event. All of it is one
+    /// critical section, so a stats snapshot never disagrees with the
+    /// events already delivered and the ledger keeps framing order across
+    /// threads. Shadow counters live in the same section for the same
+    /// reason.
+    // xtask: hot-path
+    // xtask: accounting(IdsEvent)
+    fn merge_window(
+        &self,
+        seq: u64,
+        shard: usize,
+        event: IdsEvent,
+        shadow: Vec<ShadowVerdict>,
+        fusion: Option<FusionRecord>,
+    ) {
         // xtask: allow(hot-path-lock): counters and event emission must share one critical section so stats snapshots never disagree with the emitted stream
-        let mut s = stats.lock();
+        let mut merge = self.merge.lock();
+        let merging = Instant::now();
+        let MergeState {
+            stats: s,
+            reorder,
+            ready,
+        } = &mut *merge;
+        reorder.push(seq, (shard, event, shadow, fusion), ready);
         for (shard, event, shadow, fusion) in ready.drain(..) {
             s.frames += 1;
             match &event {
@@ -1533,7 +1494,7 @@ fn merger_loop(
                     s.voter_outages += 1;
                 }
                 if record.drift.is_some() || record.outage.is_some() {
-                    notables.push((event.stream_pos(), shard, record));
+                    self.publish_notable(event.stream_pos(), shard, record);
                 }
             }
             if !shadow.is_empty() {
@@ -1552,7 +1513,7 @@ fn merger_loop(
                     let primary_anomaly =
                         event.verdict().is_some_and(vprofile::Verdict::is_anomaly);
                     // xtask: allow(guard-across-blocking): shadow_tx is unbounded, send never blocks; atomicity of counters+events requires the guard
-                    let _ = shadow_tx.send(ShadowEvent {
+                    let _ = self.shadow_tx.send(ShadowEvent {
                         stream_pos,
                         primary_anomaly,
                         shadows: shadow,
@@ -1562,28 +1523,19 @@ fn merger_loop(
             // Receiver gone: keep counting so stats stay truthful, but
             // stop forwarding.
             // xtask: allow(guard-across-blocking): event_tx is unbounded, send never blocks; atomicity of counters+events requires the guard
-            let _ = event_tx.send(event);
+            let _ = self.event_tx.send(event);
         }
-        drop(s);
-        clocks
-            .merge
-            .fetch_add(elapsed_ns(merging), Ordering::Relaxed);
-        if !notables.is_empty() {
-            publish_fusion_notables(&fusion_tx, ledger.as_deref(), &mut notables);
-        }
+        let merged = elapsed_ns(merging);
+        drop(merge);
+        self.clocks.merge.fetch_add(merged, Ordering::Relaxed);
     }
-}
 
-/// Records drift and outage frames in the [`DriftLedger`] and forwards them
-/// on the fusion event channel, outside the stats critical section.
-// xtask: cold
-fn publish_fusion_notables(
-    fusion_tx: &Sender<FusionEvent>,
-    ledger: Option<&DriftLedger>,
-    notables: &mut Vec<(u64, usize, FusionRecord)>,
-) {
-    for (stream_pos, shard, record) in notables.drain(..) {
-        if let Some(ledger) = ledger {
+    /// Records one drift or outage frame in the [`DriftLedger`] and sends
+    /// it on the fusion event channel. Runs inside the merge critical
+    /// section, so the ledger lock nests under the stats lock.
+    // xtask: cold
+    fn publish_notable(&self, stream_pos: u64, shard: usize, record: FusionRecord) {
+        if let Some(ledger) = &self.ledger {
             if let Some(verdict) = record.drift {
                 ledger.record_drift(stream_pos, shard, verdict);
             }
@@ -1591,7 +1543,7 @@ fn publish_fusion_notables(
                 ledger.record_outage(stream_pos, shard, voter);
             }
         }
-        let _ = fusion_tx.send(FusionEvent {
+        let _ = self.fusion_tx.send(FusionEvent {
             stream_pos,
             shard,
             record,
@@ -1765,5 +1717,349 @@ mod tests {
         let (engines, stats) = pipeline.close().unwrap();
         assert_eq!(engines.len(), workers);
         assert_eq!(stats.shard_frames.len(), workers);
+    }
+
+    /// splitmix64: tiny, seedable, and good enough to pick interleavings.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn shuffle<T>(&mut self, v: &mut [T]) {
+            for i in (1..v.len()).rev() {
+                v.swap(i, self.below(i + 1));
+            }
+        }
+    }
+
+    /// Turn token: thread `k` may merge only while `schedule[cursor] ==
+    /// k`, which pins the interleaving of merges to the schedule whatever
+    /// the OS scheduler does.
+    struct Turns {
+        schedule: Vec<usize>,
+        cursor: std::sync::Mutex<usize>,
+        cv: std::sync::Condvar,
+    }
+
+    impl Turns {
+        fn wait_for(&self, thread: usize) {
+            let mut cursor = self.cursor.lock().unwrap();
+            while self.schedule.get(*cursor) != Some(&thread) {
+                let (guard, timeout) = self
+                    .cv
+                    .wait_timeout(cursor, Duration::from_secs(10))
+                    .unwrap();
+                cursor = guard;
+                assert!(!timeout.timed_out(), "merge schedule deadlocked");
+            }
+        }
+
+        fn advance(&self) {
+            *self.cursor.lock().unwrap() += 1;
+            self.cv.notify_all();
+        }
+    }
+
+    /// Stream position of sequence `seq` (strictly increasing in `seq`).
+    fn pos(seq: u64) -> u64 {
+        seq * 1000 + 7
+    }
+
+    /// What a worker on `shard` finishes for `seq`: every event kind, a
+    /// fusion record on every other window, drift and outage notables,
+    /// and a disagreeing shadow on some scored windows.
+    fn worker_window(
+        seq: u64,
+        shard: usize,
+    ) -> (IdsEvent, Vec<ShadowVerdict>, Option<FusionRecord>) {
+        let scored = |verdict, extraction_failed| {
+            IdsEvent::Scored(crate::ScoredEvent {
+                stream_pos: pos(seq),
+                sa: None,
+                verdict,
+                extraction_failed,
+                retrain_due: false,
+            })
+        };
+        let normal = vprofile::Verdict::Ok {
+            cluster: vprofile::ClusterId(0),
+            distance: 1.0,
+        };
+        let anomaly = vprofile::Verdict::Anomaly {
+            kind: vprofile::AnomalyKind::Unscorable,
+        };
+        let event = match seq % 5 {
+            0 => scored(normal, false),
+            1 => scored(anomaly, false),
+            2 => scored(anomaly, true),
+            3 => IdsEvent::Degraded {
+                stream_pos: pos(seq),
+                shard,
+                reason: crate::DegradeReason::ExtractionFailures,
+            },
+            _ => IdsEvent::Dropped {
+                stream_pos: pos(seq),
+                shard,
+                reason: DropReason::WorkerRestart,
+            },
+        };
+        let shadow = if seq.is_multiple_of(15) {
+            vec![ShadowVerdict {
+                backend: "viden",
+                verdict: anomaly,
+                disagrees: true,
+            }]
+        } else {
+            Vec::new()
+        };
+        let fusion = seq.is_multiple_of(2).then(|| FusionRecord {
+            sa: 0x10,
+            score: 0.5,
+            threshold: 1.0,
+            anomaly: false,
+            scored: true,
+            episode: false,
+            absorbed: false,
+            disagree_mask: (seq % 8) as u8,
+            drift: seq
+                .is_multiple_of(7)
+                .then_some(vprofile_fusion::DriftVerdict {
+                    sa: 0x10,
+                    kind: vprofile_fusion::DriftKind::EnsembleDisagreement,
+                    magnitude: 1.5,
+                }),
+            outage: seq.is_multiple_of(11).then_some(1),
+        });
+        (event, shadow, fusion)
+    }
+
+    /// Runs `schedule` over `owned` (see [`run_merge_schedule`]), each
+    /// thread merging through its own clone of `emitter`, and returns the
+    /// stats snapshot each thread took right after each of its merges.
+    fn drive_schedule(
+        emitter: &Emitter,
+        workers: usize,
+        owned: Vec<Vec<u64>>,
+        schedule: Vec<usize>,
+        seed: u64,
+    ) -> Vec<PipelineStats> {
+        let turns = Arc::new(Turns {
+            schedule,
+            cursor: std::sync::Mutex::new(0),
+            cv: std::sync::Condvar::new(),
+        });
+        let mut shed_shards = SplitMix64(seed ^ 0xfeed);
+        let handles: Vec<_> = owned
+            .into_iter()
+            .enumerate()
+            .map(|(thread, order)| {
+                let emitter = emitter.clone();
+                let turns = Arc::clone(&turns);
+                let plan: Vec<_> = order
+                    .into_iter()
+                    .map(|seq| {
+                        if thread == workers {
+                            let shard = shed_shards.below(workers);
+                            let event = IdsEvent::Dropped {
+                                stream_pos: pos(seq),
+                                shard,
+                                reason: DropReason::Backlogged,
+                            };
+                            (seq, shard, event, Vec::new(), None)
+                        } else {
+                            let (event, shadow, fusion) = worker_window(seq, thread);
+                            (seq, thread, event, shadow, fusion)
+                        }
+                    })
+                    .collect();
+                std::thread::spawn(move || {
+                    let mut snapshots = Vec::new();
+                    for (seq, shard, event, shadow, fusion) in plan {
+                        turns.wait_for(thread);
+                        emitter.merge_window(seq, shard, event, shadow, fusion);
+                        snapshots.push(emitter.merge.lock().stats.clone());
+                        turns.advance();
+                    }
+                    snapshots
+                })
+            })
+            .collect();
+        let mut snapshots = Vec::new();
+        for handle in handles {
+            snapshots.extend(handle.join().unwrap());
+        }
+        snapshots
+    }
+
+    /// Drives `merge_window` from `workers` worker threads and one feed
+    /// thread through `schedule` (one entry per merge; thread `workers` is
+    /// the feed thread). `owned[k]` lists the sequences thread `k` merges,
+    /// in its order; the feed thread sheds its own as `Backlogged`
+    /// placeholders of a seeded shard. Asserts the identity in every
+    /// snapshot taken between turns, a gapless event stream in sequence
+    /// order, and notables in framing order on the ledger and channels.
+    fn run_merge_schedule(workers: usize, owned: Vec<Vec<u64>>, schedule: Vec<usize>, seed: u64) {
+        let total: u64 = owned.iter().map(|o| o.len() as u64).sum();
+        let (event_tx, event_rx) = unbounded();
+        let (shadow_tx, shadow_rx) = unbounded();
+        let (fusion_tx, fusion_rx) = unbounded();
+        let ledger = Arc::new(DriftLedger::new());
+        let emitter = Emitter {
+            merge: Arc::new(Mutex::new(MergeState {
+                stats: PipelineStats {
+                    shard_frames: vec![0; workers],
+                    shard_sheds: vec![0; workers],
+                    shadow_disagreements: vec![0; 1],
+                    voter_disagreements: vec![0; 3],
+                    ..PipelineStats::default()
+                },
+                reorder: ReorderBuffer::new(),
+                ready: Vec::new(),
+            })),
+            event_tx,
+            shadow_tx,
+            fusion_tx,
+            ledger: Some(Arc::clone(&ledger)),
+            clocks: Arc::new(StageClocks::default()),
+        };
+        let snapshots = drive_schedule(&emitter, workers, owned, schedule, seed);
+        drop(emitter);
+
+        let events: Vec<IdsEvent> = event_rx.iter().collect();
+        let positions: Vec<u64> = events.iter().map(IdsEvent::stream_pos).collect();
+        assert_eq!(
+            positions,
+            (0..total).map(pos).collect::<Vec<_>>(),
+            "seed {seed}: events must be gapless and in sequence order"
+        );
+        assert_eq!(snapshots.len() as u64, total);
+        for s in &snapshots {
+            assert_eq!(
+                s.frames,
+                s.anomalies + s.normals + s.extraction_failures + s.dropped + s.degraded,
+                "seed {seed}: five-way identity broken in {s:?}"
+            );
+            assert_eq!(s.shard_frames.iter().sum::<u64>(), s.frames, "seed {seed}");
+            assert!(
+                s.shard_sheds.iter().sum::<u64>() <= s.dropped,
+                "seed {seed}"
+            );
+        }
+        let last = snapshots.iter().max_by_key(|s| s.frames).unwrap();
+        assert_eq!(last.frames, total, "seed {seed}: every window counted");
+
+        // Worker windows in framing order; the rest are the feed's sheds.
+        let worker_seqs: Vec<u64> = (0..total)
+            .filter(|&seq| {
+                !matches!(
+                    events[seq as usize],
+                    IdsEvent::Dropped {
+                        reason: DropReason::Backlogged,
+                        ..
+                    }
+                )
+            })
+            .collect();
+        assert_eq!(
+            last.shard_sheds.iter().sum::<u64>(),
+            total - worker_seqs.len() as u64,
+            "seed {seed}: every shed window attributed to one shard"
+        );
+        let expected = |keep: fn(u64) -> bool| -> Vec<u64> {
+            worker_seqs
+                .iter()
+                .copied()
+                .filter(|&seq| keep(seq))
+                .map(pos)
+                .collect()
+        };
+        // `worker_window` attaches a drift to every 14th window, an outage
+        // to every 22nd and a disagreeing shadow to every 15th.
+        let ledger_drifts: Vec<u64> = ledger.drifts().iter().map(|r| r.stream_pos).collect();
+        let ledger_outages: Vec<u64> = ledger.outages().iter().map(|r| r.stream_pos).collect();
+        let notables: Vec<u64> = fusion_rx.iter().map(|e| e.stream_pos).collect();
+        let shadows: Vec<u64> = shadow_rx.iter().map(|e| e.stream_pos).collect();
+        let drift_or_outage = |seq: u64| seq.is_multiple_of(14) || seq.is_multiple_of(22);
+        assert_eq!(
+            ledger_drifts,
+            expected(|seq| seq.is_multiple_of(14)),
+            "seed {seed}: ledger drifts"
+        );
+        assert_eq!(
+            ledger_outages,
+            expected(|seq| seq.is_multiple_of(22)),
+            "seed {seed}: ledger outages"
+        );
+        assert_eq!(
+            notables,
+            expected(drift_or_outage),
+            "seed {seed}: fusion events"
+        );
+        assert_eq!(
+            shadows,
+            expected(|seq| seq.is_multiple_of(15)),
+            "seed {seed}: shadow events"
+        );
+    }
+
+    /// Seeded ownership, per-thread order and global schedule: every
+    /// sequence goes to one of the `workers` worker threads or the feed
+    /// thread, each thread merges its own in a shuffled order, and the
+    /// turns interleave at random.
+    fn seeded_merge_schedule(seed: u64, workers: usize, total: u64) {
+        let mut rng = SplitMix64(seed);
+        let mut owned = vec![Vec::new(); workers + 1];
+        for seq in 0..total {
+            owned[rng.below(workers + 1)].push(seq);
+        }
+        let mut schedule = Vec::new();
+        for (thread, order) in owned.iter_mut().enumerate() {
+            rng.shuffle(order);
+            schedule.extend(std::iter::repeat_n(thread, order.len()));
+        }
+        rng.shuffle(&mut schedule);
+        run_merge_schedule(workers, owned, schedule, seed);
+    }
+
+    #[test]
+    fn merge_window_orders_seeded_interleavings() {
+        for (seed, workers) in [(1, 2), (42, 3), (0xdead_beef, 2), (7_777_777, 3), (9104, 3)] {
+            seeded_merge_schedule(seed, workers, 240);
+        }
+    }
+
+    #[test]
+    fn merge_window_survives_sequence_zero_held_to_the_last_turn() {
+        // Worker 0 merges sequence 0 on its last turn, which is also the
+        // last turn of the run: every other window buffers before any
+        // release.
+        let (workers, total) = (2, 200u64);
+        let mut rng = SplitMix64(0x5eed);
+        let mut owned = vec![Vec::new(); workers + 1];
+        for seq in 1..total {
+            owned[rng.below(workers + 1)].push(seq);
+        }
+        owned[0].push(0);
+        // Worker 0's turns come first in the flattened list, so dropping
+        // the first entry keeps one of them back for the end.
+        let mut schedule: Vec<usize> = owned
+            .iter()
+            .enumerate()
+            .flat_map(|(thread, order)| std::iter::repeat_n(thread, order.len()))
+            .skip(1)
+            .collect();
+        rng.shuffle(&mut schedule);
+        schedule.push(0);
+        run_merge_schedule(workers, owned, schedule, 0x5eed);
     }
 }

@@ -1,7 +1,8 @@
 //! Sequence-numbered reorder buffer.
 //!
-//! Detection workers complete windows out of order; the merger thread pushes
-//! each `(sequence, event)` pair through a [`ReorderBuffer`] so the event
+//! Detection workers complete windows out of order; whichever thread
+//! finishes a window pushes its `(sequence, event)` pair through the one
+//! shared [`ReorderBuffer`], under the pipeline's stats lock, so the event
 //! stream leaves the pipeline in exactly the order the windows were framed.
 //! This is what makes the sharded pipeline's output deterministic and
 //! byte-identical to the single-worker engine.
@@ -12,7 +13,7 @@ use std::collections::VecDeque;
 /// order, starting from sequence 0.
 ///
 /// Implemented as a ring of slots indexed by offset from the release
-/// cursor, so the merger's steady state moves items through without
+/// cursor, so the merge's steady state moves items through without
 /// allocating (a `BTreeMap` would pay one node allocation per event) or
 /// cloning: every item is moved in exactly once and moved out exactly once.
 #[derive(Debug, Clone, Default)]

@@ -36,8 +36,9 @@ pub struct ShadowVerdict {
     pub disagrees: bool,
 }
 
-/// Emitted by the merger for every frame on which at least one shadow
-/// backend disagreed with the primary.
+/// Emitted, in framing order, for every frame on which at least one
+/// shadow backend disagreed with the primary; sent just before the frame's
+/// own event, in the critical section that counts it.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ShadowEvent {
     /// Sample index of the frame's first sample in the input stream.

@@ -40,22 +40,14 @@
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Maps a claimed source address to a worker shard in `0..shards`.
+/// Maps a claimed source address to a worker shard in `0..shards`, under
+/// a rebalance seed (see the module docs).
 ///
 /// Deterministic across runs and platforms (FNV-1a, 64-bit). With one shard
-/// (or zero, treated as one) everything maps to shard 0. Equivalent to
-/// [`stable_shard_seeded`] with seed 0.
-#[must_use]
-pub fn stable_shard(sa: u8, shards: usize) -> usize {
-    stable_shard_seeded(sa, shards, 0)
-}
-
-/// [`stable_shard`] with a rebalance seed (see the module docs).
-///
-/// Seed 0 reproduces the historical unseeded mapping exactly; any other
-/// seed deterministically reshuffles SA→shard ownership through a full
-/// avalanche mix, which is what makes the knob effective at
-/// power-of-two shard counts.
+/// (or zero, treated as one) everything maps to shard 0. Seed 0 is the
+/// historical unseeded mapping; any other seed deterministically
+/// reshuffles SA→shard ownership through a full avalanche mix, which is
+/// what makes the knob effective at power-of-two shard counts.
 // xtask: hot-path
 #[must_use]
 pub fn stable_shard_seeded(sa: u8, shards: usize, seed: u64) -> usize {
@@ -79,8 +71,8 @@ mod tests {
     #[test]
     fn single_shard_takes_everything() {
         for sa in 0..=255u8 {
-            assert_eq!(stable_shard(sa, 1), 0);
-            assert_eq!(stable_shard(sa, 0), 0);
+            assert_eq!(stable_shard_seeded(sa, 1, 0), 0);
+            assert_eq!(stable_shard_seeded(sa, 0, 0), 0);
             assert_eq!(stable_shard_seeded(sa, 1, 42), 0);
         }
     }
@@ -89,7 +81,7 @@ mod tests {
     fn results_stay_in_range() {
         for shards in 1..=16 {
             for sa in 0..=255u8 {
-                assert!(stable_shard(sa, shards) < shards);
+                assert!(stable_shard_seeded(sa, shards, 0) < shards);
                 assert!(stable_shard_seeded(sa, shards, 0xdead_beef) < shards);
             }
         }
@@ -99,13 +91,21 @@ mod tests {
     fn routing_is_stable() {
         for sa in 0..=255u8 {
             for shards in [2, 4, 8] {
-                assert_eq!(stable_shard(sa, shards), stable_shard(sa, shards));
+                assert_eq!(
+                    stable_shard_seeded(sa, shards, 0),
+                    stable_shard_seeded(sa, shards, 0)
+                );
             }
         }
         // Pinned values: a change here silently reassigns per-SA cluster
         // ownership between releases, which must never happen.
-        assert_eq!(stable_shard(0x10, 4), stable_shard(0x10, 4));
-        let pinned: Vec<usize> = (0x10..0x18).map(|sa| stable_shard(sa, 4)).collect();
+        assert_eq!(
+            stable_shard_seeded(0x10, 4, 0),
+            stable_shard_seeded(0x10, 4, 0)
+        );
+        let pinned: Vec<usize> = (0x10..0x18)
+            .map(|sa| stable_shard_seeded(sa, 4, 0))
+            .collect();
         assert_eq!(pinned.len(), 8);
     }
 
@@ -115,12 +115,18 @@ mod tests {
         // bit-identical to it at every shard count.
         for shards in 1..=16 {
             for sa in 0..=255u8 {
-                assert_eq!(stable_shard_seeded(sa, shards, 0), stable_shard(sa, shards));
+                let fnv = (FNV_OFFSET ^ u64::from(sa)).wrapping_mul(FNV_PRIME);
+                let historical = if shards == 1 {
+                    0
+                } else {
+                    (fnv % shards as u64) as usize
+                };
+                assert_eq!(stable_shard_seeded(sa, shards, 0), historical);
             }
         }
         // And the historical FNV-1a values themselves, spot-pinned.
         let h = (FNV_OFFSET ^ 0x10u64).wrapping_mul(FNV_PRIME);
-        assert_eq!(stable_shard(0x10, 8), (h % 8) as usize);
+        assert_eq!(stable_shard_seeded(0x10, 8, 0), (h % 8) as usize);
     }
 
     #[test]
@@ -128,7 +134,7 @@ mod tests {
         for shards in 2..=16 {
             let mut hit = vec![false; shards];
             for sa in 0..=255u8 {
-                hit[stable_shard(sa, shards)] = true;
+                hit[stable_shard_seeded(sa, shards, 0)] = true;
             }
             assert!(
                 hit.iter().all(|&h| h),
@@ -142,8 +148,9 @@ mod tests {
         // The SAs used by the stress scenario (0x10..) must not collapse
         // onto one worker at the tested worker counts.
         for shards in [2usize, 4, 8] {
-            let assigned: std::collections::BTreeSet<usize> =
-                (0x10u8..0x18).map(|sa| stable_shard(sa, shards)).collect();
+            let assigned: std::collections::BTreeSet<usize> = (0x10u8..0x18)
+                .map(|sa| stable_shard_seeded(sa, shards, 0))
+                .collect();
             assert!(
                 assigned.len() > 1,
                 "{shards} shards: all stress SAs landed on one shard"
