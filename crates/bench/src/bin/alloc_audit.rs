@@ -1,5 +1,7 @@
 //! `alloc_audit` — proves the steady-state score path is allocation-free,
-//! for the vProfile backend, the Viden baseline backend, *and* the fused
+//! for the vProfile backend, the Viden baseline backend, the vProfile
+//! engine with Viden and Scission as shadows (`vprofile+shadows`: both
+//! score the primary's edge set on every frame), *and* the fused
 //! three-voter ensemble (vProfile + Viden + Scission with drift
 //! detection live), proves the same for vProfile's §5.3 model write path
 //! (`vprofile+updates`: an online update on every accepted frame, a batch
@@ -30,10 +32,11 @@
 //! The process exits non-zero if any engine's measured passes touch the
 //! allocator at all (`allocations + reallocations > 0`), making "zero
 //! allocations per frame" a CI-enforced invariant for the primary backend,
-//! for at least one baseline, for the full ensemble (every voter
-//! scored + calibrated + fused + drift-charted per frame) and for the
-//! model write path rather than a code comment. These measured sections are single-threaded, so every
-//! counted event is attributable to the score path.
+//! for at least one baseline, for shadow scoring, for the full ensemble
+//! (every voter scored + calibrated + fused + drift-charted per frame)
+//! and for the model write path rather than a code comment. These
+//! measured sections are single-threaded, so every counted event is
+//! attributable to the score path.
 //!
 //! The pipeline rows then run the vProfile engine through
 //! [`vprofile_ids::IdsPipeline`] at 1 and 2 workers, feed to last event,
@@ -260,13 +263,25 @@ fn run(options: &Options) -> Result<Report, String> {
         IdsEngine::with_backend(primary.clone(), config.clone(), UpdatePolicy::disabled()),
         IdsEngine::with_backend(viden.clone(), config.clone(), UpdatePolicy::disabled()),
     ];
-    let mut backends = Vec::with_capacity(engines.len() + 2);
+    let mut backends = Vec::with_capacity(engines.len() + 3);
     for mut engine in engines {
         let name = engine.backend_name();
         backends.push(audit(name, &windows, options.frames, |pos, window| {
             engine.process_window(pos, window).is_anomaly()
         })?);
     }
+
+    // Shadow scoring: after the primary, both shadows score the same
+    // extracted edge set and set their disagreement bits.
+    let mut shadowed =
+        IdsEngine::with_backend(primary.clone(), config.clone(), UpdatePolicy::disabled())
+            .with_shadows(vec![viden.clone(), scission.clone()]);
+    backends.push(audit(
+        "vprofile+shadows",
+        &windows,
+        options.frames,
+        |pos, window| shadowed.process_window(pos, window).is_anomaly(),
+    )?);
 
     // The §5.3 write path: every accepted frame is absorbed, every 16th
     // absorption refits the touched clusters and refreshes their scoring
@@ -310,7 +325,8 @@ fn run(options: &Options) -> Result<Report, String> {
         backends,
         pipeline,
         note: "backends: pre-framed windows after one warm-up pass; passed == \
-               (allocations + reallocations == 0); vprofile+updates absorbs every \
+               (allocations + reallocations == 0); vprofile+shadows scores Viden and \
+               Scission shadows on every frame; vprofile+updates absorbs every \
                accepted frame (a batch applied per 16, drift guard 400). pipeline: \
                feed to last event over pre-built chunks after one warm-up pass; \
                passed == < 1 per frame.",

@@ -2,7 +2,7 @@
 //! same capture, through the same streaming machinery.
 //!
 //! Two measurements per backend, mirroring how a deployment would compare
-//! candidates before a shadow-mode rollout:
+//! candidates before running one as a shadow:
 //!
 //! * **detection quality** — the hijack-imitation test (§4.1's 20 %
 //!   SA-rewrite attack) scored per message through the backend's
@@ -24,7 +24,7 @@ use vprofile_can::SourceAddress;
 use vprofile_detector_core::DetectionBackend;
 use vprofile_ids::{
     Backend, FusionConfig, FusionEngine, FusionPipeline, IdsEngine, IdsPipeline, PipelineConfig,
-    PipelineError, ShadowPipeline, StageBreakdown, UpdatePolicy,
+    PipelineError, StageBreakdown, UpdatePolicy,
 };
 use vprofile_vehicle::attack::{hijack_imitation_test, HIJACK_PROBABILITY};
 use vprofile_vehicle::{CaptureConfig, Vehicle};
@@ -83,9 +83,9 @@ pub struct BackendReport {
     /// Per-stage wall-clock attribution of the clean pipeline replay.
     pub stage_ns: StageBreakdown,
     /// Disagreements with the vProfile primary when this backend rode the
-    /// clean replay as a passive shadow (0 for the primary itself and for
-    /// the fusion row, which *is* an ensemble).
-    pub shadow_disagreements: u64,
+    /// clean replay as a shadow (0 for the primary itself and for the
+    /// fusion row, which *is* an ensemble).
+    pub primary_disagreements: u64,
 }
 
 /// Trains vProfile, Viden, Scission, and VoltageIDS on one clean capture
@@ -95,10 +95,9 @@ pub struct BackendReport {
 ///
 /// All rows see identical training data, identical attack messages, and
 /// the identical single-worker pipeline configuration, so the reports
-/// differ only in the detectors themselves. One extra shadow-mode replay
-/// (vProfile primary, the three baselines as passive shadows) supplies
-/// the per-shadow disagreement counts and the shadow-stage wall clock
-/// that the pipeline counts but previously never reported.
+/// differ only in the detectors themselves. One extra replay (vProfile
+/// primary, the three baselines as its shadows) supplies the per-shadow
+/// disagreement counts and the shadow-stage wall clock.
 ///
 /// # Errors
 ///
@@ -152,24 +151,21 @@ pub fn backend_comparison(seed: u64, frames: usize) -> Result<Vec<BackendReport>
             false_positive_rate: clean_fpr(&stats),
             frames: stats.frames,
             stage_ns: stats.stage_ns,
-            shadow_disagreements: 0,
+            primary_disagreements: 0,
         });
     }
 
-    // Shadow-mode replay: the primary carries the three baselines as
-    // passive shadows, surfacing the pipeline's per-shadow disagreement
-    // counters and the shadow-stage clock in the report.
-    let primary = IdsEngine::with_backend(
+    // Shadow replay: the primary carries the three baselines as shadows,
+    // surfacing the per-voter disagreement counters (voter 0 is the
+    // primary) and the shadow-stage clock in the report.
+    let shadowed = IdsEngine::with_backend(
         backends[0].clone(),
         config.clone(),
         UpdatePolicy::disabled(),
-    );
-    let shadows: Vec<IdsEngine> = backends[1..]
-        .iter()
-        .map(|b| IdsEngine::with_backend(b.clone(), config.clone(), UpdatePolicy::disabled()))
-        .collect();
+    )
+    .with_shadows(backends[1..].to_vec());
     let shadow_pipeline =
-        ShadowPipeline::spawn(primary, shadows, PipelineConfig::default().with_workers(1));
+        IdsPipeline::spawn_sharded(shadowed, PipelineConfig::default().with_workers(1));
     for chunk in stream.chunks(65_536) {
         shadow_pipeline.feed(chunk.to_vec())?;
     }
@@ -177,9 +173,9 @@ pub fn backend_comparison(seed: u64, frames: usize) -> Result<Vec<BackendReport>
     reports[0].stage_ns.shadow_ns = shadow_stats.stage_ns.shadow_ns;
     for (report, disagreements) in reports[1..]
         .iter_mut()
-        .zip(&shadow_stats.shadow_disagreements)
+        .zip(shadow_stats.voter_disagreements.iter().skip(1))
     {
-        report.shadow_disagreements = *disagreements;
+        report.primary_disagreements = *disagreements;
     }
 
     // The fusion row: all four backends as first-class voters.
@@ -211,7 +207,7 @@ pub fn backend_comparison(seed: u64, frames: usize) -> Result<Vec<BackendReport>
         false_positive_rate: clean_fpr(&stats),
         frames: stats.frames,
         stage_ns: stats.stage_ns,
-        shadow_disagreements: 0,
+        primary_disagreements: 0,
     });
     Ok(reports)
 }
@@ -240,7 +236,7 @@ pub fn backend_markdown(reports: &[BackendReport]) -> String {
                 format!("{:.1}", r.stage_ns.extract_ns as f64 / 1e6),
                 format!("{:.1}", r.stage_ns.score_ns as f64 / 1e6),
                 format!("{:.1}", r.stage_ns.shadow_ns as f64 / 1e6),
-                r.shadow_disagreements.to_string(),
+                r.primary_disagreements.to_string(),
             ]
         })
         .collect();

@@ -1,8 +1,10 @@
 //! The synchronous IDS core: framing → extraction → detection → events,
-//! plus the §5.3 online-update policy.
+//! plus the §5.3 online-update policy and observe-only shadow backends.
 
 use crate::backend::Backend;
 use crate::event::{IdsEvent, ScoredEvent};
+use crate::pipeline::sealed::{Engine, Outcome};
+use crate::pipeline::PipelineEngine;
 use crate::StreamFramer;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -14,6 +16,28 @@ use vprofile_detector_core::{DetectionBackend, VProfileBackend};
 /// (never-in-practice) u128 → u64 overflow.
 pub(crate) fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Most backends one engine scores a frame with, its primary included:
+/// one bit each in the `u8` disagreement mask the pipeline counts into
+/// `PipelineStats::voter_disagreements`.
+pub(crate) const MAX_VOTERS: usize = u8::BITS as usize;
+
+/// The scored event of a window whose Algorithm 1 extraction failed:
+/// an anomaly, since an unparseable transmission on a healthy bus is
+/// itself suspicious.
+pub(crate) fn extraction_failure(stream_pos: u64) -> IdsEvent {
+    IdsEvent::Scored(ScoredEvent {
+        stream_pos,
+        sa: None,
+        verdict: Verdict::Anomaly {
+            kind: vprofile::AnomalyKind::UnknownSa {
+                sa: SourceAddress(0xFF),
+            },
+        },
+        extraction_failed: true,
+        retrain_due: false,
+    })
 }
 
 /// When and how the engine feeds accepted messages back into the model
@@ -67,9 +91,17 @@ impl UpdatePolicy {
 /// framing/extraction/quarantine/update machinery. Framing and extraction
 /// parameters come from a [`VProfileConfig`] in either case, since every
 /// backend scores the same extracted edge sets.
+///
+/// [`IdsEngine::with_shadows`] adds observe-only backends that score each
+/// frame's already-extracted edge set beside the primary: the way to
+/// audition a candidate backend on live traffic.
 #[derive(Debug, Clone)]
 pub struct IdsEngine {
     backend: Backend,
+    /// Observe-only backends scored on the primary's edge set after the
+    /// primary. They never absorb, are never quarantined and never decide
+    /// an event; they are checkpointed with the engine.
+    shadows: Vec<Backend>,
     config: VProfileConfig,
     extractor: EdgeSetExtractor,
     framer: StreamFramer,
@@ -103,6 +135,7 @@ impl IdsEngine {
         let extractor = EdgeSetExtractor::new(config.clone());
         IdsEngine {
             backend,
+            shadows: Vec::new(),
             config,
             extractor,
             framer,
@@ -135,6 +168,30 @@ impl IdsEngine {
     /// The armed drift-guard threshold, if any.
     pub fn drift_guard(&self) -> Option<f64> {
         self.drift_guard
+    }
+
+    /// Adds observe-only shadow backends. Every frame whose extraction
+    /// succeeds is scored by the primary and then by each shadow, in
+    /// order, on the same extracted edge set. Only the primary decides the
+    /// event, absorbs online updates and feeds a pipeline's circuit
+    /// breaker; a shadow only reports whether its anomaly call differed
+    /// from the primary's, counted in
+    /// [`PipelineStats::voter_disagreements`](crate::PipelineStats::voter_disagreements)
+    /// at index `1 + i` for shadow `i`, its time in
+    /// [`StageBreakdown::shadow_ns`](crate::StageBreakdown::shadow_ns).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the primary and `shadows` together exceed the eight
+    /// voters the pipeline's `u8` disagreement mask holds.
+    #[must_use]
+    pub fn with_shadows(mut self, shadows: Vec<Backend>) -> Self {
+        assert!(
+            shadows.len() < MAX_VOTERS,
+            "an engine scores at most {MAX_VOTERS} backends, its primary included"
+        );
+        self.shadows = shadows;
+        self
     }
 
     /// The framing/extraction configuration the engine was built with.
@@ -218,60 +275,7 @@ impl IdsEngine {
     /// Classifies one already-framed window.
     // xtask: hot-path
     pub fn process_window(&mut self, stream_pos: u64, window: &[f64]) -> IdsEvent {
-        self.process_window_timed(stream_pos, window).0
-    }
-
-    /// [`IdsEngine::process_window`] with a per-stage breakdown: returns
-    /// `(event, extract_ns, score_ns)` so the pipeline can attribute time
-    /// to extraction vs. scoring. The hot path runs through the engine's
-    /// [`ScratchArena`]: extraction writes into `scratch.edge_set`, the
-    /// backend scores it from there (vProfile's seeded nearest-cluster scan
-    /// needs no buffer), and nothing touches the allocator in steady state.
-    pub fn process_window_timed(
-        &mut self,
-        stream_pos: u64,
-        window: &[f64],
-    ) -> (IdsEvent, u64, u64) {
-        let extracting = Instant::now();
-        let extracted = self.extractor.extract_into(window, &mut self.scratch);
-        let extract_ns = elapsed_ns(extracting);
-        let scoring = Instant::now();
-        let event = match extracted {
-            Ok(sa) => {
-                let verdict = self.backend.classify_into(&mut self.scratch, sa);
-                let mut retrain_due = false;
-                if !verdict.is_anomaly()
-                    && self.policy.is_enabled()
-                    && !self.quarantine.contains(sa.0)
-                {
-                    self.accepted_count += 1;
-                    if self.accepted_count.is_multiple_of(self.policy.interval) {
-                        self.backend.absorb(sa, &self.scratch.edge_set);
-                        self.drift_guard_check(sa);
-                    }
-                    retrain_due = self.backend.retrain_due(self.policy.retrain_bound);
-                }
-                IdsEvent::Scored(ScoredEvent {
-                    stream_pos,
-                    sa: Some(sa),
-                    verdict,
-                    extraction_failed: false,
-                    retrain_due,
-                })
-            }
-            Err(_) => IdsEvent::Scored(ScoredEvent {
-                stream_pos,
-                sa: None,
-                verdict: Verdict::Anomaly {
-                    kind: vprofile::AnomalyKind::UnknownSa {
-                        sa: SourceAddress(0xFF),
-                    },
-                },
-                extraction_failed: true,
-                retrain_due: false,
-            }),
-        };
-        (event, extract_ns, elapsed_ns(scoring))
+        self.score_window(stream_pos, window, 0).event
     }
 
     /// Applies any buffered online updates immediately.
@@ -293,12 +297,114 @@ impl IdsEngine {
             self.backend.discard_pending_for(sa);
         }
     }
+
+    /// Scores the extracted edge set with every shadow. Returns the
+    /// disagreement mask, bit `1 + i` set when shadow `i`'s anomaly call
+    /// differs from the primary's, and the time taken (0 without shadows,
+    /// which then cost no clock read).
+    // xtask: hot-path
+    fn score_shadows(&mut self, sa: SourceAddress, primary_anomaly: bool) -> (u8, u64) {
+        if self.shadows.is_empty() {
+            return (0, 0);
+        }
+        let shadowing = Instant::now();
+        let mut mask = 0u8;
+        let mut bit = 1u8;
+        for shadow in &mut self.shadows {
+            bit <<= 1;
+            if shadow.classify_into(&mut self.scratch, sa).is_anomaly() != primary_anomaly {
+                mask |= bit;
+            }
+        }
+        (mask, elapsed_ns(shadowing))
+    }
+}
+
+impl PipelineEngine for IdsEngine {}
+
+impl Engine for IdsEngine {
+    fn config(&self) -> &VProfileConfig {
+        &self.config
+    }
+
+    fn voter_count(&self) -> usize {
+        if self.shadows.is_empty() {
+            0
+        } else {
+            1 + self.shadows.len()
+        }
+    }
+
+    /// Extracts once into the engine's [`ScratchArena`]; the primary scores
+    /// `scratch.edge_set` and may absorb it, then every shadow scores the
+    /// same edge set. Nothing touches the allocator in steady state.
+    // xtask: hot-path
+    fn score_window(&mut self, stream_pos: u64, window: &[f64], _shard: usize) -> Outcome {
+        let extracting = Instant::now();
+        let extracted = self.extractor.extract_into(window, &mut self.scratch);
+        let extract_ns = elapsed_ns(extracting);
+        let scoring = Instant::now();
+        let Ok(sa) = extracted else {
+            return Outcome {
+                event: extraction_failure(stream_pos),
+                disagree_mask: 0,
+                fusion: None,
+                extract_ns,
+                score_ns: elapsed_ns(scoring),
+                shadow_ns: 0,
+            };
+        };
+        let verdict = self.backend.classify_into(&mut self.scratch, sa);
+        let mut retrain_due = false;
+        if !verdict.is_anomaly() && self.policy.is_enabled() && !self.quarantine.contains(sa.0) {
+            self.accepted_count += 1;
+            if self.accepted_count.is_multiple_of(self.policy.interval) {
+                self.backend.absorb(sa, &self.scratch.edge_set);
+                self.drift_guard_check(sa);
+            }
+            retrain_due = self.backend.retrain_due(self.policy.retrain_bound);
+        }
+        let score_ns = elapsed_ns(scoring);
+        let (disagree_mask, shadow_ns) = self.score_shadows(sa, verdict.is_anomaly());
+        Outcome {
+            event: IdsEvent::Scored(ScoredEvent {
+                stream_pos,
+                sa: Some(sa),
+                verdict,
+                extraction_failed: false,
+                retrain_due,
+            }),
+            disagree_mask,
+            fusion: None,
+            extract_ns,
+            score_ns,
+            shadow_ns,
+        }
+    }
+
+    fn apply_pending_updates(&mut self) {
+        IdsEngine::apply_pending_updates(self);
+    }
+
+    fn quarantine_sa(&mut self, sa: u8) {
+        IdsEngine::quarantine_sa(self, sa);
+    }
+
+    fn release_all_quarantined(&mut self) {
+        IdsEngine::release_all_quarantined(self);
+    }
+
+    fn quarantined(&self) -> &QuarantineSet {
+        &self.quarantine
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{IdsPipeline, PipelineConfig, PipelineStats};
     use vprofile::{Detector, Trainer, VProfileConfig};
+    use vprofile_baselines::VidenDetector;
     use vprofile_vehicle::{CaptureConfig, Vehicle};
 
     fn trained_setup(frames: usize) -> (IdsEngine, vprofile_vehicle::Capture) {
@@ -490,5 +596,112 @@ mod tests {
     #[should_panic(expected = "interval 0")]
     fn zero_interval_panics() {
         let _ = UpdatePolicy::every(0, 10);
+    }
+
+    /// A primary trained on a clean vehicle-B session, two shadows (a
+    /// clone of the primary's backend, and a Viden detector whose
+    /// near-zero acceptance radius flags every frame, so it disagrees
+    /// wherever the primary says normal) and a 120-frame replay stream.
+    fn shadow_fixture() -> (IdsEngine, Backend, Backend, Vec<f64>) {
+        let vehicle = Vehicle::vehicle_b(29);
+        let capture = vehicle
+            .capture(&CaptureConfig::default().with_frames(400).with_seed(29))
+            .unwrap();
+        let config = VProfileConfig::for_adc(capture.adc(), capture.bit_rate_bps());
+        let extracted = capture.extract(&EdgeSetExtractor::new(config.clone()));
+        let labeled = extracted.labeled();
+        let lut = vehicle.sa_lut();
+        let model = Trainer::new(config).train_with_lut(&labeled, &lut).unwrap();
+        let primary = IdsEngine::new(model, 2.0, UpdatePolicy::disabled());
+        let agreeing = primary.backend().clone();
+        let paranoid = Backend::from(VidenDetector::fit(&labeled, &lut, 1e-9).unwrap());
+        let mut stream = Vec::new();
+        for frame in capture.frames().iter().take(120) {
+            stream.extend(frame.trace.to_f64());
+        }
+        (primary, agreeing, paranoid, stream)
+    }
+
+    /// Replays `stream` through a pipeline of `workers` workers around
+    /// `engine`; returns the events, shard 0's engine and the stats.
+    fn replay(
+        engine: IdsEngine,
+        stream: &[f64],
+        workers: usize,
+    ) -> (Vec<IdsEvent>, IdsEngine, PipelineStats) {
+        let mut pipeline =
+            IdsPipeline::spawn_sharded(engine, PipelineConfig::default().with_workers(workers));
+        for chunk in stream.chunks(8192) {
+            pipeline.feed(chunk.to_vec()).unwrap();
+        }
+        pipeline.close_input();
+        let events: Vec<IdsEvent> = pipeline.events().into_iter().collect();
+        let (mut engines, stats) = pipeline.close().unwrap();
+        (events, engines.swap_remove(0), stats)
+    }
+
+    #[test]
+    fn shadows_count_their_disagreements_per_voter() {
+        let (primary, agreeing, paranoid, stream) = shadow_fixture();
+        let shadowed = primary.with_shadows(vec![agreeing, paranoid]);
+        let (events, _, stats) = replay(shadowed, &stream, 0);
+
+        assert_eq!(stats.frames, 120);
+        assert_eq!(events.len(), 120, "shadows never eat primary events");
+        assert_eq!(stats.voter_disagreements.len(), 3, "primary + two shadows");
+        assert_eq!(
+            stats.voter_disagreements[0], 0,
+            "the primary never disagrees with itself"
+        );
+        assert_eq!(
+            stats.voter_disagreements[1], 0,
+            "a clone of the primary never disagrees"
+        );
+        assert_eq!(
+            stats.voter_disagreements[2], stats.normals,
+            "the near-zero-radius shadow disagrees on every normal frame"
+        );
+        assert!(stats.normals > 0);
+        assert!(
+            stats.stage_ns.shadow_ns > 0,
+            "shadow scoring time is attributed to its own clock"
+        );
+    }
+
+    #[test]
+    fn shadowless_engine_reports_zero_shadow_activity() {
+        let (primary, _, _, stream) = shadow_fixture();
+        let (_, _, stats) = replay(primary, &stream, 0);
+        assert!(stats.voter_disagreements.is_empty());
+        assert_eq!(stats.stage_ns.shadow_ns, 0);
+    }
+
+    #[test]
+    fn shadows_never_absorb() {
+        let (primary, agreeing, _, stream) = shadow_fixture();
+        let trained = primary.model().unwrap().clone();
+        let updating = IdsEngine::new(trained.clone(), 2.0, UpdatePolicy::every(1, usize::MAX))
+            .with_shadows(vec![agreeing]);
+        let (_, engine, stats) = replay(updating, &stream, 1);
+        assert!(stats.normals > 100);
+        assert_ne!(
+            engine.model(),
+            Some(&trained),
+            "the primary absorbed the accepted frames"
+        );
+        let mut shadow = engine.shadows[0].clone();
+        shadow.apply_pending_updates();
+        assert_eq!(
+            shadow.as_vprofile().map(VProfileBackend::model),
+            Some(&trained),
+            "a shadow keeps its trained model and buffers no update"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 backends")]
+    fn more_than_eight_voters_are_rejected() {
+        let (primary, agreeing, _, _) = shadow_fixture();
+        let _ = primary.with_shadows(vec![agreeing; MAX_VOTERS]);
     }
 }

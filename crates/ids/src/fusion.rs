@@ -17,26 +17,25 @@
 //! readmission probes); the ensemble reweights around it and keeps
 //! scoring, emitting one [`IdsEvent::Degraded`] frame with a
 //! backend-attributed [`DegradeReason::VoterOutage`] at the transition.
-//! [`FusionPipeline`] runs the engine through the sharded, supervised
-//! [`IdsPipeline`] machinery: because all fusion state is per source
-//! address and routing is SA-affine, the fused verdict stream is
-//! deterministic for any worker count.
+//! [`crate::FusionPipeline`] runs the engine through the same sharded,
+//! supervised pipeline as an [`crate::IdsEngine`]: because all fusion
+//! state is per source address and routing is SA-affine, the fused
+//! verdict stream is deterministic for any worker count.
 
-use crate::engine::elapsed_ns;
+use crate::engine::{elapsed_ns, extraction_failure, MAX_VOTERS};
 use crate::event::{IdsEvent, ScoredEvent};
 use crate::health::{DegradeReason, OutageCause};
-use crate::pipeline::{CoreEngine, PipelineConfig, PipelineError, PipelineStats};
-use crate::{Backend, BackendKind, IdsPipeline, StreamFramer, UpdatePolicy};
-use crossbeam::channel::Receiver;
+use crate::pipeline::sealed::{Engine, Outcome};
+use crate::pipeline::PipelineEngine;
+use crate::{Backend, BackendKind, StreamFramer, UpdatePolicy};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use std::time::Instant;
 use vprofile::{
     AnomalyKind, ClusterId, EdgeSetExtractor, QuarantineSet, ScratchArena, VProfileConfig, Verdict,
 };
 use vprofile_can::SourceAddress;
 use vprofile_detector_core::DetectionBackend;
-use vprofile_fusion::{DriftLedger, DriftVerdict, FusionConfig, FusionCore, FusionDecision};
+use vprofile_fusion::{DriftVerdict, FusionConfig, FusionCore, FusionDecision};
 
 /// Consecutive `Unscorable` verdicts before a voter is suspended.
 const DEFAULT_SUSPEND_AFTER: u32 = 12;
@@ -82,8 +81,8 @@ pub struct FusedScore {
 }
 
 /// Compact per-frame fusion telemetry attached to the pipeline's scored
-/// windows and surfaced through [`FusionPipeline::fusion_events`] and the
-/// fusion counters in [`PipelineStats`].
+/// windows and surfaced through [`crate::FusionPipeline::fusion_events`]
+/// and the fusion counters in [`crate::PipelineStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FusionRecord {
     /// The claimed source address the frame was fused under.
@@ -159,7 +158,8 @@ impl FusionEngine {
     ///
     /// # Panics
     ///
-    /// Panics when `voters` is empty.
+    /// Panics when `voters` is empty, or holds more than the eight voters
+    /// the pipeline's `u8` disagreement mask holds.
     pub fn new(
         voters: Vec<Backend>,
         config: VProfileConfig,
@@ -167,6 +167,10 @@ impl FusionEngine {
         policy: UpdatePolicy,
     ) -> Self {
         assert!(!voters.is_empty(), "fusion needs at least one voter");
+        assert!(
+            voters.len() <= MAX_VOTERS,
+            "fusion scores at most {MAX_VOTERS} voters"
+        );
         let framer = StreamFramer::new(config.bit_width_samples, config.bit_threshold);
         let extractor = EdgeSetExtractor::new(config.clone());
         let core = FusionCore::new(voters.len(), fusion);
@@ -294,7 +298,7 @@ impl FusionEngine {
     /// Classifies one already-framed window into a fused event.
     // xtask: hot-path
     pub fn process_window(&mut self, stream_pos: u64, window: &[f64]) -> IdsEvent {
-        self.process_window_shard(stream_pos, window, 0).0
+        self.score_window(stream_pos, window, 0).event
     }
 
     /// Scores one window through the full ensemble *without* the
@@ -320,104 +324,6 @@ impl FusionEngine {
         self.scratch.edge_set.extend_from_slice(edge_set);
         let (scored, _) = self.score_extracted(sa);
         scored
-    }
-
-    /// The full per-frame path: extraction, ensemble scoring, drift-gated
-    /// absorption, and outage emission. `shard` is stamped into any
-    /// degraded event (0 when running standalone).
-    pub(crate) fn process_window_shard(
-        &mut self,
-        stream_pos: u64,
-        window: &[f64],
-        shard: usize,
-    ) -> (IdsEvent, u64, u64, Option<FusionRecord>) {
-        let extracting = Instant::now();
-        let extracted = self.extractor.extract_into(window, &mut self.scratch);
-        let extract_ns = elapsed_ns(extracting);
-        let scoring = Instant::now();
-        let Ok(sa) = extracted else {
-            let event = IdsEvent::Scored(ScoredEvent {
-                stream_pos,
-                sa: None,
-                verdict: Verdict::Anomaly {
-                    kind: AnomalyKind::UnknownSa {
-                        sa: SourceAddress(0xFF),
-                    },
-                },
-                extraction_failed: true,
-                retrain_due: false,
-            });
-            return (event, extract_ns, elapsed_ns(scoring), None);
-        };
-
-        // Chaos kill knob: keyed on stream position so the fault lands on
-        // the same frame every run, keeping chaos tests deterministic.
-        let mut outage: Option<(u8, OutageCause)> = None;
-        if let Some((voter, at)) = self.kill_at {
-            if stream_pos >= at {
-                self.kill_at = None;
-                outage = self.kill_voter_now(voter);
-            }
-        }
-
-        let (scored, streak_outage) = self.score_extracted(sa);
-        if outage.is_none() {
-            outage = streak_outage;
-        }
-
-        // Drift-gated §5.3 update: absorption needs an open ScoreShift
-        // budget (decision.absorb_ok), an un-quarantined SA, and updates
-        // enabled at all. There is no fixed cadence to fall back to.
-        let mut retrain_due = false;
-        let mut absorbed = false;
-        if !scored.decision.anomaly && self.policy.is_enabled() && !self.quarantine.contains(sa.0) {
-            if scored.decision.absorb_ok && outage.is_none() {
-                self.absorb_frame(sa);
-                absorbed = true;
-            }
-            retrain_due = self.any_retrain_due();
-        }
-
-        let record = FusionRecord {
-            sa: sa.0,
-            score: scored.decision.score,
-            threshold: scored.decision.threshold,
-            anomaly: scored.decision.anomaly,
-            scored: scored.decision.scored,
-            episode: scored.decision.episode,
-            absorbed,
-            disagree_mask: scored.disagree_mask,
-            drift: scored.decision.drift,
-            outage: outage.map(|(voter, _)| voter),
-        };
-
-        // A voter-loss transition consumes this one frame as an explicit
-        // degradation marker (never an anomaly: the outage is a runtime
-        // integrity signal, not an attack verdict), keeping the pipeline's
-        // frame-partition identity intact.
-        let event = match outage {
-            Some((voter, cause)) => IdsEvent::Degraded {
-                stream_pos,
-                shard,
-                reason: DegradeReason::VoterOutage {
-                    voter,
-                    backend: self
-                        .voters
-                        .get(usize::from(voter))
-                        .map(Backend::kind)
-                        .unwrap_or(BackendKind::VProfile),
-                    cause,
-                },
-            },
-            None => IdsEvent::Scored(ScoredEvent {
-                stream_pos,
-                sa: Some(sa),
-                verdict: scored.verdict,
-                extraction_failed: false,
-                retrain_due,
-            }),
-        };
-        (event, extract_ns, elapsed_ns(scoring), Some(record))
     }
 
     /// Scores the already-extracted observation through every live voter
@@ -480,11 +386,9 @@ impl FusionEngine {
 
         let decision = self.core.fuse(sa.0, &self.scores);
 
+        // `new` caps the voters at the mask's eight bits.
         let mut disagree_mask = 0u8;
         for (index, slot) in self.scores.iter().enumerate() {
-            if index >= 8 {
-                break;
-            }
             if let Some(score) = slot {
                 if (*score >= 0.5) != decision.anomaly {
                     disagree_mask |= 1u8 << index;
@@ -595,105 +499,136 @@ fn representative_cluster(verdict: &Verdict) -> ClusterId {
     }
 }
 
-/// A sharded pipeline whose workers each run a clone of a
-/// [`FusionEngine`] — the ensemble counterpart of
-/// [`crate::ShadowPipeline`].
-///
-/// Fused verdicts drive the event stream, the circuit breaker, and the
-/// (drift-gated) online updates. Notable fusion frames — change-point
-/// verdicts and voter outages — additionally arrive on
-/// [`FusionPipeline::fusion_events`] and are recorded, cross-shard and
-/// in stream order, in the [`DriftLedger`] available from
-/// [`FusionPipeline::ledger`].
-#[derive(Debug)]
-pub struct FusionPipeline {
-    inner: IdsPipeline,
-    fusion_rx: Receiver<FusionEvent>,
-    ledger: Arc<DriftLedger>,
-}
+impl PipelineEngine for FusionEngine {}
 
-impl FusionPipeline {
-    /// Spawns the sharded pipeline with a clone of `engine` per worker.
-    pub fn spawn(engine: FusionEngine, config: PipelineConfig) -> Self {
-        let ledger = Arc::new(DriftLedger::new());
-        let (inner, _shadow_rx, fusion_rx) = IdsPipeline::spawn_core(
-            CoreEngine::Fused(Box::new(engine)),
-            Vec::new(),
-            config,
-            Some(Arc::clone(&ledger)),
-        );
-        FusionPipeline {
-            inner,
-            fusion_rx,
-            ledger,
+impl Engine for FusionEngine {
+    fn config(&self) -> &VProfileConfig {
+        &self.config
+    }
+
+    fn voter_count(&self) -> usize {
+        self.voters.len()
+    }
+
+    /// The full per-frame path: extraction, ensemble scoring, drift-gated
+    /// absorption, and outage emission. `shard` is stamped into any
+    /// degraded event (0 when running standalone).
+    // xtask: hot-path
+    fn score_window(&mut self, stream_pos: u64, window: &[f64], shard: usize) -> Outcome {
+        let extracting = Instant::now();
+        let extracted = self.extractor.extract_into(window, &mut self.scratch);
+        let extract_ns = elapsed_ns(extracting);
+        let scoring = Instant::now();
+        let Ok(sa) = extracted else {
+            return Outcome {
+                event: extraction_failure(stream_pos),
+                disagree_mask: 0,
+                fusion: None,
+                extract_ns,
+                score_ns: elapsed_ns(scoring),
+                shadow_ns: 0,
+            };
+        };
+
+        // Chaos kill knob: keyed on stream position so the fault lands on
+        // the same frame every run, keeping chaos tests deterministic.
+        let mut outage: Option<(u8, OutageCause)> = None;
+        if let Some((voter, at)) = self.kill_at {
+            if stream_pos >= at {
+                self.kill_at = None;
+                outage = self.kill_voter_now(voter);
+            }
+        }
+
+        let (scored, streak_outage) = self.score_extracted(sa);
+        if outage.is_none() {
+            outage = streak_outage;
+        }
+
+        // Drift-gated §5.3 update: absorption needs an open ScoreShift
+        // budget (decision.absorb_ok), an un-quarantined SA, and updates
+        // enabled at all. There is no fixed cadence to fall back to.
+        let mut retrain_due = false;
+        let mut absorbed = false;
+        if !scored.decision.anomaly && self.policy.is_enabled() && !self.quarantine.contains(sa.0) {
+            if scored.decision.absorb_ok && outage.is_none() {
+                self.absorb_frame(sa);
+                absorbed = true;
+            }
+            retrain_due = self.any_retrain_due();
+        }
+
+        let record = FusionRecord {
+            sa: sa.0,
+            score: scored.decision.score,
+            threshold: scored.decision.threshold,
+            anomaly: scored.decision.anomaly,
+            scored: scored.decision.scored,
+            episode: scored.decision.episode,
+            absorbed,
+            disagree_mask: scored.disagree_mask,
+            drift: scored.decision.drift,
+            outage: outage.map(|(voter, _)| voter),
+        };
+
+        // A voter-loss transition consumes this one frame as an explicit
+        // degradation marker (never an anomaly: the outage is a runtime
+        // integrity signal, not an attack verdict), keeping the pipeline's
+        // frame-partition identity intact.
+        let event = match outage {
+            Some((voter, cause)) => IdsEvent::Degraded {
+                stream_pos,
+                shard,
+                reason: DegradeReason::VoterOutage {
+                    voter,
+                    backend: self
+                        .voters
+                        .get(usize::from(voter))
+                        .map(Backend::kind)
+                        .unwrap_or(BackendKind::VProfile),
+                    cause,
+                },
+            },
+            None => IdsEvent::Scored(ScoredEvent {
+                stream_pos,
+                sa: Some(sa),
+                verdict: scored.verdict,
+                extraction_failed: false,
+                retrain_due,
+            }),
+        };
+        Outcome {
+            event,
+            disagree_mask: record.disagree_mask,
+            fusion: Some(record),
+            extract_ns,
+            score_ns: elapsed_ns(scoring),
+            shadow_ns: 0,
         }
     }
 
-    /// Feeds one chunk of samples; see [`IdsPipeline::feed`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`IdsPipeline::feed`] errors.
-    pub fn feed(&self, samples: Vec<f64>) -> Result<(), PipelineError> {
-        self.inner.feed(samples)
+    fn apply_pending_updates(&mut self) {
+        FusionEngine::apply_pending_updates(self);
     }
 
-    /// The fused event stream, in framing order.
-    pub fn events(&self) -> &Receiver<IdsEvent> {
-        self.inner.events()
+    fn quarantine_sa(&mut self, sa: u8) {
+        FusionEngine::quarantine_sa(self, sa);
     }
 
-    /// Notable fusion frames (drift verdicts, voter outages), in framing
-    /// order.
-    pub fn fusion_events(&self) -> &Receiver<FusionEvent> {
-        &self.fusion_rx
+    fn release_all_quarantined(&mut self) {
+        FusionEngine::release_all_quarantined(self);
     }
 
-    /// The cross-shard drift/outage ledger.
-    pub fn ledger(&self) -> &Arc<DriftLedger> {
-        &self.ledger
-    }
-
-    /// Number of detection workers.
-    pub fn worker_count(&self) -> usize {
-        self.inner.worker_count()
-    }
-
-    /// Closes the sample input without joining; see
-    /// [`IdsPipeline::close_input`].
-    pub fn close_input(&mut self) {
-        self.inner.close_input();
-    }
-
-    /// Snapshot of the aggregate counters, including the fusion counters
-    /// ([`PipelineStats::fusion_frames`],
-    /// [`PipelineStats::voter_disagreements`],
-    /// [`PipelineStats::drift_verdicts`],
-    /// [`PipelineStats::voter_outages`]).
-    pub fn stats(&self) -> PipelineStats {
-        self.inner.stats()
-    }
-
-    /// Closes the input, drains every thread, and returns the per-shard
-    /// fusion engines with the final statistics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`IdsPipeline::close`] errors.
-    pub fn close(self) -> Result<(Vec<FusionEngine>, PipelineStats), PipelineError> {
-        let (cores, stats) = self.inner.close_core()?;
-        let engines = cores
-            .into_iter()
-            .filter_map(CoreEngine::into_fused)
-            .collect();
-        Ok((engines, stats))
+    fn quarantined(&self) -> &QuarantineSet {
+        &self.quarantine
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PipelineConfig;
+    use crate::{FusionPipeline, PipelineConfig};
+    use std::sync::Arc;
     use vprofile::Trainer;
     use vprofile_baselines::{ScissionDetector, VidenDetector, VoltageIdsDetector};
     use vprofile_vehicle::{CaptureConfig, Vehicle};
@@ -875,6 +810,19 @@ mod tests {
         assert!(
             engine.core().weight(sa.raw(), 1) < engine.core().weight(sa.raw(), 2),
             "constant disagreement must cost the paranoid voter its weight"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 voters")]
+    fn more_than_eight_voters_are_rejected() {
+        let (engine, _) = fixture();
+        let voters = vec![engine.voters[0].clone(); MAX_VOTERS + 1];
+        let _ = FusionEngine::new(
+            voters,
+            engine.config.clone(),
+            FusionConfig::default(),
+            UpdatePolicy::disabled(),
         );
     }
 

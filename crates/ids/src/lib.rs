@@ -13,7 +13,8 @@
 //!   extraction → Algorithm 3 detection → [`IdsEvent`]s, with an optional
 //!   online-update policy (§5.3) that absorbs accepted messages and signals
 //!   when a full retrain is due;
-//! * [`IdsPipeline`] — a threaded, sharded wrapper: [`IdsPipeline::feed`]
+//! * [`Pipeline`] — a threaded, sharded wrapper around either engine
+//!   ([`IdsPipeline`], [`FusionPipeline`]): [`Pipeline::feed`]
 //!   *splits* each chunk into frame windows on the calling thread (peeking
 //!   only the arbitration field) and routes each window to one of N
 //!   detection workers by a stable, seedable hash of the claimed source
@@ -34,8 +35,9 @@
 //!   (enum-dispatched [`DetectionBackend`]), so the same framing, sharding,
 //!   supervision, and health machinery runs vProfile, Viden-style,
 //!   Scission-style, and VoltageIDS-style detectors interchangeably, and
-//!   [`ShadowPipeline`] evaluates candidate backends against live traffic
-//!   without letting them raise alarms.
+//!   [`IdsEngine::with_shadows`] evaluates candidate backends against live
+//!   traffic, on the primary's extracted edge sets, without letting them
+//!   raise alarms.
 //!
 //! # Example
 //!
@@ -79,7 +81,6 @@ mod pipeline;
 mod reorder;
 mod ring;
 pub mod scan;
-mod shadow;
 mod shard;
 mod splitter;
 
@@ -88,14 +89,16 @@ pub use backend::{Backend, BackendKind};
 pub use engine::{IdsEngine, UpdatePolicy};
 pub use event::{IdsEvent, ScoredEvent};
 pub use framer::StreamFramer;
-pub use fusion::{FusedScore, FusionEngine, FusionEvent, FusionPipeline, FusionRecord};
+pub use fusion::{FusedScore, FusionEngine, FusionEvent, FusionRecord};
 pub use health::{
     BackpressurePolicy, BreakerState, DegradeReason, DropReason, HealthConfig, OutageCause,
 };
 pub use period::{PeriodMonitor, PeriodVerdict};
-pub use pipeline::{IdsPipeline, PipelineConfig, PipelineError, PipelineStats, StageBreakdown};
+pub use pipeline::{
+    FusionPipeline, IdsPipeline, Pipeline, PipelineConfig, PipelineEngine, PipelineError,
+    PipelineStats, StageBreakdown,
+};
 pub use reorder::ReorderBuffer;
-pub use shadow::{ShadowEvent, ShadowPipeline, ShadowVerdict};
 pub use shard::stable_shard_seeded;
 pub use vprofile_detector_core::{
     BackendSnapshot, DetectionBackend, SnapshotError, VProfileBackend,

@@ -1,7 +1,13 @@
 //! A threaded, sharded, self-healing IDS pipeline: sample chunks in,
 //! detection events out.
 //!
-//! There is no router thread and no chunk queue. [`IdsPipeline::feed`] is
+//! One type, [`Pipeline<E>`], runs either engine: [`IdsPipeline`] is a
+//! pipeline of [`IdsEngine`]s (one primary backend, optional shadows) and
+//! [`FusionPipeline`] one of [`FusionEngine`]s (a voting ensemble). The
+//! engine is the only difference; routing, supervision, the breaker,
+//! checkpoints and the merge are the same code.
+//!
+//! There is no router thread and no chunk queue. [`Pipeline::feed`] is
 //! the router: on the calling thread, under one lock, it
 //!
 //! * wraps the caller's `Vec<f64>` in an `Arc` (no copy of the samples);
@@ -18,7 +24,7 @@
 //!   updates never race across workers.
 //!
 //! Behind the rings run **N supervised detection workers**, each owning a
-//! clone of the [`IdsEngine`], and they are the only threads a pipeline
+//! clone of the engine, and they are the only threads a pipeline
 //! starts. A routed segment already *is* the framer's window, so the
 //! worker scores it in place: a frame that closed in its own chunk is
 //! borrowed from that chunk, and only a frame straddling a chunk boundary
@@ -62,11 +68,11 @@ use crate::health::{
     BackpressurePolicy, BreakerState, DropReason, HealthConfig, HealthMonitor, WindowOutcome,
 };
 use crate::ring::SpscRing;
-use crate::shadow::{ShadowEvent, ShadowVerdict};
 use crate::splitter::{FrameSplitter, RawSegment};
 use crate::{stable_shard_seeded, IdsEngine, IdsEvent, ReorderBuffer};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use sealed::{Engine, Outcome};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -74,13 +80,13 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use vprofile::{EdgeSetExtractor, VProfileConfig};
+use vprofile::EdgeSetExtractor;
 use vprofile_fusion::DriftLedger;
 
 /// Failure modes of the threaded pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineError {
-    /// [`IdsPipeline::feed`] was called after the input was closed.
+    /// [`Pipeline::feed`] was called after the input was closed.
     InputClosed,
     /// A shard's worker is gone beyond supervision, so the chunk could not
     /// be delivered.
@@ -92,8 +98,8 @@ pub enum PipelineError {
     /// [`BackpressurePolicy::Reject`] policy; the chunk was not accepted
     /// and may be fed again.
     Backlogged,
-    /// [`IdsPipeline::finish`] was called on a pipeline with more than one
-    /// worker; use [`IdsPipeline::close`] to collect all engines.
+    /// [`Pipeline::finish`] was called on a pipeline with more than one
+    /// worker; use [`Pipeline::close`] to collect all engines.
     NotSingleWorker,
 }
 
@@ -121,108 +127,66 @@ impl std::error::Error for PipelineError {}
 /// injection.
 type FaultHook = Arc<dyn Fn(usize, u64) + Send + Sync>;
 
-/// The engine a shard worker runs: a single-backend [`IdsEngine`] or a
-/// multi-voter [`FusionEngine`]. One enum keeps the routing, supervisor,
-/// breaker, checkpoint, and merge machinery identical for both — a
-/// fused pipeline is the same pipeline with a different core.
-#[derive(Debug, Clone)]
-pub(crate) enum CoreEngine {
-    /// One detection backend (the historical pipeline).
-    Single(IdsEngine),
-    /// An N-voter fusion ensemble (boxed: the fusion core preallocates
-    /// per-SA state for every voter, so the variant is large).
-    Fused(Box<FusionEngine>),
-}
+/// The engines a [`Pipeline`] runs on its workers: [`IdsEngine`] and
+/// [`FusionEngine`]. The trait is sealed; what the pipeline asks of an
+/// engine is crate-internal.
+pub trait PipelineEngine: Engine {}
 
-impl CoreEngine {
-    /// The framing/extraction configuration, for the feed-side splitter.
-    fn config(&self) -> &VProfileConfig {
-        match self {
-            CoreEngine::Single(engine) => engine.config(),
-            CoreEngine::Fused(engine) => engine.config(),
-        }
+/// The crate-internal side of [`PipelineEngine`].
+pub(crate) mod sealed {
+    use crate::{FusionRecord, IdsEvent};
+    use vprofile::{QuarantineSet, VProfileConfig};
+
+    /// What an engine hands the pipeline for one window.
+    #[derive(Debug)]
+    pub struct Outcome {
+        /// The window's event.
+        pub event: IdsEvent,
+        /// Bit `i` set when voter `i` (0 = the primary) disagreed: a
+        /// shadow whose anomaly call differed from the primary's, or a
+        /// fusion voter whose call differed from the fused call.
+        pub disagree_mask: u8,
+        /// The fused frame's telemetry; `None` for an [`crate::IdsEngine`].
+        pub fusion: Option<FusionRecord>,
+        /// Algorithm 1 extraction time.
+        pub extract_ns: u64,
+        /// Scoring and online-update time of the deciding backends.
+        pub score_ns: u64,
+        /// Shadow scoring time.
+        pub shadow_ns: u64,
     }
 
-    /// Scores one window; the fused variant also returns its per-frame
-    /// fusion telemetry.
-    fn process_window_shard(
-        &mut self,
-        stream_pos: u64,
-        window: &[f64],
-        shard: usize,
-    ) -> (IdsEvent, u64, u64, Option<FusionRecord>) {
-        match self {
-            CoreEngine::Single(engine) => {
-                let (event, extract_ns, score_ns) = engine.process_window_timed(stream_pos, window);
-                (event, extract_ns, score_ns, None)
-            }
-            CoreEngine::Fused(engine) => engine.process_window_shard(stream_pos, window, shard),
-        }
-    }
-
-    fn apply_pending_updates(&mut self) {
-        match self {
-            CoreEngine::Single(engine) => engine.apply_pending_updates(),
-            CoreEngine::Fused(engine) => engine.apply_pending_updates(),
-        }
-    }
-
-    fn quarantine_sa(&mut self, sa: u8) {
-        match self {
-            CoreEngine::Single(engine) => engine.quarantine_sa(sa),
-            CoreEngine::Fused(engine) => engine.quarantine_sa(sa),
-        }
-    }
-
-    fn release_all_quarantined(&mut self) {
-        match self {
-            CoreEngine::Single(engine) => engine.release_all_quarantined(),
-            CoreEngine::Fused(engine) => engine.release_all_quarantined(),
-        }
-    }
-
-    fn quarantined_len(&self) -> usize {
-        match self {
-            CoreEngine::Single(engine) => engine.quarantined().len(),
-            CoreEngine::Fused(engine) => engine.quarantined().len(),
-        }
-    }
-
-    /// Number of fusion voters (0 for a single-backend core).
-    fn voter_count(&self) -> usize {
-        match self {
-            CoreEngine::Single(_) => 0,
-            CoreEngine::Fused(engine) => engine.voters().len(),
-        }
-    }
-
-    /// Unwraps the single-backend engine.
-    pub(crate) fn into_single(self) -> Option<IdsEngine> {
-        match self {
-            CoreEngine::Single(engine) => Some(engine),
-            CoreEngine::Fused(_) => None,
-        }
-    }
-
-    /// Unwraps the fusion engine.
-    pub(crate) fn into_fused(self) -> Option<FusionEngine> {
-        match self {
-            CoreEngine::Fused(engine) => Some(*engine),
-            CoreEngine::Single(_) => None,
-        }
+    /// The operations a pipeline worker and its supervisor need.
+    pub trait Engine: Clone + Send + 'static {
+        /// The framing/extraction configuration, for the feed-side
+        /// splitter.
+        fn config(&self) -> &VProfileConfig;
+        /// Length of `PipelineStats::voter_disagreements`.
+        fn voter_count(&self) -> usize;
+        /// Scores one framed window; `shard` is stamped into any event the
+        /// engine itself degrades.
+        fn score_window(&mut self, stream_pos: u64, window: &[f64], shard: usize) -> Outcome;
+        /// Applies buffered online updates.
+        fn apply_pending_updates(&mut self);
+        /// Quarantines an SA from online updates.
+        fn quarantine_sa(&mut self, sa: u8);
+        /// Releases every quarantined SA.
+        fn release_all_quarantined(&mut self);
+        /// The SAs quarantined from online updates.
+        fn quarantined(&self) -> &QuarantineSet;
     }
 }
 
-/// Construction parameters for [`IdsPipeline::spawn_sharded`].
+/// Construction parameters for [`Pipeline::spawn_sharded`].
 #[derive(Clone)]
 pub struct PipelineConfig {
     /// Number of detection workers; `0` means one per available CPU.
     pub workers: usize,
     /// Capacity of each shard ring, in frame windows. What
-    /// [`IdsPipeline::feed`] does at a full ring is
+    /// [`Pipeline::feed`] does at a full ring is
     /// [`PipelineConfig::backpressure`].
     pub high_water: usize,
-    /// What [`IdsPipeline::feed`] does at a full shard ring.
+    /// What [`Pipeline::feed`] does at a full shard ring.
     pub backpressure: BackpressurePolicy,
     /// How many times a panicked worker is respawned from its checkpoint
     /// before the shard fails permanently.
@@ -388,7 +352,7 @@ pub struct PipelineStats {
     // xtask: shard-breakdown(dropped)
     pub shard_sheds: Vec<u64>,
     /// Instantaneous queue depth (windows routed but not yet handled) per
-    /// shard at snapshot time; all zero after a clean [`IdsPipeline::close`].
+    /// shard at snapshot time; all zero after a clean [`Pipeline::close`].
     pub queue_depths: Vec<usize>,
     /// Supervisor restarts performed per shard.
     pub restarts: Vec<u32>,
@@ -398,22 +362,17 @@ pub struct PipelineStats {
     pub shard_failed: Vec<bool>,
     /// Number of SAs currently quarantined from online updates, per shard.
     pub quarantined_sas: Vec<usize>,
-    /// Frames that were also scored by shadow backends (zero unless the
-    /// pipeline was spawned through [`crate::ShadowPipeline`]).
-    // xtask: outside-frame-identity
-    pub shadow_frames: u64,
-    /// Frames on which each shadow backend's anomaly/normal call differed
-    /// from the primary's, indexed in shadow order.
-    // xtask: outside-frame-identity
-    pub shadow_disagreements: Vec<u64>,
-    /// Frames scored through the fusion ensemble (zero unless the
-    /// pipeline was spawned through [`crate::FusionPipeline`]). Counts
-    /// fused frames, which already partition into the per-frame counters
-    /// above, so it sits outside the frame identity.
+    /// Frames scored through the fusion ensemble (zero in an
+    /// [`IdsPipeline`]). Counts fused frames, which already partition into
+    /// the per-frame counters above, so it sits outside the frame
+    /// identity.
     // xtask: outside-frame-identity
     pub fusion_frames: u64,
-    /// Frames on which each fusion voter's individual calibrated call
-    /// differed from the fused call, indexed by voter (0 = primary).
+    /// Frames on which each voter disagreed, indexed by voter (0 = the
+    /// primary): in a [`FusionPipeline`], a voter's calibrated call
+    /// differing from the fused call; in an [`IdsPipeline`], shadow `i`'s
+    /// anomaly call differing from the primary's, at index `1 + i`. Empty
+    /// for an [`IdsEngine`] without shadows.
     // xtask: outside-frame-identity
     pub voter_disagreements: Vec<u64>,
     /// Typed change-point verdicts emitted by the fusion drift detectors
@@ -439,7 +398,7 @@ pub struct PipelineStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct StageBreakdown {
     /// Splitting the raw sample stream into frame windows plus the SA
-    /// peek that picks each window's shard, inside [`IdsPipeline::feed`]
+    /// peek that picks each window's shard, inside [`Pipeline::feed`]
     /// on the feeding thread.
     pub router_ns: u64,
     /// Copying windows that straddle a chunk boundary into one contiguous
@@ -448,10 +407,11 @@ pub struct StageBreakdown {
     /// Algorithm 1 edge-set extraction, across all workers.
     pub extract_ns: u64,
     /// Scoring — nearest-cluster classification and online update
-    /// absorption — across all workers.
+    /// absorption — across all workers; shadows excluded.
     pub score_ns: u64,
-    /// Shadow-backend scoring (extraction + classification for every
-    /// shadow engine), across all workers; zero without shadow mode.
+    /// Scoring the primary's extracted edge set with every shadow backend
+    /// ([`IdsEngine::with_shadows`]), across all workers; zero without
+    /// shadows.
     pub shadow_ns: u64,
     /// The merge critical sections — reorder-buffer push, counting and
     /// event emission — summed over every thread that merges a window.
@@ -491,11 +451,9 @@ struct SegmentItem {
 }
 
 /// One finished window waiting in the reorder buffer: its shard, event,
-/// shadow verdicts and fusion record. The shadow vector is empty unless
-/// the pipeline runs shadow backends, so the non-shadow hot path stays
-/// allocation-free; the fusion record is `None` unless the core is a
-/// [`FusionEngine`] (the record itself is `Copy`).
-type Finished = (usize, IdsEvent, Vec<ShadowVerdict>, Option<FusionRecord>);
+/// voter disagreement mask and fusion record (`None` unless the engine is
+/// a [`FusionEngine`]). Only the event can own heap memory.
+type Finished = (usize, IdsEvent, u8, Option<FusionRecord>);
 
 /// What every producing thread merges into, under the one
 /// `pipeline_stats` lock: the counters, the reorder buffer, and the
@@ -513,19 +471,18 @@ struct MergeState {
 /// the thread's own clones of the output senders. Every worker owns one,
 /// and the feed router owns one until the input closes, so the event
 /// stream ends only once the last producer is done, with every notable
-/// fusion frame and shadow event already queued.
+/// fusion frame already queued.
 #[derive(Debug, Clone)]
 struct Emitter {
     merge: Arc<Mutex<MergeState>>,
     event_tx: Sender<IdsEvent>,
-    shadow_tx: Sender<ShadowEvent>,
     fusion_tx: Sender<FusionEvent>,
-    ledger: Option<Arc<DriftLedger>>,
+    ledger: Arc<DriftLedger>,
     clocks: Arc<StageClocks>,
 }
 
 /// Live per-shard gauges, written by supervisors and read by
-/// [`IdsPipeline::stats`].
+/// [`Pipeline::stats`].
 #[derive(Default)]
 struct ShardGauges {
     depth: AtomicUsize,
@@ -535,22 +492,36 @@ struct ShardGauges {
     quarantined: AtomicUsize,
 }
 
-/// A running threaded IDS. Drop-free shutdown: close the sample input
-/// (call [`IdsPipeline::close`] / [`IdsPipeline::finish`]) and join.
+/// A running threaded IDS around engine `E`. Drop-free shutdown: close
+/// the sample input (call [`Pipeline::close`] / [`Pipeline::finish`]) and
+/// join.
 #[derive(Debug)]
-pub struct IdsPipeline {
+pub struct Pipeline<E: PipelineEngine> {
     /// The feed-side router; `None` once the input is closed. `feed`
     /// takes `&self`, so concurrent feeders serialize on this lock.
     router: Mutex<Option<FeedRouter>>,
     /// Chunks refused under [`BackpressurePolicy::Reject`]: an atomic, so
-    /// [`IdsPipeline::stats`] never waits on a `feed` parked on a ring.
+    /// [`Pipeline::stats`] never waits on a `feed` parked on a ring.
     rejected_chunks: AtomicU64,
     event_rx: Receiver<IdsEvent>,
+    /// Notable fusion frames; nothing is sent in an [`IdsPipeline`].
+    fusion_rx: Receiver<FusionEvent>,
+    /// Drift and outage records; empty in an [`IdsPipeline`].
+    ledger: Arc<DriftLedger>,
     merge: Arc<Mutex<MergeState>>,
     gauges: Arc<Vec<ShardGauges>>,
     clocks: Arc<StageClocks>,
-    workers: Vec<JoinHandle<CoreEngine>>,
+    workers: Vec<JoinHandle<E>>,
 }
+
+/// A pipeline of [`IdsEngine`]s: one deciding backend, optional shadows.
+pub type IdsPipeline = Pipeline<IdsEngine>;
+
+/// A pipeline of [`FusionEngine`]s: fused verdicts drive the event stream,
+/// the circuit breaker and the drift-gated online updates, and notable
+/// frames (drift verdicts, voter outages) also arrive on
+/// [`FusionPipeline::fusion_events`] and in the [`DriftLedger`].
+pub type FusionPipeline = Pipeline<FusionEngine>;
 
 impl std::fmt::Debug for ShardGauges {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -561,57 +532,18 @@ impl std::fmt::Debug for ShardGauges {
     }
 }
 
-impl IdsPipeline {
-    /// Spawns a single-worker pipeline around an engine; kept as the
-    /// compatibility entry point.
-    ///
-    /// `ring_capacity` bounds the worker's ring (frame windows, not
-    /// samples).
-    pub fn spawn(engine: IdsEngine, ring_capacity: usize) -> Self {
-        Self::spawn_sharded(
-            engine,
-            PipelineConfig::default()
-                .with_workers(1)
-                .with_high_water(ring_capacity),
-        )
-    }
-
+impl<E: PipelineEngine> Pipeline<E> {
     /// Spawns the sharded pipeline: `config.workers` supervised detection
     /// workers (each a clone of `engine`), the only threads it starts.
-    /// Routing runs inside [`IdsPipeline::feed`], and merging on whichever
+    /// Routing runs inside [`Pipeline::feed`], and merging on whichever
     /// thread finishes a window.
     ///
     /// Windows are routed by a stable hash of the claimed source address,
-    /// so each worker owns a disjoint set of per-SA cluster state; the
-    /// merge re-serializes events into framing order, making the output
-    /// stream deterministic and — when online updates are disabled —
-    /// identical to a single-worker run.
-    pub fn spawn_sharded(engine: IdsEngine, config: PipelineConfig) -> Self {
-        let (pipeline, _shadow_rx) = Self::spawn_with_shadows(engine, Vec::new(), config);
-        pipeline
-    }
-
-    /// Spawns the sharded pipeline with `shadows` scored alongside the
-    /// primary engine on every shard; used by [`crate::ShadowPipeline`].
-    pub(crate) fn spawn_with_shadows(
-        engine: IdsEngine,
-        shadows: Vec<IdsEngine>,
-        config: PipelineConfig,
-    ) -> (Self, Receiver<ShadowEvent>) {
-        let (pipeline, shadow_rx, _fusion_rx) =
-            Self::spawn_core(CoreEngine::Single(engine), shadows, config, None);
-        (pipeline, shadow_rx)
-    }
-
-    /// Spawns the sharded pipeline around any [`CoreEngine`] — the one
-    /// construction path behind every public `spawn*`. `ledger`, when
-    /// given, receives every notable fusion frame, in framing order.
-    pub(crate) fn spawn_core(
-        engine: CoreEngine,
-        shadows: Vec<IdsEngine>,
-        config: PipelineConfig,
-        ledger: Option<Arc<DriftLedger>>,
-    ) -> (Self, Receiver<ShadowEvent>, Receiver<FusionEvent>) {
+    /// so each worker owns a disjoint set of per-SA state; the merge
+    /// re-serializes events into framing order, making the output stream
+    /// deterministic and — when online updates are disabled — identical
+    /// to a single-worker run.
+    pub fn spawn_sharded(engine: E, config: PipelineConfig) -> Self {
         let workers = if config.workers == 0 {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -623,8 +555,8 @@ impl IdsPipeline {
         let checkpoint_interval = config.checkpoint_interval.max(1);
 
         let (event_tx, event_rx) = unbounded::<IdsEvent>();
-        let (shadow_tx, shadow_rx) = unbounded::<ShadowEvent>();
         let (fusion_tx, fusion_rx) = unbounded::<FusionEvent>();
+        let ledger = Arc::new(DriftLedger::new());
         let merge = Arc::new(Mutex::new(MergeState {
             stats: PipelineStats {
                 shard_frames: vec![0; workers],
@@ -634,7 +566,6 @@ impl IdsPipeline {
                 breaker: vec![BreakerState::Closed; workers],
                 shard_failed: vec![false; workers],
                 quarantined_sas: vec![0; workers],
-                shadow_disagreements: vec![0; shadows.len()],
                 voter_disagreements: vec![0; engine.voter_count()],
                 ..PipelineStats::default()
             },
@@ -647,9 +578,8 @@ impl IdsPipeline {
         let emitter = Emitter {
             merge: Arc::clone(&merge),
             event_tx,
-            shadow_tx,
             fusion_tx,
-            ledger,
+            ledger: Arc::clone(&ledger),
             clocks: Arc::clone(&clocks),
         };
 
@@ -674,7 +604,7 @@ impl IdsPipeline {
             // arenas keep what their threads once held, and a worker that
             // copied its engine on start-up would leave an engine-sized
             // block behind even when closed unused.
-            let state = WorkerState::new(engine.clone(), shadows.clone(), config.health);
+            let state = WorkerState::new(engine.clone(), config.health);
             worker_handles.push(std::thread::spawn(move || supervised_worker(state, rt)));
         }
 
@@ -702,16 +632,17 @@ impl IdsPipeline {
             },
         };
 
-        let pipeline = IdsPipeline {
+        Pipeline {
             router: Mutex::new(Some(router)),
             rejected_chunks: AtomicU64::new(0),
             event_rx,
+            fusion_rx,
+            ledger,
             merge,
             gauges,
             clocks,
             workers: worker_handles,
-        };
-        (pipeline, shadow_rx, fusion_rx)
+        }
     }
 
     /// Number of detection workers.
@@ -747,9 +678,9 @@ impl IdsPipeline {
     /// Closes the sample input without joining: routes the trailing open
     /// frame, if any, and closes the shard rings. The workers drain
     /// whatever was already fed and exit, at which point the event stream
-    /// disconnects — so a caller can iterate [`IdsPipeline::events`] to the
-    /// end before collecting engines with [`IdsPipeline::close`].
-    /// Idempotent; [`IdsPipeline::feed`] fails with
+    /// disconnects — so a caller can iterate [`Pipeline::events`] to the
+    /// end before collecting engines with [`Pipeline::close`].
+    /// Idempotent; [`Pipeline::feed`] fails with
     /// [`PipelineError::InputClosed`] afterwards.
     pub fn close_input(&mut self) {
         if let Some(router) = self.router.get_mut().take() {
@@ -810,19 +741,7 @@ impl IdsPipeline {
     /// supervisors and surface in [`PipelineStats::restarts`] /
     /// [`PipelineStats::shard_failed`] instead). All threads are joined
     /// before the error returns, so `close` never hangs.
-    pub fn close(self) -> Result<(Vec<IdsEngine>, PipelineStats), PipelineError> {
-        let (cores, stats) = self.close_core()?;
-        let engines = cores
-            .into_iter()
-            .filter_map(CoreEngine::into_single)
-            .collect();
-        Ok((engines, stats))
-    }
-
-    /// [`IdsPipeline::close`] without unwrapping the engine kind; used by
-    /// the typed wrappers ([`crate::FusionPipeline`]) to recover their
-    /// own engine type.
-    pub(crate) fn close_core(mut self) -> Result<(Vec<CoreEngine>, PipelineStats), PipelineError> {
+    pub fn close(mut self) -> Result<(Vec<E>, PipelineStats), PipelineError> {
         self.close_input();
         let mut panicked = false;
         let mut engines = Vec::with_capacity(self.workers.len());
@@ -845,9 +764,9 @@ impl IdsPipeline {
     /// # Errors
     ///
     /// [`PipelineError::NotSingleWorker`] when more than one worker was
-    /// spawned (use [`IdsPipeline::close`]), [`PipelineError::WorkerPanicked`]
+    /// spawned (use [`Pipeline::close`]), [`PipelineError::WorkerPanicked`]
     /// if a thread panicked.
-    pub fn finish(self) -> Result<(IdsEngine, PipelineStats), PipelineError> {
+    pub fn finish(self) -> Result<(E, PipelineStats), PipelineError> {
         if self.workers.len() != 1 {
             return Err(PipelineError::NotSingleWorker);
         }
@@ -857,7 +776,26 @@ impl IdsPipeline {
     }
 }
 
-impl Drop for IdsPipeline {
+impl FusionPipeline {
+    /// Alias of [`Pipeline::spawn_sharded`].
+    pub fn spawn(engine: FusionEngine, config: PipelineConfig) -> Self {
+        Self::spawn_sharded(engine, config)
+    }
+
+    /// Notable fusion frames (drift verdicts, voter outages), in framing
+    /// order. The channel is unbounded: drain it, or it grows with every
+    /// notable frame.
+    pub fn fusion_events(&self) -> &Receiver<FusionEvent> {
+        &self.fusion_rx
+    }
+
+    /// The cross-shard drift/outage ledger.
+    pub fn ledger(&self) -> &Arc<DriftLedger> {
+        &self.ledger
+    }
+}
+
+impl<E: PipelineEngine> Drop for Pipeline<E> {
     fn drop(&mut self) {
         self.close_input();
         // Best effort: never panic in drop.
@@ -878,7 +816,7 @@ const ROUTE_BATCH: usize = 8;
 /// wakeup.
 const WORKER_BATCH: usize = 32;
 
-/// The routing state [`IdsPipeline::feed`] runs under its lock: the one
+/// The routing state [`Pipeline::feed`] runs under its lock: the one
 /// framing state machine of the pipeline, and the producer ends of the
 /// shard rings.
 #[derive(Debug)]
@@ -1061,7 +999,7 @@ fn shed_overflow(emitter: &Emitter, shard: usize, batch: &mut Vec<SegmentItem>) 
             shard,
             reason: DropReason::Backlogged,
         };
-        emitter.merge_window(item.seq, shard, event, Vec::new(), None);
+        emitter.merge_window(item.seq, shard, event, 0, None);
     }
 }
 
@@ -1083,11 +1021,9 @@ struct WorkerRuntime {
 /// supervisor rolls `engine` back to `checkpoint` and resumes from
 /// `pending`, dropping only the window that was in flight when the panic
 /// hit.
-struct WorkerState {
-    engine: CoreEngine,
-    checkpoint: CoreEngine,
-    shadows: Vec<IdsEngine>,
-    shadow_checkpoints: Vec<IdsEngine>,
+struct WorkerState<E> {
+    engine: E,
+    checkpoint: E,
     pending: VecDeque<SegmentItem>,
     /// Scratch for ring pops; drained into `pending` immediately.
     batch: Vec<SegmentItem>,
@@ -1099,15 +1035,13 @@ struct WorkerState {
     processed: usize,
 }
 
-impl WorkerState {
-    /// A shard's state before its first window: `engine` and `shadows`,
-    /// each with its restart checkpoint.
-    fn new(engine: CoreEngine, shadows: Vec<IdsEngine>, health: HealthConfig) -> Self {
+impl<E: PipelineEngine> WorkerState<E> {
+    /// A shard's state before its first window: `engine` and its restart
+    /// checkpoint.
+    fn new(engine: E, health: HealthConfig) -> Self {
         WorkerState {
             checkpoint: engine.clone(),
             engine,
-            shadow_checkpoints: shadows.clone(),
-            shadows,
             pending: VecDeque::new(),
             batch: Vec::new(),
             window: Vec::new(),
@@ -1117,50 +1051,9 @@ impl WorkerState {
         }
     }
 
-    /// Refreshes the restart checkpoint — primary and shadows together,
-    /// so a rollback replays both from the same stream position.
+    /// Refreshes the restart checkpoint.
     fn refresh_checkpoint(&mut self) {
         self.checkpoint = self.engine.clone();
-        self.shadow_checkpoints = self.shadows.clone();
-    }
-
-    /// Scores the window through every shadow engine, marking each
-    /// verdict that disagrees with the primary's anomaly/normal call.
-    /// Shadow time is attributed to its own stage clock, not `score_ns`.
-    fn score_shadows(
-        &mut self,
-        rt: &WorkerRuntime,
-        stream_pos: u64,
-        window: &[f64],
-        primary_anomaly: bool,
-    ) -> Vec<ShadowVerdict> {
-        if self.shadows.is_empty() {
-            return Vec::new();
-        }
-        let shadowing = Instant::now();
-        let verdicts = self
-            .shadows
-            .iter_mut()
-            .map(|shadow| {
-                let name = shadow.backend_name();
-                let (event, _, _) = shadow.process_window_timed(stream_pos, window);
-                let verdict = event
-                    .verdict()
-                    .copied()
-                    .unwrap_or(vprofile::Verdict::Anomaly {
-                        kind: vprofile::AnomalyKind::Unscorable,
-                    });
-                ShadowVerdict {
-                    backend: name,
-                    verdict,
-                    disagrees: verdict.is_anomaly() != primary_anomaly,
-                }
-            })
-            .collect();
-        rt.clocks
-            .shadow
-            .fetch_add(elapsed_ns(shadowing), Ordering::Relaxed);
-        verdicts
     }
 
     /// The scoring loop proper; returns when the shard's ring closes and
@@ -1198,58 +1091,60 @@ impl WorkerState {
                 } else {
                     item.segment.tail_slice()
                 };
-                let (event, fusion) = self.score(rt, stream_pos, window);
-                // Shadows only mirror frames the primary actually scored:
-                // degraded/dropped placeholders carry no primary verdict
-                // to disagree with.
-                let shadow = match &event {
-                    IdsEvent::Scored(scored) if !scored.extraction_failed => {
-                        self.score_shadows(rt, stream_pos, window, scored.verdict.is_anomaly())
-                    }
-                    _ => Vec::new(),
-                };
+                let outcome = self.score(rt, stream_pos, window);
                 self.window = scratch;
                 self.in_flight = None;
                 self.processed += 1;
                 if self.processed.is_multiple_of(rt.checkpoint_interval) {
                     self.refresh_checkpoint();
                 }
-                rt.emitter
-                    .merge_window(item.seq, rt.shard, event, shadow, fusion);
+                rt.emitter.merge_window(
+                    item.seq,
+                    rt.shard,
+                    outcome.event,
+                    outcome.disagree_mask,
+                    outcome.fusion,
+                );
             }
         }
     }
 
-    /// Scores one window through the engine, attributing extraction and
-    /// scoring time to the shared stage clocks.
-    fn process_timed(
-        &mut self,
-        rt: &WorkerRuntime,
-        stream_pos: u64,
-        window: &[f64],
-    ) -> (IdsEvent, Option<FusionRecord>) {
-        let (event, extract_ns, score_ns, fusion) = self
-            .engine
-            .process_window_shard(stream_pos, window, rt.shard);
-        rt.clocks.extract.fetch_add(extract_ns, Ordering::Relaxed);
-        rt.clocks.score.fetch_add(score_ns, Ordering::Relaxed);
-        (event, fusion)
+    /// Scores one window through the engine, attributing extraction,
+    /// scoring and shadow time to the shared stage clocks.
+    fn process_timed(&mut self, rt: &WorkerRuntime, stream_pos: u64, window: &[f64]) -> Outcome {
+        let outcome = self.engine.score_window(stream_pos, window, rt.shard);
+        rt.clocks
+            .extract
+            .fetch_add(outcome.extract_ns, Ordering::Relaxed);
+        rt.clocks
+            .score
+            .fetch_add(outcome.score_ns, Ordering::Relaxed);
+        // Without shadows, skip one write per frame to a counter every
+        // worker shares.
+        if outcome.shadow_ns > 0 {
+            rt.clocks
+                .shadow
+                .fetch_add(outcome.shadow_ns, Ordering::Relaxed);
+        }
+        outcome
     }
 
-    /// Scores one window through the circuit breaker.
-    fn score(
-        &mut self,
-        rt: &WorkerRuntime,
-        stream_pos: u64,
-        window: &[f64],
-    ) -> (IdsEvent, Option<FusionRecord>) {
+    /// Scores one window through the circuit breaker. A window the
+    /// breaker turns into [`IdsEvent::Degraded`] keeps what the engine
+    /// scored besides its event: voter disagreements and fusion record.
+    fn score(&mut self, rt: &WorkerRuntime, stream_pos: u64, window: &[f64]) -> Outcome {
+        let degraded = |reason| IdsEvent::Degraded {
+            stream_pos,
+            shard: rt.shard,
+            reason,
+        };
         match self.monitor.state() {
             BreakerState::Closed => {
-                let (event, fusion) = self.process_timed(rt, stream_pos, window);
-                if let Some(sa) = event.sa() {
+                let mut outcome = self.process_timed(rt, stream_pos, window);
+                if let Some(sa) = outcome.event.sa() {
                     self.monitor.note_sa(sa.0);
                 }
-                if let Some(reason) = self.monitor.observe(outcome_of(&event)) {
+                if let Some(reason) = self.monitor.observe(outcome_of(&outcome.event)) {
                     // Trip: the capture feeding this shard is suspect.
                     // Quarantine the SAs the fault was flowing through so
                     // corrupt observations cannot poison the model, and
@@ -1261,24 +1156,17 @@ impl WorkerState {
                     gauges.breaker_open.store(true, Ordering::Relaxed);
                     gauges
                         .quarantined
-                        .store(self.engine.quarantined_len(), Ordering::Relaxed);
+                        .store(self.engine.quarantined().len(), Ordering::Relaxed);
                     self.refresh_checkpoint();
-                    return (
-                        IdsEvent::Degraded {
-                            stream_pos,
-                            shard: rt.shard,
-                            reason,
-                        },
-                        fusion,
-                    );
+                    outcome.event = degraded(reason);
                 }
-                (event, fusion)
+                outcome
             }
             BreakerState::Open => {
                 let reason = self.monitor.reason();
                 if self.monitor.take_probe_slot() {
-                    let (event, fusion) = self.process_timed(rt, stream_pos, window);
-                    let healthy = matches!(outcome_of(&event), WindowOutcome::Healthy);
+                    let mut outcome = self.process_timed(rt, stream_pos, window);
+                    let healthy = matches!(outcome_of(&outcome.event), WindowOutcome::Healthy);
                     if self.monitor.record_probe(healthy) {
                         // Fault cleared: release the quarantine and resume
                         // hard verdicts, starting with this probe's.
@@ -1287,25 +1175,19 @@ impl WorkerState {
                         gauges.breaker_open.store(false, Ordering::Relaxed);
                         gauges.quarantined.store(0, Ordering::Relaxed);
                         self.refresh_checkpoint();
-                        return (event, fusion);
+                    } else {
+                        outcome.event = degraded(reason);
                     }
-                    return (
-                        IdsEvent::Degraded {
-                            stream_pos,
-                            shard: rt.shard,
-                            reason,
-                        },
-                        fusion,
-                    );
+                    return outcome;
                 }
-                (
-                    IdsEvent::Degraded {
-                        stream_pos,
-                        shard: rt.shard,
-                        reason,
-                    },
-                    None,
-                )
+                Outcome {
+                    event: degraded(reason),
+                    disagree_mask: 0,
+                    fusion: None,
+                    extract_ns: 0,
+                    score_ns: 0,
+                    shadow_ns: 0,
+                }
             }
         }
     }
@@ -1329,7 +1211,7 @@ fn outcome_of(event: &IdsEvent) -> WindowOutcome {
 /// exponential backoff); past the budget the shard fails permanently and
 /// its windows drain as [`IdsEvent::Dropped`] placeholders so the reorder
 /// buffer never stalls on a sequence gap.
-fn supervised_worker(mut state: WorkerState, rt: WorkerRuntime) -> CoreEngine {
+fn supervised_worker<E: PipelineEngine>(mut state: WorkerState<E>, rt: WorkerRuntime) -> E {
     // Held for the whole thread: if this worker dies in any way
     // supervision does not cover, `feed` must not park forever on a ring
     // nobody will ever drain again.
@@ -1355,8 +1237,7 @@ fn supervised_worker(mut state: WorkerState, rt: WorkerRuntime) -> CoreEngine {
                         shard: rt.shard,
                         reason: DropReason::WorkerRestart,
                     };
-                    rt.emitter
-                        .merge_window(seq, rt.shard, event, Vec::new(), None);
+                    rt.emitter.merge_window(seq, rt.shard, event, 0, None);
                 }
                 if restarts > rt.restart_budget {
                     rt.gauges[rt.shard].failed.store(true, Ordering::Relaxed);
@@ -1367,7 +1248,6 @@ fn supervised_worker(mut state: WorkerState, rt: WorkerRuntime) -> CoreEngine {
                 let exponent = restarts.saturating_sub(1).min(6);
                 std::thread::sleep(Duration::from_millis(rt.backoff_base_ms << exponent));
                 state.engine = state.checkpoint.clone();
-                state.shadows = state.shadow_checkpoints.clone();
             }
         }
     }
@@ -1401,8 +1281,7 @@ fn drain_failed_shard(
             shard: rt.shard,
             reason: DropReason::ShardFailed,
         };
-        rt.emitter
-            .merge_window(item.seq, rt.shard, event, Vec::new(), None);
+        rt.emitter.merge_window(item.seq, rt.shard, event, 0, None);
     };
     for item in pending {
         drop_item(item);
@@ -1421,13 +1300,12 @@ fn drain_failed_shard(
 
 impl Emitter {
     /// Merges one finished window: pushes it into the reorder buffer, then
-    /// for every window that is now in framing order counts it, records a
-    /// drift or outage frame in the ledger and on the fusion channel,
-    /// sends its shadow event and then its event. All of it is one
+    /// for every window that is now in framing order counts it and its
+    /// voter disagreements, records a drift or outage frame in the ledger
+    /// and on the fusion channel, and sends its event. All of it is one
     /// critical section, so a stats snapshot never disagrees with the
     /// events already delivered and the ledger keeps framing order across
-    /// threads. Shadow counters live in the same section for the same
-    /// reason.
+    /// threads.
     // xtask: hot-path
     // xtask: accounting(IdsEvent)
     fn merge_window(
@@ -1435,7 +1313,7 @@ impl Emitter {
         seq: u64,
         shard: usize,
         event: IdsEvent,
-        shadow: Vec<ShadowVerdict>,
+        disagree_mask: u8,
         fusion: Option<FusionRecord>,
     ) {
         // xtask: allow(hot-path-lock): counters and event emission must share one critical section so stats snapshots never disagree with the emitted stream
@@ -1446,8 +1324,8 @@ impl Emitter {
             reorder,
             ready,
         } = &mut *merge;
-        reorder.push(seq, (shard, event, shadow, fusion), ready);
-        for (shard, event, shadow, fusion) in ready.drain(..) {
+        reorder.push(seq, (shard, event, disagree_mask, fusion), ready);
+        for (shard, event, disagree_mask, fusion) in ready.drain(..) {
             s.frames += 1;
             match &event {
                 IdsEvent::Scored(scored) => {
@@ -1474,19 +1352,16 @@ impl Emitter {
             if let Some(count) = s.shard_frames.get_mut(shard) {
                 *count += 1;
             }
+            let mut mask = disagree_mask;
+            for count in &mut s.voter_disagreements {
+                if mask == 0 {
+                    break;
+                }
+                *count += u64::from(mask & 1);
+                mask >>= 1;
+            }
             if let Some(record) = fusion {
                 s.fusion_frames += 1;
-                let mut mask = record.disagree_mask;
-                let mut index = 0usize;
-                while mask != 0 {
-                    if mask & 1 != 0 {
-                        if let Some(count) = s.voter_disagreements.get_mut(index) {
-                            *count += 1;
-                        }
-                    }
-                    mask >>= 1;
-                    index += 1;
-                }
                 if record.drift.is_some() {
                     s.drift_verdicts += 1;
                 }
@@ -1495,29 +1370,6 @@ impl Emitter {
                 }
                 if record.drift.is_some() || record.outage.is_some() {
                     self.publish_notable(event.stream_pos(), shard, record);
-                }
-            }
-            if !shadow.is_empty() {
-                s.shadow_frames += 1;
-                let mut any_disagree = false;
-                for (index, verdict) in shadow.iter().enumerate() {
-                    if verdict.disagrees {
-                        any_disagree = true;
-                        if let Some(count) = s.shadow_disagreements.get_mut(index) {
-                            *count += 1;
-                        }
-                    }
-                }
-                if any_disagree {
-                    let stream_pos = event.stream_pos();
-                    let primary_anomaly =
-                        event.verdict().is_some_and(vprofile::Verdict::is_anomaly);
-                    // xtask: allow(guard-across-blocking): shadow_tx is unbounded, send never blocks; atomicity of counters+events requires the guard
-                    let _ = self.shadow_tx.send(ShadowEvent {
-                        stream_pos,
-                        primary_anomaly,
-                        shadows: shadow,
-                    });
                 }
             }
             // Receiver gone: keep counting so stats stay truthful, but
@@ -1535,13 +1387,11 @@ impl Emitter {
     /// section, so the ledger lock nests under the stats lock.
     // xtask: cold
     fn publish_notable(&self, stream_pos: u64, shard: usize, record: FusionRecord) {
-        if let Some(ledger) = &self.ledger {
-            if let Some(verdict) = record.drift {
-                ledger.record_drift(stream_pos, shard, verdict);
-            }
-            if let Some(voter) = record.outage {
-                ledger.record_outage(stream_pos, shard, voter);
-            }
+        if let Some(verdict) = record.drift {
+            self.ledger.record_drift(stream_pos, shard, verdict);
+        }
+        if let Some(voter) = record.outage {
+            self.ledger.record_outage(stream_pos, shard, voter);
         }
         let _ = self.fusion_tx.send(FusionEvent {
             stream_pos,
@@ -1577,7 +1427,10 @@ mod tests {
     #[test]
     fn pipeline_processes_chunked_stream() {
         let (engine, capture) = engine_and_capture();
-        let pipeline = IdsPipeline::spawn(engine, 4);
+        let pipeline = IdsPipeline::spawn_sharded(
+            engine,
+            PipelineConfig::default().with_workers(1).with_high_water(4),
+        );
         let mut stream = Vec::new();
         for frame in capture.frames().iter().take(40) {
             stream.extend(frame.trace.to_f64());
@@ -1603,7 +1456,10 @@ mod tests {
     #[test]
     fn events_are_received_while_running() {
         let (engine, capture) = engine_and_capture();
-        let pipeline = IdsPipeline::spawn(engine, 4);
+        let pipeline = IdsPipeline::spawn_sharded(
+            engine,
+            PipelineConfig::default().with_workers(1).with_high_water(4),
+        );
         let mut stream = Vec::new();
         for frame in capture.frames().iter().take(5) {
             stream.extend(frame.trace.to_f64());
@@ -1631,7 +1487,10 @@ mod tests {
         let model = engine.model().unwrap().clone();
         let before: usize = model.clusters().iter().map(|c| c.count()).sum();
         let engine = IdsEngine::new(model, 2.0, UpdatePolicy::every(1, usize::MAX));
-        let pipeline = IdsPipeline::spawn(engine, 2);
+        let pipeline = IdsPipeline::spawn_sharded(
+            engine,
+            PipelineConfig::default().with_workers(1).with_high_water(2),
+        );
         let mut stream = Vec::new();
         for frame in capture.frames().iter().take(60) {
             stream.extend(frame.trace.to_f64());
@@ -1652,7 +1511,10 @@ mod tests {
     #[test]
     fn drop_without_finish_does_not_hang() {
         let (engine, _) = engine_and_capture();
-        let pipeline = IdsPipeline::spawn(engine, 2);
+        let pipeline = IdsPipeline::spawn_sharded(
+            engine,
+            PipelineConfig::default().with_workers(1).with_high_water(2),
+        );
         pipeline.feed(vec![1000.0; 100]).unwrap();
         drop(pipeline); // must join cleanly
     }
@@ -1775,13 +1637,10 @@ mod tests {
         seq * 1000 + 7
     }
 
-    /// What a worker on `shard` finishes for `seq`: every event kind, a
-    /// fusion record on every other window, drift and outage notables,
-    /// and a disagreeing shadow on some scored windows.
-    fn worker_window(
-        seq: u64,
-        shard: usize,
-    ) -> (IdsEvent, Vec<ShadowVerdict>, Option<FusionRecord>) {
+    /// What a worker on `shard` finishes for `seq`: every event kind, and
+    /// a fusion record on every other window, some carrying drift and
+    /// outage notables.
+    fn worker_window(seq: u64, shard: usize) -> (IdsEvent, Option<FusionRecord>) {
         let scored = |verdict, extraction_failed| {
             IdsEvent::Scored(crate::ScoredEvent {
                 stream_pos: pos(seq),
@@ -1813,15 +1672,6 @@ mod tests {
                 reason: DropReason::WorkerRestart,
             },
         };
-        let shadow = if seq.is_multiple_of(15) {
-            vec![ShadowVerdict {
-                backend: "viden",
-                verdict: anomaly,
-                disagrees: true,
-            }]
-        } else {
-            Vec::new()
-        };
         let fusion = seq.is_multiple_of(2).then(|| FusionRecord {
             sa: 0x10,
             score: 0.5,
@@ -1840,7 +1690,7 @@ mod tests {
                 }),
             outage: seq.is_multiple_of(11).then_some(1),
         });
-        (event, shadow, fusion)
+        (event, fusion)
     }
 
     /// Runs `schedule` over `owned` (see [`run_merge_schedule`]), each
@@ -1875,18 +1725,19 @@ mod tests {
                                 shard,
                                 reason: DropReason::Backlogged,
                             };
-                            (seq, shard, event, Vec::new(), None)
+                            (seq, shard, event, None)
                         } else {
-                            let (event, shadow, fusion) = worker_window(seq, thread);
-                            (seq, thread, event, shadow, fusion)
+                            let (event, fusion) = worker_window(seq, thread);
+                            (seq, thread, event, fusion)
                         }
                     })
                     .collect();
                 std::thread::spawn(move || {
                     let mut snapshots = Vec::new();
-                    for (seq, shard, event, shadow, fusion) in plan {
+                    for (seq, shard, event, fusion) in plan {
                         turns.wait_for(thread);
-                        emitter.merge_window(seq, shard, event, shadow, fusion);
+                        let mask = fusion.map_or(0, |r: FusionRecord| r.disagree_mask);
+                        emitter.merge_window(seq, shard, event, mask, fusion);
                         snapshots.push(emitter.merge.lock().stats.clone());
                         turns.advance();
                     }
@@ -1911,7 +1762,6 @@ mod tests {
     fn run_merge_schedule(workers: usize, owned: Vec<Vec<u64>>, schedule: Vec<usize>, seed: u64) {
         let total: u64 = owned.iter().map(|o| o.len() as u64).sum();
         let (event_tx, event_rx) = unbounded();
-        let (shadow_tx, shadow_rx) = unbounded();
         let (fusion_tx, fusion_rx) = unbounded();
         let ledger = Arc::new(DriftLedger::new());
         let emitter = Emitter {
@@ -1919,7 +1769,6 @@ mod tests {
                 stats: PipelineStats {
                     shard_frames: vec![0; workers],
                     shard_sheds: vec![0; workers],
-                    shadow_disagreements: vec![0; 1],
                     voter_disagreements: vec![0; 3],
                     ..PipelineStats::default()
                 },
@@ -1927,9 +1776,8 @@ mod tests {
                 ready: Vec::new(),
             })),
             event_tx,
-            shadow_tx,
             fusion_tx,
-            ledger: Some(Arc::clone(&ledger)),
+            ledger: Arc::clone(&ledger),
             clocks: Arc::new(StageClocks::default()),
         };
         let snapshots = drive_schedule(&emitter, workers, owned, schedule, seed);
@@ -1983,12 +1831,11 @@ mod tests {
                 .map(pos)
                 .collect()
         };
-        // `worker_window` attaches a drift to every 14th window, an outage
-        // to every 22nd and a disagreeing shadow to every 15th.
+        // `worker_window` attaches a drift to every 14th window and an
+        // outage to every 22nd.
         let ledger_drifts: Vec<u64> = ledger.drifts().iter().map(|r| r.stream_pos).collect();
         let ledger_outages: Vec<u64> = ledger.outages().iter().map(|r| r.stream_pos).collect();
         let notables: Vec<u64> = fusion_rx.iter().map(|e| e.stream_pos).collect();
-        let shadows: Vec<u64> = shadow_rx.iter().map(|e| e.stream_pos).collect();
         let drift_or_outage = |seq: u64| seq.is_multiple_of(14) || seq.is_multiple_of(22);
         assert_eq!(
             ledger_drifts,
@@ -2004,11 +1851,6 @@ mod tests {
             notables,
             expected(drift_or_outage),
             "seed {seed}: fusion events"
-        );
-        assert_eq!(
-            shadows,
-            expected(|seq| seq.is_multiple_of(15)),
-            "seed {seed}: shadow events"
         );
     }
 

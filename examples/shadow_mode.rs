@@ -2,10 +2,12 @@
 //!
 //! A vProfile engine stays the production detector while a Viden and a
 //! Scission baseline shadow it on every shard of the sharded pipeline.
-//! Shadows never raise alarms and never feed the circuit breaker; every
-//! frame where a shadow's anomaly/normal call differs from the primary's
-//! is surfaced as a `ShadowEvent` and counted per shadow, which is the
-//! evidence you would use to promote (or reject) a candidate backend.
+//! Each frame is extracted once; the shadows score the primary's edge set
+//! after it. Shadows never raise alarms, never absorb online updates and
+//! never feed the circuit breaker; every frame where a shadow's
+//! anomaly/normal call differs from the primary's is counted per shadow,
+//! which is the evidence you would use to promote (or reject) a candidate
+//! backend.
 //!
 //! ```sh
 //! cargo run --release --example shadow_mode
@@ -13,7 +15,7 @@
 
 use vprofile_suite::baselines::{ScissionDetector, VidenDetector};
 use vprofile_suite::core::{EdgeSetExtractor, Trainer, VProfileConfig};
-use vprofile_suite::ids::{Backend, IdsEngine, PipelineConfig, ShadowPipeline, UpdatePolicy};
+use vprofile_suite::ids::{Backend, IdsEngine, IdsPipeline, PipelineConfig, UpdatePolicy};
 use vprofile_suite::vehicle::{CaptureConfig, Vehicle};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,28 +27,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let labeled = extracted.labeled();
     let lut = vehicle.sa_lut();
 
-    let model = Trainer::new(config.clone()).train_with_lut(&labeled, &lut)?;
-    let primary = IdsEngine::new(model, 2.0, UpdatePolicy::disabled());
-
     // Two candidates shadow the primary: a reasonably tuned Viden and a
     // deliberately over-tight Scission (min confidence 0.999) so the demo
     // has disagreements to show.
-    let viden = IdsEngine::with_backend(
+    let model = Trainer::new(config).train_with_lut(&labeled, &lut)?;
+    let engine = IdsEngine::new(model, 2.0, UpdatePolicy::disabled()).with_shadows(vec![
         Backend::from(VidenDetector::fit(&labeled, &lut, 6.0)?),
-        config.clone(),
-        UpdatePolicy::disabled(),
-    );
-    let scission = IdsEngine::with_backend(
         Backend::from(ScissionDetector::fit(&labeled, &lut, 0.999)?),
-        config,
-        UpdatePolicy::disabled(),
-    );
-
-    let mut pipeline = ShadowPipeline::spawn(
-        primary,
-        vec![viden, scission],
-        PipelineConfig::default().with_workers(2),
-    );
+    ]);
+    let mut pipeline =
+        IdsPipeline::spawn_sharded(engine, PipelineConfig::default().with_workers(2));
 
     // Replay the capture as the "live" stream.
     let mut stream = Vec::new();
@@ -58,58 +48,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     pipeline.close_input();
 
-    // The primary's verdict stream is untouched by the shadows…
-    let mut anomalies = 0u64;
-    for event in pipeline.events() {
-        if event.is_anomaly() {
-            anomalies += 1;
-        }
-    }
-
-    // …while disagreement frames arrive on their own channel.
-    let mut sample_shown = false;
-    let mut disagreement_frames = 0u64;
-    for event in pipeline.shadow_events() {
-        disagreement_frames += 1;
-        if !sample_shown {
-            sample_shown = true;
-            println!(
-                "first disagreement at stream position {} (primary anomaly: {}):",
-                event.stream_pos, event.primary_anomaly
-            );
-            for shadow in &event.shadows {
-                println!(
-                    "  {:>12}: {:?} ({})",
-                    shadow.backend,
-                    shadow.verdict,
-                    if shadow.disagrees {
-                        "DISAGREES"
-                    } else {
-                        "agrees"
-                    }
-                );
-            }
-        }
-    }
-
+    // The primary's verdict stream is untouched by the shadows.
+    let anomalies = pipeline.events().iter().filter(|e| e.is_anomaly()).count();
     let (_, stats) = pipeline.close()?;
-    println!();
+    let scored = stats.anomalies + stats.normals;
     println!(
-        "{} frames scored by the primary ({anomalies} anomalies), {} shadow-scored",
-        stats.frames, stats.shadow_frames
+        "{} frames scored by the primary ({anomalies} anomalies), each also by both shadows",
+        stats.frames
     );
-    for (index, (name, count)) in ["viden", "scission"]
-        .iter()
-        .zip(&stats.shadow_disagreements)
-        .enumerate()
-    {
+    // Voter 0 is the primary; shadow i is voter 1 + i.
+    let disagreements = &stats.voter_disagreements[1..];
+    for (index, (name, count)) in ["viden", "scission"].iter().zip(disagreements).enumerate() {
         println!(
-            "shadow #{index} ({name}): disagreed on {count} of {} frames ({:.1}%)",
-            stats.shadow_frames,
-            *count as f64 * 100.0 / stats.shadow_frames as f64
+            "shadow #{index} ({name}): disagreed on {count} of {scored} frames ({:.1}%)",
+            *count as f64 * 100.0 / scored as f64
         );
     }
-    println!("{disagreement_frames} frames had at least one disagreeing shadow");
+    println!(
+        "shadow scoring took {:.1} ms against the primary's {:.1} ms",
+        stats.stage_ns.shadow_ns as f64 / 1e6,
+        stats.stage_ns.score_ns as f64 / 1e6
+    );
+    assert_eq!(anomalies, 0, "clean traffic raises no primary alarm");
+    assert_eq!(scored, 600, "every frame is scored");
+    assert_eq!(
+        disagreements,
+        [0, 600],
+        "viden agrees everywhere, the over-tight scission nowhere"
+    );
     println!();
     println!(
         "verdict: viden tracks the primary closely; the over-tight scission \

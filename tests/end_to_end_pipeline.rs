@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use vprofile_suite::analog::{Environment, FrameSynthesizer, TransceiverModel};
 use vprofile_suite::can::{DataFrame, J1939Id, Pgn, Priority, SourceAddress, WireFrame};
 use vprofile_suite::core::{EdgeSetExtractor, Trainer, VProfileConfig};
-use vprofile_suite::ids::{IdsEngine, IdsPipeline, UpdatePolicy};
+use vprofile_suite::ids::{IdsEngine, IdsPipeline, PipelineConfig, UpdatePolicy};
 use vprofile_suite::vehicle::{CaptureConfig, Vehicle};
 
 fn trained(
@@ -58,7 +58,10 @@ fn foreign_device_is_flagged_in_the_raw_stream() {
     }
 
     let engine = IdsEngine::new(model, 2.0, UpdatePolicy::disabled());
-    let pipeline = IdsPipeline::spawn(engine, 4);
+    let pipeline = IdsPipeline::spawn_sharded(
+        engine,
+        PipelineConfig::default().with_workers(1).with_high_water(4),
+    );
     for chunk in stream.chunks(4096) {
         pipeline
             .feed(chunk.to_vec())
