@@ -261,6 +261,9 @@ impl EffectiveElectricals {
         if t < 0.0 {
             return from;
         }
+        // Exact equality on purpose: only a zero step is settled; any other
+        // step, however small, follows the response below.
+        #[allow(clippy::float_cmp)]
         if from == target {
             // Settled segment (e.g. the pre-SOF idle, whose start time is
             // −∞); evaluating the oscillatory term at t → ∞ would be 0·NaN.

@@ -89,8 +89,10 @@ pub fn roc_curve(model: &Model, messages: &[TestMessage]) -> RocCurve {
     let mut fp = 0usize;
     let mut i = 0usize;
     while i < scores.len() {
-        // Consume ties together so the curve is well-defined.
+        // Consume ties together so the curve is well-defined. A tie is
+        // exact equality: scores a rounding step apart are distinct cuts.
         let cut = scores[i].0;
+        #[allow(clippy::float_cmp)]
         while i < scores.len() && scores[i].0 == cut {
             if scores[i].1 {
                 tp += 1;
