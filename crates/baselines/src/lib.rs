@@ -24,10 +24,9 @@
 //! additionally implement the streaming
 //! [`vprofile_detector_core::DetectionBackend`] contract (re-exported here
 //! as [`DetectionBackend`]): per-edge-set scoring through a
-//! [`vprofile::ScratchArena`] with no steady-state allocations, plus
-//! snapshot/restore for pipeline supervisor checkpointing — which lets the
-//! sharded `vprofile-ids` pipeline run them online, not just in batch
-//! experiments.
+//! [`vprofile::ScratchArena`] with no steady-state allocations — which
+//! lets the sharded `vprofile-ids` pipeline run them online, not just in
+//! batch experiments.
 //!
 //! These are *faithful-flavor* reconstructions, not line-by-line ports: each
 //! keeps the published method's defining pipeline stages while consuming the
@@ -56,7 +55,7 @@ pub use simple::SimpleDetector;
 pub use svm::{LinearSvm, OneVsRestSvm, SvmParams};
 pub use viden::VidenDetector;
 pub use voltageids::VoltageIdsDetector;
-pub use vprofile_detector_core::{BackendSnapshot, DetectionBackend, SnapshotError};
+pub use vprofile_detector_core::DetectionBackend;
 
 use vprofile::{Detector, LabeledEdgeSet, Model};
 

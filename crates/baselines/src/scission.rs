@@ -10,7 +10,7 @@ use crate::{BaselineVerdict, SenderIdentifier};
 use std::collections::BTreeMap;
 use vprofile::{AnomalyKind, ClusterId, LabeledEdgeSet, ScratchArena, VProfileError, Verdict};
 use vprofile_can::SourceAddress;
-use vprofile_detector_core::{BackendSnapshot, DetectionBackend, SnapshotError};
+use vprofile_detector_core::DetectionBackend;
 use vprofile_sigstat::SigStatError;
 
 /// A trained Scission-style detector.
@@ -138,14 +138,6 @@ impl DetectionBackend for ScissionDetector {
                 kind: AnomalyKind::Unscorable,
             },
         }
-    }
-
-    fn snapshot(&self) -> BackendSnapshot {
-        BackendSnapshot::new(DetectionBackend::name(self), self.clone())
-    }
-
-    fn restore(&mut self, snapshot: &BackendSnapshot) -> Result<(), SnapshotError> {
-        snapshot.restore_into("scission", self)
     }
 }
 
@@ -279,25 +271,6 @@ mod tests {
         assert!(detector
             .classify_into(&mut scratch, SourceAddress(1))
             .is_unscorable());
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let (detector, a, _) = train(&mut rng);
-        let snapshot = detector.snapshot();
-        assert_eq!(snapshot.kind(), "scission");
-        let mut restored = detector.clone();
-        restored.restore(&snapshot).unwrap();
-        assert_eq!(
-            restored.identify(&a[0]).unwrap(),
-            detector.identify(&a[0]).unwrap()
-        );
-        // A foreign snapshot must be rejected without clobbering state.
-        let mut rng2 = StdRng::seed_from_u64(6);
-        let (mut other, _, _) = train(&mut rng2);
-        let foreign = vprofile_detector_core::BackendSnapshot::new("viden", 1u8);
-        assert!(other.restore(&foreign).is_err());
     }
 
     #[test]

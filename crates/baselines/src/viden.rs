@@ -13,7 +13,7 @@ use crate::{BaselineVerdict, SenderIdentifier};
 use std::collections::BTreeMap;
 use vprofile::{AnomalyKind, ClusterId, LabeledEdgeSet, ScratchArena, VProfileError, Verdict};
 use vprofile_can::SourceAddress;
-use vprofile_detector_core::{BackendSnapshot, DetectionBackend, SnapshotError};
+use vprofile_detector_core::DetectionBackend;
 use vprofile_sigstat::SigStatError;
 
 /// Dimension of the tracking-point feature: dominant level, recessive
@@ -248,14 +248,6 @@ impl DetectionBackend for VidenDetector {
         let tp = tracking_points(edge_set);
         self.absorb_tracking_points(cluster, &tp);
     }
-
-    fn snapshot(&self) -> BackendSnapshot {
-        BackendSnapshot::new(DetectionBackend::name(self), self.clone())
-    }
-
-    fn restore(&mut self, snapshot: &BackendSnapshot) -> Result<(), SnapshotError> {
-        snapshot.restore_into("viden", self)
-    }
 }
 
 impl SenderIdentifier for VidenDetector {
@@ -426,21 +418,6 @@ mod tests {
             via_update.update_profile(ClusterId(0), m);
         }
         assert_eq!(via_backend.profiles, via_update.profiles);
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let (mut detector, _, _) = train(&mut rng);
-        let snapshot = detector.snapshot();
-        assert_eq!(snapshot.kind(), "viden");
-        let drifted = synthetic(&mut rng, 1, 1100.0, 30);
-        for m in &drifted {
-            DetectionBackend::absorb(&mut detector, m.sa, m.edge_set.samples());
-        }
-        detector.restore(&snapshot).unwrap();
-        let original = snapshot.downcast_ref::<VidenDetector>().unwrap();
-        assert_eq!(detector.profiles, original.profiles);
     }
 
     #[test]

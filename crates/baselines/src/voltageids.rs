@@ -17,7 +17,7 @@ use crate::{BaselineVerdict, SenderIdentifier};
 use std::collections::BTreeMap;
 use vprofile::{AnomalyKind, ClusterId, LabeledEdgeSet, ScratchArena, VProfileError, Verdict};
 use vprofile_can::SourceAddress;
-use vprofile_detector_core::{BackendSnapshot, DetectionBackend, SnapshotError};
+use vprofile_detector_core::DetectionBackend;
 use vprofile_sigstat::SigStatError;
 
 /// A trained VoltageIDS-style detector.
@@ -143,14 +143,6 @@ impl DetectionBackend for VoltageIdsDetector {
                 kind: AnomalyKind::Unscorable,
             },
         }
-    }
-
-    fn snapshot(&self) -> BackendSnapshot {
-        BackendSnapshot::new(DetectionBackend::name(self), self.clone())
-    }
-
-    fn restore(&mut self, snapshot: &BackendSnapshot) -> Result<(), SnapshotError> {
-        snapshot.restore_into("voltage-ids", self)
     }
 }
 
@@ -284,14 +276,6 @@ mod tests {
         assert!(detector
             .classify_into(&mut scratch, SourceAddress(1))
             .is_unscorable());
-        let snapshot = detector.snapshot();
-        assert_eq!(snapshot.kind(), "voltage-ids");
-        let mut restored = detector.clone();
-        restored.restore(&snapshot).unwrap();
-        assert_eq!(
-            restored.identify(&a[0]).unwrap(),
-            detector.identify(&a[0]).unwrap()
-        );
     }
 
     #[test]

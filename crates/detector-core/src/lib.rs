@@ -12,11 +12,6 @@
 //!   the extracted edge set from [`ScratchArena::edge_set`] and may use the
 //!   arena's other buffers as working memory, so steady-state scoring
 //!   performs no heap allocations;
-//! * **snapshot / restore** — the pipeline supervisor checkpoints a
-//!   worker's detector and rolls it back after a panic;
-//!   [`DetectionBackend::snapshot`] / [`DetectionBackend::restore`] make
-//!   that checkpointing backend-agnostic and drift-free (snapshots hold a
-//!   clone of the concrete state, not a lossy serialization);
 //! * **online updates** — backends that learn continuously (vProfile's
 //!   Algorithm 4, Viden's profile drift tracking) hook
 //!   [`DetectionBackend::absorb`]; stateless classifiers keep the default
@@ -33,90 +28,9 @@ mod vprofile_backend;
 
 pub use vprofile_backend::VProfileBackend;
 
-use std::any::Any;
 use std::collections::BTreeMap;
 use vprofile::{ClusterId, LabeledEdgeSet, ScratchArena, VProfileError, Verdict};
 use vprofile_can::SourceAddress;
-
-/// An opaque, byte-exact checkpoint of one backend's mutable state.
-///
-/// Snapshots wrap a *clone* of the concrete backend rather than a
-/// serialized form: restoring reproduces the exact floating-point state,
-/// so a supervisor-restarted worker scores byte-identically to an
-/// unrestarted one. The `kind` tag guards against restoring a snapshot
-/// into a different backend type.
-#[derive(Debug)]
-pub struct BackendSnapshot {
-    kind: &'static str,
-    state: Box<dyn Any + Send + Sync>,
-}
-
-impl BackendSnapshot {
-    /// Wraps a clone of a concrete backend state under a kind tag.
-    pub fn new<T: Any + Send + Sync>(kind: &'static str, state: T) -> Self {
-        BackendSnapshot {
-            kind,
-            state: Box::new(state),
-        }
-    }
-
-    /// The backend kind this snapshot was taken from.
-    pub fn kind(&self) -> &'static str {
-        self.kind
-    }
-
-    /// Borrows the concrete state, if `T` matches the snapshotted type.
-    pub fn downcast_ref<T: Any>(&self) -> Option<&T> {
-        self.state.downcast_ref::<T>()
-    }
-
-    /// Restores this snapshot into `target`, verifying the kind tag.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::KindMismatch`] when the snapshot was taken from a
-    /// different backend kind (or a different concrete type).
-    pub fn restore_into<T: Any + Clone>(
-        &self,
-        expected: &'static str,
-        target: &mut T,
-    ) -> Result<(), SnapshotError> {
-        let state = (self.kind == expected)
-            .then(|| self.downcast_ref::<T>())
-            .flatten()
-            .ok_or(SnapshotError::KindMismatch {
-                expected,
-                found: self.kind,
-            })?;
-        target.clone_from(state);
-        Ok(())
-    }
-}
-
-/// Failure modes of [`DetectionBackend::restore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// The snapshot was taken from a different backend kind.
-    KindMismatch {
-        /// The kind the restoring backend expected.
-        expected: &'static str,
-        /// The kind recorded in the snapshot.
-        found: &'static str,
-    },
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::KindMismatch { expected, found } => write!(
-                f,
-                "snapshot kind mismatch: expected `{expected}`, snapshot holds `{found}`"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
 
 /// The detection contract the streaming IDS pipeline runs against.
 ///
@@ -137,8 +51,8 @@ impl std::error::Error for SnapshotError {}
 /// failure maps to [`vprofile::AnomalyKind::Unscorable`], never to a
 /// silent pass.
 pub trait DetectionBackend: Send {
-    /// Short stable identifier for reports and snapshot tags
-    /// (e.g. `"vprofile"`, `"viden"`).
+    /// Short stable identifier for reports (e.g. `"vprofile"`,
+    /// `"viden"`).
     fn name(&self) -> &'static str;
 
     /// Re-fits the backend in place from labeled training data and the
@@ -211,18 +125,6 @@ pub trait DetectionBackend: Send {
         let _ = sa;
         default_calibration(verdict)
     }
-
-    /// Captures a byte-exact checkpoint of the backend's mutable state for
-    /// supervisor restarts.
-    fn snapshot(&self) -> BackendSnapshot;
-
-    /// Rolls the backend back to a previously captured checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::KindMismatch`] when the snapshot belongs to a
-    /// different backend kind; the current state is left untouched.
-    fn restore(&mut self, snapshot: &BackendSnapshot) -> Result<(), SnapshotError>;
 }
 
 /// The model-agnostic verdict → score map backing
@@ -287,14 +189,6 @@ mod tests {
                 kind: vprofile::AnomalyKind::UnknownSa { sa },
             }
         }
-
-        fn snapshot(&self) -> BackendSnapshot {
-            BackendSnapshot::new(self.name(), self.clone())
-        }
-
-        fn restore(&mut self, snapshot: &BackendSnapshot) -> Result<(), SnapshotError> {
-            snapshot.restore_into("flag-everything", self)
-        }
     }
 
     #[test]
@@ -315,30 +209,6 @@ mod tests {
         backend.discard_pending_for(SourceAddress(1));
         assert!(!backend.retrain_due(0));
         assert!(backend.update_drift().abs() < 1e-12);
-    }
-
-    #[test]
-    fn snapshot_round_trips() {
-        let backend = FlagEverything;
-        let snapshot = backend.snapshot();
-        assert_eq!(snapshot.kind(), "flag-everything");
-        let mut other = FlagEverything;
-        other.restore(&snapshot).unwrap();
-    }
-
-    #[test]
-    fn restore_rejects_foreign_snapshots() {
-        let foreign = BackendSnapshot::new("something-else", 42u32);
-        let mut backend = FlagEverything;
-        let err = backend.restore(&foreign).unwrap_err();
-        assert_eq!(
-            err,
-            SnapshotError::KindMismatch {
-                expected: "flag-everything",
-                found: "something-else",
-            }
-        );
-        assert!(err.to_string().contains("something-else"));
     }
 
     #[test]
@@ -401,16 +271,5 @@ mod tests {
             kind: AnomalyKind::Unscorable,
         })
         .is_none());
-    }
-
-    #[test]
-    fn downcast_rejects_wrong_type() {
-        let snapshot = BackendSnapshot::new("flag-everything", 42u32);
-        // Kind matches but the concrete type does not: restore must fail
-        // rather than clobber state.
-        let mut backend = FlagEverything;
-        assert!(backend.restore(&snapshot).is_err());
-        assert!(snapshot.downcast_ref::<FlagEverything>().is_none());
-        assert_eq!(snapshot.downcast_ref::<u32>(), Some(&42));
     }
 }

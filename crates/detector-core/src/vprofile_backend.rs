@@ -1,7 +1,7 @@
 //! The reference [`DetectionBackend`]: vProfile's Mahalanobis
 //! nearest-cluster detector with batched scoring and §5.3 online updates.
 
-use crate::{BackendSnapshot, DetectionBackend, SnapshotError};
+use crate::DetectionBackend;
 use std::collections::BTreeMap;
 use vprofile::{
     ClusterId, Detector, LabeledEdgeSet, Model, ScratchArena, Trainer, UpdateBatch, UpdateScratch,
@@ -181,14 +181,6 @@ impl DetectionBackend for VProfileBackend {
         }
         crate::default_calibration(verdict)
     }
-
-    fn snapshot(&self) -> BackendSnapshot {
-        BackendSnapshot::new(DetectionBackend::name(self), self.clone())
-    }
-
-    fn restore(&mut self, snapshot: &BackendSnapshot) -> Result<(), SnapshotError> {
-        snapshot.restore_into("vprofile", self)
-    }
 }
 
 #[cfg(test)]
@@ -315,32 +307,5 @@ mod tests {
         let vehicle = Vehicle::vehicle_b(17);
         backend.train(&observations, &vehicle.sa_lut()).unwrap();
         assert!(!backend.model().clusters().is_empty());
-    }
-
-    #[test]
-    fn snapshot_restore_is_byte_identical() {
-        let (mut backend, observations) = trained();
-        let snapshot = DetectionBackend::snapshot(&backend);
-        assert_eq!(snapshot.kind(), "vprofile");
-        // Mutate, then roll back.
-        for obs in observations.iter().take(20) {
-            backend.absorb(obs.sa, obs.edge_set.samples());
-        }
-        backend.apply_pending_updates();
-        backend.restore(&snapshot).unwrap();
-        let restored: Vec<usize> = backend
-            .model()
-            .clusters()
-            .iter()
-            .map(|c| c.count())
-            .collect();
-        let original = snapshot.downcast_ref::<VProfileBackend>().unwrap();
-        let expected: Vec<usize> = original
-            .model()
-            .clusters()
-            .iter()
-            .map(|c| c.count())
-            .collect();
-        assert_eq!(restored, expected);
     }
 }

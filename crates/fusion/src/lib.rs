@@ -21,8 +21,9 @@
 //!   budget (the model should adapt), while a
 //!   [`DriftKind::EnsembleDisagreement`] episode quarantines absorption
 //!   entirely (somebody is gaming one model's blind spot).
-//! * [`DriftLedger`] — a cross-shard, operator-facing record of drift
-//!   verdicts and voter outages.
+//! * [`DriftLedger`] — a cross-shard, operator-facing record of the
+//!   notable fusion frames ([`FusionEvent`]s carrying a drift verdict or a
+//!   voter outage).
 //!
 //! All per-frame state is per source address, so the sharded pipeline's
 //! SA-affine routing keeps fused verdict streams deterministic for any
@@ -39,5 +40,5 @@ mod weights;
 
 pub use drift::{Cusum, CusumConfig, DriftKind, DriftSignal, DriftVerdict, Ewma, EwmaConfig};
 pub use fuse::{FusionConfig, FusionCore, FusionDecision};
-pub use ledger::{DriftLedger, DriftRecord, OutageRecord};
+pub use ledger::{DriftLedger, FusionEvent, FusionRecord};
 pub use weights::{AgreementWeight, WeightConfig};

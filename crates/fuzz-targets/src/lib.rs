@@ -15,7 +15,8 @@
 //!   equals the number of samples pushed, for every chunking;
 //! * **chunking invariance** — pushing the stream in arbitrary chunk sizes
 //!   emits bit-identical windows at identical stream positions as one
-//!   whole-stream push;
+//!   whole-stream push, and both equal the per-sample reference framer
+//!   ([`vprofile_ids::scan::ReferenceFramer`]);
 //! * **entry-point agreement** — [`EdgeSetExtractor::extract`] and
 //!   [`EdgeSetExtractor::extract_into`] agree on success/failure, the
 //!   decoded SA, and every extracted bit, and a scratch-reusing second
@@ -55,6 +56,7 @@ use vprofile::{
 };
 use vprofile_analog::AdcConfig;
 use vprofile_can::SourceAddress;
+use vprofile_ids::scan::ReferenceFramer;
 use vprofile_ids::{
     HealthConfig, IdsEngine, IdsEvent, IdsPipeline, PipelineConfig, StreamFramer, UpdatePolicy,
 };
@@ -172,24 +174,32 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Fuzz target for [`StreamFramer`]: frames the decoded stream once as a
-/// whole push and once in fuzzer-chosen chunks, asserting no panic, exact
-/// sample accounting on both replays, and bit-identical windows at
-/// identical stream positions.
+/// Fuzz target for [`StreamFramer`]: frames the decoded stream with the
+/// per-sample [`ReferenceFramer`], then as one whole push and in
+/// fuzzer-chosen chunks, asserting no panic, exact sample accounting on
+/// every replay, and bit-identical windows at identical stream positions.
 pub fn framer_target(data: &[u8]) {
     let input = FramerInput::decode(data);
     let total = input.samples.len() as u64;
 
+    let mut reference = ReferenceFramer::new(input.bit_width, input.threshold);
+    let mut expected = reference.push(&input.samples);
+    assert_eq!(
+        reference.samples_consumed(),
+        total,
+        "the reference must account for every sample exactly once"
+    );
+    expected.extend(reference.flush());
+
     let mut whole = StreamFramer::new(input.bit_width, input.threshold);
-    let mut expected = whole.push(&input.samples);
+    let mut got = whole.push(&input.samples);
     assert_eq!(
         whole.samples_consumed(),
         total,
         "whole push must account for every sample exactly once"
     );
-    if let Some(tail) = whole.flush() {
-        expected.push(tail);
-    }
+    got.extend(whole.flush());
+    assert_same_windows(&expected, &got, "whole push");
 
     let mut chunked = StreamFramer::new(input.bit_width, input.threshold);
     let mut got = Vec::new();
@@ -201,26 +211,26 @@ pub fn framer_target(data: &[u8]) {
         total,
         "chunked push must account for every sample exactly once"
     );
-    if let Some(tail) = chunked.flush() {
-        got.push(tail);
-    }
+    got.extend(chunked.flush());
+    assert_same_windows(&expected, &got, &format!("chunk {}", input.chunk));
+}
 
+/// Asserts that `got` holds `expected`'s windows, bit for bit and at the
+/// same stream positions.
+fn assert_same_windows(expected: &[(u64, Vec<f64>)], got: &[(u64, Vec<f64>)], replay: &str) {
     assert_eq!(
         expected.len(),
         got.len(),
-        "chunked framing must emit the same number of windows (chunk {})",
-        input.chunk
+        "{replay}: framing must emit the reference's number of windows"
     );
-    for (i, ((pos_a, win_a), (pos_b, win_b))) in expected.iter().zip(&got).enumerate() {
+    for (i, ((pos_a, win_a), (pos_b, win_b))) in expected.iter().zip(got).enumerate() {
         assert_eq!(
             pos_a, pos_b,
-            "window {i}: stream position differs (chunk {})",
-            input.chunk
+            "{replay}, window {i}: stream position differs"
         );
         assert!(
             bits_eq(win_a, win_b),
-            "window {i}: samples differ bitwise (chunk {})",
-            input.chunk
+            "{replay}, window {i}: samples differ bitwise"
         );
     }
 }
@@ -797,8 +807,8 @@ mod tests {
             samples: vec![0.0, 3000.0, f64::NAN],
         };
         let decoded = FramerInput::decode(&input.encode());
-        assert_eq!(decoded.bit_width, input.bit_width);
-        assert_eq!(decoded.threshold, input.threshold);
+        assert_eq!(decoded.bit_width.to_bits(), input.bit_width.to_bits());
+        assert_eq!(decoded.threshold.to_bits(), input.threshold.to_bits());
         assert_eq!(decoded.chunk, input.chunk);
         assert!(bits_eq(&decoded.samples, &input.samples));
     }

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use vprofile::{ClusterId, LabeledEdgeSet, Model, ScratchArena, VProfileError, Verdict};
 use vprofile_baselines::{ScissionDetector, VidenDetector, VoltageIdsDetector};
 use vprofile_can::SourceAddress;
-use vprofile_detector_core::{BackendSnapshot, DetectionBackend, SnapshotError, VProfileBackend};
+use vprofile_detector_core::{DetectionBackend, VProfileBackend};
 
 /// Which detection backend a pipeline is running — a plain tag for
 /// reports, benches, and config plumbing.
@@ -169,14 +169,6 @@ impl DetectionBackend for Backend {
 
     fn calibrated_score(&self, sa: SourceAddress, verdict: &Verdict) -> Option<f64> {
         delegate!(self, b => b.calibrated_score(sa, verdict))
-    }
-
-    fn snapshot(&self) -> BackendSnapshot {
-        delegate!(self, b => b.snapshot())
-    }
-
-    fn restore(&mut self, snapshot: &BackendSnapshot) -> Result<(), SnapshotError> {
-        delegate!(self, b => b.restore(snapshot))
     }
 }
 

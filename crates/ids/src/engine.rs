@@ -204,7 +204,7 @@ impl IdsEngine {
         &self.backend
     }
 
-    /// Mutable access to the detection backend (snapshot/restore, retrain).
+    /// Mutable access to the detection backend.
     pub fn backend_mut(&mut self) -> &mut Backend {
         &mut self.backend
     }

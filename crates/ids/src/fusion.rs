@@ -28,14 +28,13 @@ use crate::health::{DegradeReason, OutageCause};
 use crate::pipeline::sealed::{Engine, Outcome};
 use crate::pipeline::PipelineEngine;
 use crate::{Backend, BackendKind, StreamFramer, UpdatePolicy};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use vprofile::{
     AnomalyKind, ClusterId, EdgeSetExtractor, QuarantineSet, ScratchArena, VProfileConfig, Verdict,
 };
 use vprofile_can::SourceAddress;
 use vprofile_detector_core::DetectionBackend;
-use vprofile_fusion::{DriftVerdict, FusionConfig, FusionCore, FusionDecision};
+use vprofile_fusion::{FusionConfig, FusionCore, FusionDecision, FusionRecord};
 
 /// Consecutive `Unscorable` verdicts before a voter is suspended.
 const DEFAULT_SUSPEND_AFTER: u32 = 12;
@@ -78,47 +77,6 @@ pub struct FusedScore {
     /// Bit `i` set when voter `i` scored and its individual call differed
     /// from the fused call.
     pub disagree_mask: u8,
-}
-
-/// Compact per-frame fusion telemetry attached to the pipeline's scored
-/// windows and surfaced through [`crate::FusionPipeline::fusion_events`]
-/// and the fusion counters in [`crate::PipelineStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FusionRecord {
-    /// The claimed source address the frame was fused under.
-    pub sa: u8,
-    /// The confidence-weighted fused score.
-    pub score: f64,
-    /// The adaptive per-SA threshold the call compared against.
-    pub threshold: f64,
-    /// The fused anomaly call.
-    pub anomaly: bool,
-    /// `false` when every voter abstained (fail-closed frame).
-    pub scored: bool,
-    /// `true` while the SA is inside a disagreement drift episode.
-    pub episode: bool,
-    /// `true` when this frame was absorbed into the voters' models
-    /// (drift-gated online update).
-    pub absorbed: bool,
-    /// Bit `i` set when voter `i`'s call differed from the fused call.
-    pub disagree_mask: u8,
-    /// The typed change-point verdict this frame emitted, if any.
-    pub drift: Option<DriftVerdict>,
-    /// Voter index newly suspended on this frame, if any.
-    pub outage: Option<u8>,
-}
-
-/// Emitted by the pipeline for every *notable* fusion frame — one carrying
-/// a drift verdict or a voter outage — in framing order, just before the
-/// frame's own event and in the critical section that counts it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FusionEvent {
-    /// Sample index of the frame's first sample in the input stream.
-    pub stream_pos: u64,
-    /// Shard worker that scored the frame.
-    pub shard: usize,
-    /// The frame's fusion telemetry.
-    pub record: FusionRecord,
 }
 
 /// The multi-voter detection engine: one extraction, N backend votes,
@@ -734,9 +692,9 @@ mod tests {
         }
         pipeline.close_input();
         let _: Vec<IdsEvent> = pipeline.events().into_iter().collect();
-        let notables: Vec<FusionEvent> = pipeline.fusion_events().into_iter().collect();
         let ledger = Arc::clone(pipeline.ledger());
         let (_, stats) = pipeline.close().expect("clean close");
+        let notables = ledger.events();
 
         let drift_notables = notables.iter().filter(|e| e.record.drift.is_some()).count();
         let outage_notables = notables

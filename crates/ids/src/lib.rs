@@ -8,15 +8,17 @@
 //!
 //! * [`StreamFramer`] — finds frame boundaries in a continuous raw sample
 //!   stream (idle detection + SOF), so the monitor can tap the bus with
-//!   nothing but an ADC;
+//!   nothing but an ADC. It hands out owned windows from the same
+//!   splitter the pipeline runs in place, the crate's one framing state
+//!   machine;
 //! * [`IdsEngine`] — the synchronous core: frame window → Algorithm 1
 //!   extraction → Algorithm 3 detection → [`IdsEvent`]s, with an optional
 //!   online-update policy (§5.3) that absorbs accepted messages and signals
 //!   when a full retrain is due;
 //! * [`Pipeline`] — a threaded, sharded wrapper around either engine
 //!   ([`IdsPipeline`], [`FusionPipeline`]): [`Pipeline::feed`]
-//!   *splits* each chunk into frame windows on the calling thread (peeking
-//!   only the arbitration field) and routes each window to one of N
+//!   *splits* each chunk into frame windows on the calling thread, peeks
+//!   each window's arbitration field, and routes the window to one of N
 //!   detection workers by a stable, seedable hash of the claimed source
 //!   address ([`stable_shard_seeded`]) over bounded per-shard SPSC rings
 //!   with batched hand-off. Frames are located once: workers score each
@@ -25,7 +27,7 @@
 //!   stats lock, through a sequence-numbered [`ReorderBuffer`], making the
 //!   output order deterministic and identical to a single-worker run;
 //! * self-healing — each worker runs under a supervisor that absorbs
-//!   panics and restarts the shard from a checkpointed engine snapshot
+//!   panics and restarts the shard from a checkpointed clone of its engine
 //!   (bounded budget, exponential backoff), a per-shard circuit breaker
 //!   ([`HealthConfig`]) trips into an explicit degraded mode
 //!   ([`IdsEvent::Degraded`], quarantined online updates) instead of
@@ -73,7 +75,6 @@ mod alarm;
 mod backend;
 mod engine;
 mod event;
-mod framer;
 mod fusion;
 mod health;
 mod period;
@@ -88,8 +89,7 @@ pub use alarm::{AlarmAggregator, AlarmClass, Incident};
 pub use backend::{Backend, BackendKind};
 pub use engine::{IdsEngine, UpdatePolicy};
 pub use event::{IdsEvent, ScoredEvent};
-pub use framer::StreamFramer;
-pub use fusion::{FusedScore, FusionEngine, FusionEvent, FusionRecord};
+pub use fusion::{FusedScore, FusionEngine};
 pub use health::{
     BackpressurePolicy, BreakerState, DegradeReason, DropReason, HealthConfig, OutageCause,
 };
@@ -100,10 +100,9 @@ pub use pipeline::{
 };
 pub use reorder::ReorderBuffer;
 pub use shard::stable_shard_seeded;
-pub use vprofile_detector_core::{
-    BackendSnapshot, DetectionBackend, SnapshotError, VProfileBackend,
-};
+pub use splitter::StreamFramer;
+pub use vprofile_detector_core::{DetectionBackend, VProfileBackend};
 pub use vprofile_fusion::{
-    CusumConfig, DriftKind, DriftLedger, DriftRecord, DriftVerdict, EwmaConfig, FusionConfig,
-    FusionCore, FusionDecision, OutageRecord,
+    CusumConfig, DriftKind, DriftLedger, DriftVerdict, EwmaConfig, FusionConfig, FusionCore,
+    FusionDecision, FusionEvent, FusionRecord,
 };

@@ -11,11 +11,10 @@
 //! the router: on the calling thread, under one lock, it
 //!
 //! * wraps the caller's `Vec<f64>` in an `Arc` (no copy of the samples);
-//! * *splits* it into frame windows with a [`FrameSplitter`] — the
-//!   framer's boundary state machine over borrowed chunk slices — and
-//!   peeks each frame's claimed source address
-//!   ([`vprofile::EdgeSetExtractor::peek_sa`]) on exactly the frame's
-//!   sample range;
+//! * *splits* it into frame windows with a [`FrameSplitter`] — the one
+//!   framing state machine, over borrowed chunk slices — and peeks each
+//!   frame's claimed source address
+//!   ([`vprofile::EdgeSetExtractor::peek_sa`]) from the frame's SOF on;
 //! * publishes each window to a worker shard chosen by
 //!   [`crate::stable_shard_seeded`], over bounded per-shard SPSC rings
 //!   ([`SpscRing`]) in batches of [`ROUTE_BATCH`], so the hand-off costs
@@ -25,7 +24,7 @@
 //!
 //! Behind the rings run **N supervised detection workers**, each owning a
 //! clone of the engine, and they are the only threads a pipeline
-//! starts. A routed segment already *is* the framer's window, so the
+//! starts. A routed segment already *is* the frame's window, so the
 //! worker scores it in place: a frame that closed in its own chunk is
 //! borrowed from that chunk, and only a frame straddling a chunk boundary
 //! is copied once into a reusable per-worker buffer. Each worker runs
@@ -63,7 +62,7 @@
 //! holds in every stats snapshot.
 
 use crate::engine::elapsed_ns;
-use crate::fusion::{FusionEngine, FusionEvent, FusionRecord};
+use crate::fusion::FusionEngine;
 use crate::health::{
     BackpressurePolicy, BreakerState, DropReason, HealthConfig, HealthMonitor, WindowOutcome,
 };
@@ -81,7 +80,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vprofile::EdgeSetExtractor;
-use vprofile_fusion::DriftLedger;
+use vprofile_can::SourceAddress;
+use vprofile_fusion::{DriftLedger, FusionEvent, FusionRecord};
 
 /// Failure modes of the threaded pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -467,16 +467,15 @@ struct MergeState {
     ready: Vec<Finished>,
 }
 
-/// A producing thread's end of the merge: the shared [`MergeState`] and
-/// the thread's own clones of the output senders. Every worker owns one,
-/// and the feed router owns one until the input closes, so the event
-/// stream ends only once the last producer is done, with every notable
-/// fusion frame already queued.
+/// A producing thread's end of the merge: the shared [`MergeState`], the
+/// thread's own clone of the event sender, and the drift ledger. Every
+/// worker owns one, and the feed router owns one until the input closes,
+/// so the event stream ends only once the last producer is done, with
+/// every notable fusion frame already in the ledger.
 #[derive(Debug, Clone)]
 struct Emitter {
     merge: Arc<Mutex<MergeState>>,
     event_tx: Sender<IdsEvent>,
-    fusion_tx: Sender<FusionEvent>,
     ledger: Arc<DriftLedger>,
     clocks: Arc<StageClocks>,
 }
@@ -504,9 +503,7 @@ pub struct Pipeline<E: PipelineEngine> {
     /// [`Pipeline::stats`] never waits on a `feed` parked on a ring.
     rejected_chunks: AtomicU64,
     event_rx: Receiver<IdsEvent>,
-    /// Notable fusion frames; nothing is sent in an [`IdsPipeline`].
-    fusion_rx: Receiver<FusionEvent>,
-    /// Drift and outage records; empty in an [`IdsPipeline`].
+    /// Notable fusion frames; empty in an [`IdsPipeline`].
     ledger: Arc<DriftLedger>,
     merge: Arc<Mutex<MergeState>>,
     gauges: Arc<Vec<ShardGauges>>,
@@ -519,8 +516,8 @@ pub type IdsPipeline = Pipeline<IdsEngine>;
 
 /// A pipeline of [`FusionEngine`]s: fused verdicts drive the event stream,
 /// the circuit breaker and the drift-gated online updates, and notable
-/// frames (drift verdicts, voter outages) also arrive on
-/// [`FusionPipeline::fusion_events`] and in the [`DriftLedger`].
+/// frames (drift verdicts, voter outages) are also kept in the
+/// [`DriftLedger`].
 pub type FusionPipeline = Pipeline<FusionEngine>;
 
 impl std::fmt::Debug for ShardGauges {
@@ -555,7 +552,6 @@ impl<E: PipelineEngine> Pipeline<E> {
         let checkpoint_interval = config.checkpoint_interval.max(1);
 
         let (event_tx, event_rx) = unbounded::<IdsEvent>();
-        let (fusion_tx, fusion_rx) = unbounded::<FusionEvent>();
         let ledger = Arc::new(DriftLedger::new());
         let merge = Arc::new(Mutex::new(MergeState {
             stats: PipelineStats {
@@ -578,7 +574,6 @@ impl<E: PipelineEngine> Pipeline<E> {
         let emitter = Emitter {
             merge: Arc::clone(&merge),
             event_tx,
-            fusion_tx,
             ledger: Arc::clone(&ledger),
             clocks: Arc::clone(&clocks),
         };
@@ -619,6 +614,7 @@ impl<E: PipelineEngine> Pipeline<E> {
                 model_config.bit_threshold,
             ),
             peeker: EdgeSetExtractor::new(model_config.clone()),
+            peek_scratch: Vec::new(),
             segments: Vec::new(),
             publisher: Publisher {
                 batches: (0..workers).map(|_| Vec::new()).collect(),
@@ -636,7 +632,6 @@ impl<E: PipelineEngine> Pipeline<E> {
             router: Mutex::new(Some(router)),
             rejected_chunks: AtomicU64::new(0),
             event_rx,
-            fusion_rx,
             ledger,
             merge,
             gauges,
@@ -782,14 +777,8 @@ impl FusionPipeline {
         Self::spawn_sharded(engine, config)
     }
 
-    /// Notable fusion frames (drift verdicts, voter outages), in framing
-    /// order. The channel is unbounded: drain it, or it grows with every
-    /// notable frame.
-    pub fn fusion_events(&self) -> &Receiver<FusionEvent> {
-        &self.fusion_rx
-    }
-
-    /// The cross-shard drift/outage ledger.
+    /// The cross-shard drift ledger: the most recent notable fusion frames
+    /// (drift verdicts, voter outages) in framing order, and their counts.
     pub fn ledger(&self) -> &Arc<DriftLedger> {
         &self.ledger
     }
@@ -823,6 +812,9 @@ const WORKER_BATCH: usize = 32;
 struct FeedRouter {
     splitter: FrameSplitter,
     peeker: EdgeSetExtractor,
+    /// Reusable assembly buffer for SA peeks whose prefix straddles a
+    /// chunk boundary; grows to one capped prefix and stays.
+    peek_scratch: Vec<f64>,
     /// Windows of the chunk being routed; empty between `feed` calls.
     segments: Vec<RawSegment>,
     publisher: Publisher,
@@ -847,8 +839,9 @@ impl FeedRouter {
         Ok(())
     }
 
-    /// Splits one chunk and publishes every window that closes in it to
-    /// its shard's ring, flushing every shard's batch before returning.
+    /// Splits one chunk, peeks the claimed SA of every window that closes
+    /// in it, and publishes each window to its shard's ring, flushing
+    /// every shard's batch before returning.
     // xtask: hot-path
     fn route_chunk(
         &mut self,
@@ -856,8 +849,10 @@ impl FeedRouter {
         clocks: &StageClocks,
     ) -> Result<(), PipelineError> {
         let splitting = Instant::now();
-        self.splitter
-            .split_chunk(&chunk, &self.peeker, &mut self.segments);
+        self.splitter.split_chunk(&chunk, &mut self.segments);
+        for segment in &mut self.segments {
+            segment.sa = peek_sa(&self.peeker, segment, &mut self.peek_scratch);
+        }
         clocks
             .router
             .fetch_add(elapsed_ns(splitting), Ordering::Relaxed);
@@ -873,7 +868,8 @@ impl FeedRouter {
     /// the workers drain and exit.
     // xtask: cold
     fn finish_input(mut self) {
-        if let Some(segment) = self.splitter.flush(&self.peeker) {
+        if let Some(mut segment) = self.splitter.flush() {
+            segment.sa = peek_sa(&self.peeker, &segment, &mut self.peek_scratch);
             let _ = self.publisher.route_segment(segment);
         }
         let _ = self.publisher.flush_shards();
@@ -881,6 +877,48 @@ impl FeedRouter {
             ring.close();
         }
     }
+}
+
+/// Decodes `segment`'s claimed source address from its SOF on, `0xFF`
+/// when the arbitration field cannot be decoded.
+///
+/// The walk reads at most the frame's arbitration prefix: 31 unstuffed
+/// bits plus worst-case stuffing stay under 41 sampled bits, and resync
+/// only ever moves the cursor backward, so capping the slice at 64 bits
+/// never changes the outcome. The peek therefore borrows the in-chunk
+/// tail from SOF when the SOF sits in it, borrows the capped prefix in
+/// place when it fits in `mid`, and otherwise assembles the capped prefix
+/// into `scratch` (at most once per boundary-straddling frame). Either
+/// way it decodes the same samples, so the routed shard of every frame is
+/// a pure function of the stream, independent of its chunking.
+// xtask: hot-path
+fn peek_sa(peeker: &EdgeSetExtractor, segment: &RawSegment, scratch: &mut Vec<f64>) -> u8 {
+    let cap = (64.0 * peeker.config().bit_width_samples) as usize;
+    let (head, mid, tail) = (
+        segment.head.as_slice(),
+        segment.mid_slice(),
+        segment.tail_slice(),
+    );
+    let frame = if let Some(at) = segment.sof.checked_sub(head.len() + mid.len()) {
+        tail.get(at..).unwrap_or(&[])
+    } else if let Some(prefix) = segment
+        .sof
+        .checked_sub(head.len())
+        .and_then(|at| mid.get(at..at.saturating_add(cap)))
+    {
+        prefix
+    } else {
+        scratch.clear();
+        let mut skip = segment.sof;
+        for piece in [head, mid, tail] {
+            let from = skip.min(piece.len());
+            skip -= from;
+            let take = (cap - scratch.len()).min(piece.len() - from);
+            scratch.extend_from_slice(piece.get(from..from + take).unwrap_or(&[]));
+        }
+        scratch.as_slice()
+    };
+    peeker.peek_sa(frame).map_or(0xFF, SourceAddress::raw)
 }
 
 /// The producer ends of the shard rings, with one pending batch per shard.
@@ -1301,11 +1339,10 @@ fn drain_failed_shard(
 impl Emitter {
     /// Merges one finished window: pushes it into the reorder buffer, then
     /// for every window that is now in framing order counts it and its
-    /// voter disagreements, records a drift or outage frame in the ledger
-    /// and on the fusion channel, and sends its event. All of it is one
-    /// critical section, so a stats snapshot never disagrees with the
-    /// events already delivered and the ledger keeps framing order across
-    /// threads.
+    /// voter disagreements, records a drift or outage frame in the ledger,
+    /// and sends its event. All of it is one critical section, so a stats
+    /// snapshot never disagrees with the events already delivered and the
+    /// ledger keeps framing order across threads.
     // xtask: hot-path
     // xtask: accounting(IdsEvent)
     fn merge_window(
@@ -1382,18 +1419,12 @@ impl Emitter {
         self.clocks.merge.fetch_add(merged, Ordering::Relaxed);
     }
 
-    /// Records one drift or outage frame in the [`DriftLedger`] and sends
-    /// it on the fusion event channel. Runs inside the merge critical
-    /// section, so the ledger lock nests under the stats lock.
+    /// Records one drift or outage frame in the [`DriftLedger`]. Runs
+    /// inside the merge critical section, so the ledger lock nests under
+    /// the stats lock.
     // xtask: cold
     fn publish_notable(&self, stream_pos: u64, shard: usize, record: FusionRecord) {
-        if let Some(verdict) = record.drift {
-            self.ledger.record_drift(stream_pos, shard, verdict);
-        }
-        if let Some(voter) = record.outage {
-            self.ledger.record_outage(stream_pos, shard, voter);
-        }
-        let _ = self.fusion_tx.send(FusionEvent {
+        self.ledger.record(FusionEvent {
             stream_pos,
             shard,
             record,
@@ -1451,6 +1482,46 @@ mod tests {
         assert_eq!(stats.restarts, vec![0]);
         assert_eq!(stats.breaker, vec![BreakerState::Closed]);
         assert_eq!(stats.shard_failed, vec![false]);
+    }
+
+    #[test]
+    fn peeked_sa_is_chunking_invariant() {
+        // Twelve frames, then half of one more for the flush to peek.
+        let (engine, capture) = engine_and_capture();
+        let config = engine.config();
+        let mut stream = Vec::new();
+        for frame in capture.frames().iter().take(12) {
+            stream.extend(frame.trace.to_f64());
+        }
+        let cut = capture.frames()[12].trace.to_f64();
+        stream.extend(&cut[..cut.len() / 2]);
+
+        // Every window's SA, decoded from the whole window.
+        let peeker = EdgeSetExtractor::new(config.clone());
+        let mut framer = crate::StreamFramer::new(config.bit_width_samples, config.bit_threshold);
+        let mut windows = framer.push(&stream);
+        windows.extend(framer.flush());
+        let expected: Vec<u8> = windows
+            .iter()
+            .map(|(_, window)| peeker.peek_sa(window).map_or(0xFF, SourceAddress::raw))
+            .collect();
+        assert_eq!(expected.len(), 13);
+        assert!(expected.iter().all(|&sa| sa != 0xFF), "{expected:?}");
+
+        let mut scratch = Vec::new();
+        for chunk_len in [7, 333, 1000, 2500, 6000, stream.len()] {
+            let mut splitter = FrameSplitter::new(config.bit_width_samples, config.bit_threshold);
+            let mut segments = Vec::new();
+            for chunk in stream.chunks(chunk_len) {
+                splitter.split_chunk(&Arc::new(chunk.to_vec()), &mut segments);
+            }
+            segments.extend(splitter.flush());
+            let sas: Vec<u8> = segments
+                .iter()
+                .map(|segment| peek_sa(&peeker, segment, &mut scratch))
+                .collect();
+            assert_eq!(sas, expected, "chunk_len {chunk_len}");
+        }
     }
 
     #[test]
@@ -1758,11 +1829,10 @@ mod tests {
     /// in its order; the feed thread sheds its own as `Backlogged`
     /// placeholders of a seeded shard. Asserts the identity in every
     /// snapshot taken between turns, a gapless event stream in sequence
-    /// order, and notables in framing order on the ledger and channels.
+    /// order, and notables in framing order in the ledger.
     fn run_merge_schedule(workers: usize, owned: Vec<Vec<u64>>, schedule: Vec<usize>, seed: u64) {
         let total: u64 = owned.iter().map(|o| o.len() as u64).sum();
         let (event_tx, event_rx) = unbounded();
-        let (fusion_tx, fusion_rx) = unbounded();
         let ledger = Arc::new(DriftLedger::new());
         let emitter = Emitter {
             merge: Arc::new(Mutex::new(MergeState {
@@ -1776,7 +1846,6 @@ mod tests {
                 ready: Vec::new(),
             })),
             event_tx,
-            fusion_tx,
             ledger: Arc::clone(&ledger),
             clocks: Arc::new(StageClocks::default()),
         };
@@ -1833,9 +1902,16 @@ mod tests {
         };
         // `worker_window` attaches a drift to every 14th window and an
         // outage to every 22nd.
-        let ledger_drifts: Vec<u64> = ledger.drifts().iter().map(|r| r.stream_pos).collect();
-        let ledger_outages: Vec<u64> = ledger.outages().iter().map(|r| r.stream_pos).collect();
-        let notables: Vec<u64> = fusion_rx.iter().map(|e| e.stream_pos).collect();
+        let notables = ledger.events();
+        let positions = |keep: fn(&FusionRecord) -> bool| -> Vec<u64> {
+            notables
+                .iter()
+                .filter(|e| keep(&e.record))
+                .map(|e| e.stream_pos)
+                .collect()
+        };
+        let ledger_drifts = positions(|r| r.drift.is_some());
+        let ledger_outages = positions(|r| r.outage.is_some());
         let drift_or_outage = |seq: u64| seq.is_multiple_of(14) || seq.is_multiple_of(22);
         assert_eq!(
             ledger_drifts,
@@ -1848,10 +1924,12 @@ mod tests {
             "seed {seed}: ledger outages"
         );
         assert_eq!(
-            notables,
+            positions(|_| true),
             expected(drift_or_outage),
-            "seed {seed}: fusion events"
+            "seed {seed}: notable frames"
         );
+        assert_eq!(ledger.drift_count(), ledger_drifts.len());
+        assert_eq!(ledger.outage_count(), ledger_outages.len());
     }
 
     /// Seeded ownership, per-thread order and global schedule: every

@@ -1,7 +1,7 @@
 //! Block-accelerated dominant-sample scans for the framing hot loop.
 //!
-//! Every byte the framer and the chunk splitter look at goes through one
-//! of two primitives: "first sample at or above the dominant threshold"
+//! Every sample the frame splitter looks at goes through one of two
+//! primitives: "first sample at or above the dominant threshold"
 //! (SOF search) and "last sample at or above it" (gap-skip close probe).
 //! Both are memory-bound linear scans, so the win is not clever math but
 //! wide loads: the block variants fold eight lanes at a time through
@@ -99,7 +99,7 @@ pub fn rfind_dominant(samples: &[f64], threshold: f64) -> Option<usize> {
 /// earlier input — reaches `gap` samples. Returns `Err(run_out)` when the
 /// slice ends with the gap still open, carrying the new trailing run.
 ///
-/// This is the framer's and splitter's in-frame edge search. A close at
+/// This is the frame splitter's in-frame edge search. A close at
 /// index `k` needs `gap` consecutive recessive samples ending at `k`, so
 /// the earliest candidate close sits exactly `gap` after the last known
 /// dominant sample — and the search leapfrogs between candidates instead
@@ -208,6 +208,83 @@ pub fn gap_close_scalar(
         }
     }
     Err(run)
+}
+
+/// Reference for the framing state machine ([`crate::StreamFramer`] and
+/// the pipeline's splitter): a plain per-sample loop they must agree with,
+/// window for window and position for position, for every chunking of
+/// every stream. While idle it keeps the last `2 × bit_width` samples as
+/// lead-in; the first sample `>= threshold` opens a frame; the sample that
+/// completes `8 × bit_width` consecutive recessive samples closes it.
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub struct ReferenceFramer {
+    threshold: f64,
+    lead_in: usize,
+    end_gap: usize,
+    /// The idle lead-in, or the open frame with its lead-in.
+    window: Vec<f64>,
+    open: bool,
+    recessive_run: usize,
+    consumed: u64,
+}
+
+impl ReferenceFramer {
+    /// A framer with [`crate::StreamFramer::new`]'s geometry.
+    pub fn new(bit_width: f64, threshold: f64) -> Self {
+        ReferenceFramer {
+            threshold,
+            lead_in: (2.0 * bit_width) as usize,
+            end_gap: (8.0 * bit_width) as usize,
+            window: Vec::new(),
+            open: false,
+            recessive_run: 0,
+            consumed: 0,
+        }
+    }
+
+    /// Total samples consumed so far.
+    pub fn samples_consumed(&self) -> u64 {
+        self.consumed
+    }
+
+    /// Pushes samples one at a time; returns every window closed on the
+    /// way, each with the stream position of its first sample.
+    pub fn push(&mut self, samples: &[f64]) -> Vec<(u64, Vec<f64>)> {
+        let mut out = Vec::new();
+        for &v in samples {
+            self.consumed += 1;
+            self.window.push(v);
+            if !self.open {
+                if v >= self.threshold {
+                    self.open = true;
+                    self.recessive_run = 0;
+                } else if self.window.len() > self.lead_in {
+                    self.window.remove(0);
+                }
+            } else if v >= self.threshold {
+                self.recessive_run = 0;
+            } else {
+                self.recessive_run += 1;
+                if self.recessive_run >= self.end_gap {
+                    out.push(self.take());
+                }
+            }
+        }
+        out
+    }
+
+    /// Returns the open frame, if any, as it stands.
+    pub fn flush(&mut self) -> Option<(u64, Vec<f64>)> {
+        self.open.then(|| self.take())
+    }
+
+    fn take(&mut self) -> (u64, Vec<f64>) {
+        self.open = false;
+        self.recessive_run = 0;
+        let window = std::mem::take(&mut self.window);
+        (self.consumed - window.len() as u64, window)
+    }
 }
 
 /// Reference implementation of [`find_dominant`]; the equivalence tests

@@ -9,9 +9,9 @@
 //! adaptive threshold and episode flag of the frame's SA after the frame.
 //!
 //! The same stream then runs through a one-worker [`FusionPipeline`]: its
-//! event stream must equal the engine's, every [`FusionRecord`] it
-//! publishes is digested field by field, and the fusion counters are
-//! pinned beside the digests.
+//! event stream must equal the engine's, every notable [`FusionRecord`]
+//! its drift ledger keeps is digested field by field, and the fusion
+//! counters are pinned beside the digests.
 //!
 //! The constants below were generated by the full-scan nearest-cluster
 //! path. Any change to scoring, calibration or fusion arithmetic that
@@ -236,11 +236,12 @@ fn fused_scoring_is_pinned_bit_for_bit() {
     }
     pipeline.close_input();
     let piped: Vec<IdsEvent> = pipeline.events().into_iter().collect();
-    // The merger publishes a batch's notable records before it takes the
-    // next batch, so they are all queued once the event stream has ended.
+    // A window's notable record enters the ledger in the critical section
+    // that sends its event, so all are recorded once the stream has ended.
     let records: Vec<FusionRecord> = pipeline
-        .fusion_events()
-        .try_iter()
+        .ledger()
+        .events()
+        .iter()
         .map(|e| e.record)
         .collect();
     let (_, stats) = pipeline.close().expect("clean close");

@@ -7,7 +7,7 @@
 //! (`new`, `clone`, `push`, ...) are excluded from edge resolution —
 //! they would connect everything to everything — so hot-path coverage
 //! of such methods relies on marking the definition itself (as the
-//! reorder buffer and stream framer do) rather than on traversal.
+//! reorder buffer does) rather than on traversal.
 //! `cold`-marked definitions are neither scanned nor traversed, which
 //! is how acknowledged slow paths (cache rebuilds, online-update
 //! absorption) are fenced off from the hot set.
