@@ -179,21 +179,21 @@ mod tests {
     #[test]
     fn constant_region_has_zero_spread() {
         let f = region_features(&[5.0; 10]);
-        assert_eq!(f.mean, 5.0);
-        assert_eq!(f.std_dev, 0.0);
-        assert_eq!(f.peak_to_peak, 0.0);
-        assert_eq!(f.roughness, 0.0);
-        assert_eq!(f.rms, 5.0);
+        assert_eq!(f.mean.to_bits(), 5.0_f64.to_bits());
+        assert_eq!(f.std_dev.to_bits(), 0.0_f64.to_bits());
+        assert_eq!(f.peak_to_peak.to_bits(), 0.0_f64.to_bits());
+        assert_eq!(f.roughness.to_bits(), 0.0_f64.to_bits());
+        assert_eq!(f.rms.to_bits(), 5.0_f64.to_bits());
     }
 
     #[test]
     fn features_of_known_ramp() {
         let f = region_features(&[0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(f.mean, 1.5);
-        assert_eq!(f.min, 0.0);
-        assert_eq!(f.max, 3.0);
-        assert_eq!(f.peak_to_peak, 3.0);
-        assert_eq!(f.roughness, 1.0);
+        assert_eq!(f.mean.to_bits(), 1.5_f64.to_bits());
+        assert_eq!(f.min.to_bits(), 0.0_f64.to_bits());
+        assert_eq!(f.max.to_bits(), 3.0_f64.to_bits());
+        assert_eq!(f.peak_to_peak.to_bits(), 3.0_f64.to_bits());
+        assert_eq!(f.roughness.to_bits(), 1.0_f64.to_bits());
     }
 
     #[test]
@@ -211,8 +211,8 @@ mod tests {
         assert!(s.contains(&15.0));
         assert!(s.contains(&31.0));
         // Transition windows start at the half boundaries.
-        assert_eq!(r[0], 0.0);
-        assert_eq!(f[0], 16.0);
+        assert_eq!(r[0].to_bits(), 0.0_f64.to_bits());
+        assert_eq!(f[0].to_bits(), 16.0_f64.to_bits());
     }
 
     #[test]

@@ -27,7 +27,7 @@ const BLOCK: usize = 8;
 
 /// A trained multinomial logistic-regression classifier with per-feature
 /// standardization.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct LogisticRegression {
     /// Feature-major weights, `dim + 1` rows of `classes` rounded up to a
     /// multiple of [`LANES`]: row `j < dim` holds feature `j`'s weight for
@@ -41,6 +41,13 @@ pub struct LogisticRegression {
     /// Per-feature standard deviations (floored away from zero).
     feature_stds: Vec<f64>,
 }
+
+vprofile_sigstat::clone_in_place!(LogisticRegression {
+    weights,
+    classes,
+    feature_means,
+    feature_stds
+});
 
 /// Gradient-descent hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -385,6 +392,29 @@ mod tests {
             }
         }
         data
+    }
+
+    #[test]
+    fn clone_from_matches_clone_when_shrinking_or_growing() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let params = TrainParams {
+            epochs: 20,
+            ..TrainParams::default()
+        };
+        let two = blobs(&mut rng, &[(0.0, 0.0), (4.0, 4.0)], 10);
+        let three = blobs(&mut rng, &[(0.0, 0.0), (5.0, 0.0), (0.0, 5.0)], 10);
+        let wide: Vec<(Vec<f64>, usize)> = three
+            .iter()
+            .map(|(x, label)| (vec![x[0], x[1], x[0] - x[1]], *label))
+            .collect();
+        let small = LogisticRegression::fit(&two, 2, params).unwrap();
+        let large = LogisticRegression::fit(&wide, 3, params).unwrap();
+        for (target, source) in [(&large, &small), (&small, &large), (&small, &small)] {
+            let mut copy = target.clone();
+            copy.clone_from(source);
+            assert_eq!(copy, source.clone());
+            assert_eq!(format!("{copy:?}"), format!("{:?}", source.clone()));
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use vprofile_detector_core::DetectionBackend;
 use vprofile_sigstat::SigStatError;
 
 /// A trained Scission-style detector.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ScissionDetector {
     model: LogisticRegression,
     sa_lut: BTreeMap<u8, usize>,
@@ -23,6 +23,8 @@ pub struct ScissionDetector {
     /// check against unknown devices).
     min_confidence: f64,
 }
+
+vprofile_sigstat::clone_in_place!(ScissionDetector { model, min_confidence } if_changed { sa_lut });
 
 impl ScissionDetector {
     /// Trains the classifier from labeled edge sets.

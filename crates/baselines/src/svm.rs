@@ -6,13 +6,19 @@
 use vprofile_sigstat::SigStatError;
 
 /// A binary linear SVM with per-feature standardization.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct LinearSvm {
     /// Weights (length `dim`) plus bias as the last element.
     weights: Vec<f64>,
     feature_means: Vec<f64>,
     feature_stds: Vec<f64>,
 }
+
+vprofile_sigstat::clone_in_place!(LinearSvm {
+    weights,
+    feature_means,
+    feature_stds
+});
 
 /// Subgradient-descent hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,10 +168,12 @@ impl LinearSvm {
 }
 
 /// A one-vs-rest multiclass wrapper over [`LinearSvm`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct OneVsRestSvm {
     machines: Vec<LinearSvm>,
 }
+
+vprofile_sigstat::clone_in_place!(OneVsRestSvm { machines });
 
 impl OneVsRestSvm {
     /// Trains one binary machine per class.

@@ -30,13 +30,15 @@ struct VoltageProfile {
 }
 
 /// A trained Viden-style detector.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct VidenDetector {
     profiles: Vec<VoltageProfile>,
     sa_lut: BTreeMap<u8, usize>,
     /// Acceptance radius in profile-normalized units.
     radius: f64,
 }
+
+vprofile_sigstat::clone_in_place!(VidenDetector { profiles, radius } if_changed { sa_lut });
 
 /// Extracts the tracking points of one edge set: `(dominant level,
 /// recessive level, overshoot peak)`.

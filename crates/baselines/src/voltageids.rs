@@ -21,13 +21,15 @@ use vprofile_detector_core::DetectionBackend;
 use vprofile_sigstat::SigStatError;
 
 /// A trained VoltageIDS-style detector.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct VoltageIdsDetector {
     svm: OneVsRestSvm,
     sa_lut: BTreeMap<u8, usize>,
     /// Minimum winning decision margin for acceptance.
     min_margin: f64,
 }
+
+vprofile_sigstat::clone_in_place!(VoltageIdsDetector { svm, min_margin } if_changed { sa_lut });
 
 impl VoltageIdsDetector {
     /// Trains the classifier from labeled edge sets.

@@ -24,14 +24,15 @@ const UPDATE_BATCH: usize = 16;
 /// the write path ([`DetectionBackend::absorb`] and the applied batch)
 /// performs heap allocations once warm (enforced by the bench crate's
 /// counting allocator).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct VProfileBackend {
     model: Model,
     margin: f64,
     /// Absorbed observations awaiting the next applied batch, reserved for
     /// a full batch.
     pending: UpdateBatch,
-    /// Working memory of the applied batch (a clone starts empty).
+    /// Working memory of the applied batch (a clone starts empty; a copy
+    /// into an existing backend keeps that backend's own).
     scratch: UpdateScratch,
     /// Cluster means as of the last train/install, the reference the
     /// poisoning drift guard measures against.
@@ -39,6 +40,36 @@ pub struct VProfileBackend {
     /// [`DetectionBackend::update_drift`], measured whenever the means
     /// change: after an applied batch, and zero at an install.
     drift: f64,
+}
+
+impl Clone for VProfileBackend {
+    fn clone(&self) -> Self {
+        VProfileBackend {
+            model: self.model.clone(),
+            margin: self.margin,
+            pending: self.pending.clone(),
+            scratch: self.scratch.clone(),
+            baseline_means: self.baseline_means.clone(),
+            drift: self.drift,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let VProfileBackend {
+            model,
+            margin,
+            pending,
+            scratch,
+            baseline_means,
+            drift,
+        } = self;
+        model.clone_from(&source.model);
+        *margin = source.margin;
+        pending.clone_from(&source.pending);
+        scratch.clone_from(&source.scratch);
+        baseline_means.clone_from(&source.baseline_means);
+        *drift = source.drift;
+    }
 }
 
 /// Snapshots every cluster mean of `model` for drift measurement.

@@ -81,7 +81,7 @@ struct VoterLane {
 }
 
 /// All fusion state attached to one source address.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SaState {
     lanes: Box<[VoterLane]>,
     disagreement: Ewma,
@@ -89,6 +89,37 @@ struct SaState {
     clean_seen: bool,
     theta: f64,
     budget: u32,
+}
+
+impl Clone for SaState {
+    fn clone(&self) -> Self {
+        SaState {
+            lanes: self.lanes.clone(),
+            disagreement: self.disagreement,
+            clean_score: self.clean_score,
+            clean_seen: self.clean_seen,
+            theta: self.theta,
+            budget: self.budget,
+        }
+    }
+
+    /// Copies lane by lane into `self`'s lanes when the voter counts match.
+    fn clone_from(&mut self, source: &Self) {
+        let SaState {
+            lanes,
+            disagreement,
+            clean_score,
+            clean_seen,
+            theta,
+            budget,
+        } = self;
+        lanes.clone_from(&source.lanes);
+        *disagreement = source.disagreement;
+        *clean_score = source.clean_score;
+        *clean_seen = source.clean_seen;
+        *theta = source.theta;
+        *budget = source.budget;
+    }
 }
 
 /// What the fusion layer concluded about one frame.
@@ -133,12 +164,35 @@ impl FusionDecision {
 /// The deterministic, allocation-free fusion state machine.
 ///
 /// Construction preallocates every SA slot and voter lane; the per-frame
-/// [`FusionCore::fuse`] touches only preallocated state.
-#[derive(Debug, Clone)]
+/// [`FusionCore::fuse`] touches only preallocated state, and
+/// `clone_from` between cores of one voter count copies every slot in
+/// place.
+#[derive(Debug)]
 pub struct FusionCore {
     config: FusionConfig,
     voters: usize,
     states: Box<[SaState]>,
+}
+
+impl Clone for FusionCore {
+    fn clone(&self) -> Self {
+        FusionCore {
+            config: self.config,
+            voters: self.voters,
+            states: self.states.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let FusionCore {
+            config,
+            voters,
+            states,
+        } = self;
+        *config = source.config;
+        *voters = source.voters;
+        states.clone_from(&source.states);
+    }
 }
 
 impl FusionCore {

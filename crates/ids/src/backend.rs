@@ -6,8 +6,8 @@
 //! awkward. [`Backend`] instead enumerates the known backends and
 //! match-delegates every [`DetectionBackend`] method, so each arm is
 //! monomorphized, inlineable, and allocation-free — the enum *is* the
-//! dispatch table, and `#[derive(Clone)]` gives byte-exact checkpoints
-//! for free.
+//! dispatch table, and its `Clone` gives byte-exact checkpoints, copied
+//! into an existing checkpoint of the same backend without allocating.
 
 use std::collections::BTreeMap;
 use vprofile::{ClusterId, LabeledEdgeSet, Model, ScratchArena, VProfileError, Verdict};
@@ -46,7 +46,7 @@ impl BackendKind {
 /// Every variant implements [`DetectionBackend`]; this enum forwards each
 /// trait method with a `match`, keeping the hot path statically
 /// dispatched (see the module docs for why this beats `Box<dyn>` here).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum Backend {
     /// vProfile's Mahalanobis nearest-cluster detector.
     VProfile(VProfileBackend),
@@ -124,6 +124,26 @@ macro_rules! delegate {
             Backend::VoltageIds($b) => $body,
         }
     };
+}
+
+impl Clone for Backend {
+    fn clone(&self) -> Self {
+        delegate!(self, b => Backend::from(b.clone()))
+    }
+
+    /// Copies into `self`'s buffers when both are the same backend.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Backend::VProfile(to), Backend::VProfile(from)) => to.clone_from(from),
+            (Backend::Viden(to), Backend::Viden(from)) => to.clone_from(from),
+            (Backend::Scission(to), Backend::Scission(from)) => to.clone_from(from),
+            (Backend::VoltageIds(to), Backend::VoltageIds(from)) => to.clone_from(from),
+            (to, from) => {
+                // xtask: allow(hot-path-alloc): another backend has no buffers to reuse; an engine changes backend only when a model is installed
+                *to = from.clone();
+            }
+        }
+    }
 }
 
 impl DetectionBackend for Backend {

@@ -95,7 +95,7 @@ impl UpdatePolicy {
 /// [`IdsEngine::with_shadows`] adds observe-only backends that score each
 /// frame's already-extracted edge set beside the primary: the way to
 /// audition a candidate backend on live traffic.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct IdsEngine {
     backend: Backend,
     /// Observe-only backends scored on the primary's edge set after the
@@ -119,6 +119,19 @@ pub struct IdsEngine {
     /// this).
     scratch: ScratchArena,
 }
+
+vprofile_sigstat::clone_in_place!(IdsEngine {
+    backend,
+    shadows,
+    config,
+    extractor,
+    framer,
+    policy,
+    accepted_count,
+    quarantine,
+    drift_guard,
+    scratch
+});
 
 impl IdsEngine {
     /// Creates an engine around a trained vProfile model.

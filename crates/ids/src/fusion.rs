@@ -86,8 +86,8 @@ pub struct FusedScore {
 /// attribution source); the rest are secondaries whose influence is
 /// learned from agreement history. The engine is `Clone`, so the
 /// pipeline supervisor checkpoints and rolls it back exactly like an
-/// [`crate::IdsEngine`].
-#[derive(Debug, Clone)]
+/// [`crate::IdsEngine`], copying into the checkpoint's buffers.
+#[derive(Debug)]
 pub struct FusionEngine {
     voters: Vec<Backend>,
     runtime: Vec<VoterRuntime>,
@@ -106,6 +106,23 @@ pub struct FusionEngine {
     probe_interval: u32,
     kill_at: Option<(u8, u64)>,
 }
+
+vprofile_sigstat::clone_in_place!(FusionEngine {
+    voters,
+    runtime,
+    core,
+    config,
+    extractor,
+    framer,
+    policy,
+    quarantine,
+    drift_guard,
+    scratch,
+    scores,
+    suspend_after,
+    probe_interval,
+    kill_at
+});
 
 impl FusionEngine {
     /// Creates an engine fusing `voters` (voter 0 is the primary).

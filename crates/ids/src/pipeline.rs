@@ -29,7 +29,8 @@
 //! borrowed from that chunk, and only a frame straddling a chunk boundary
 //! is copied once into a reusable per-worker buffer. Each worker runs
 //! under a supervisor that catches panics and respawns the scoring loop
-//! from a periodically-refreshed engine checkpoint, with exponential
+//! from a periodically-refreshed engine checkpoint (refreshed and
+//! restored by copying in place, without allocating), with exponential
 //! backoff and a bounded restart budget; past the budget the shard fails
 //! permanently and its windows drain as [`IdsEvent::Dropped`]
 //! placeholders. Each worker also runs a
@@ -1074,14 +1075,14 @@ struct WorkerState<E> {
 }
 
 impl<E: PipelineEngine> WorkerState<E> {
-    /// A shard's state before its first window: `engine` and its restart
-    /// checkpoint.
+    /// A shard's state before its first window: `engine`, its restart
+    /// checkpoint, and room for the largest batch a ring pop hands over.
     fn new(engine: E, health: HealthConfig) -> Self {
         WorkerState {
             checkpoint: engine.clone(),
             engine,
-            pending: VecDeque::new(),
-            batch: Vec::new(),
+            pending: VecDeque::with_capacity(WORKER_BATCH),
+            batch: Vec::with_capacity(WORKER_BATCH),
             window: Vec::new(),
             in_flight: None,
             monitor: HealthMonitor::new(health),
@@ -1089,9 +1090,12 @@ impl<E: PipelineEngine> WorkerState<E> {
         }
     }
 
-    /// Refreshes the restart checkpoint.
+    /// Refreshes the restart checkpoint: copies the engine into the
+    /// checkpoint's own buffers, so once the checkpoint has held this
+    /// engine's state a refresh allocates nothing.
+    // xtask: hot-path
     fn refresh_checkpoint(&mut self) {
-        self.checkpoint = self.engine.clone();
+        self.checkpoint.clone_from(&self.engine);
     }
 
     /// The scoring loop proper; returns when the shard's ring closes and
@@ -1285,7 +1289,7 @@ fn supervised_worker<E: PipelineEngine>(mut state: WorkerState<E>, rt: WorkerRun
                 }
                 let exponent = restarts.saturating_sub(1).min(6);
                 std::thread::sleep(Duration::from_millis(rt.backoff_base_ms << exponent));
-                state.engine = state.checkpoint.clone();
+                state.engine.clone_from(&state.checkpoint);
             }
         }
     }

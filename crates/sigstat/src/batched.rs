@@ -57,7 +57,7 @@ const OVERFLOW_FREE: f64 = 1e300;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct BatchedMahalanobis {
     /// Stacked inverse factors, a row-major `(K·d) × d` matrix: rows
     /// `c·d .. (c+1)·d` hold `W_c = L_c⁻¹`.
@@ -73,6 +73,15 @@ pub struct BatchedMahalanobis {
     dim: usize,
     clusters: usize,
 }
+
+crate::clone_in_place!(BatchedMahalanobis {
+    stacked,
+    offsets,
+    reach,
+    reach_total,
+    dim,
+    clusters
+});
 
 /// One step of the row loop: adds row `i`'s squared residual
 /// `(W_c x − v_c)_i²` to `q`. Row `i` is one contiguous 4-wide [`dot`]
@@ -427,6 +436,26 @@ mod tests {
             .collect();
         let est = CovarianceEstimate::fit(&obs, 1e-6).unwrap();
         Gaussian::from_estimate(est).unwrap()
+    }
+
+    #[test]
+    fn clone_from_matches_clone_when_shrinking_or_growing() {
+        let (a, b, c) = (gaussian(10.0, 1.0), gaussian(-4.0, 2.0), gaussian(3.0, 0.5));
+        let two = BatchedMahalanobis::from_gaussians(&[&a, &b]).unwrap();
+        let three = BatchedMahalanobis::from_gaussians(&[&a, &b, &c]).unwrap();
+        let other = BatchedMahalanobis::from_gaussians(&[&c, &a]).unwrap();
+        for (target, source) in [(&three, &two), (&two, &three), (&other, &two)] {
+            let mut copy = target.clone();
+            copy.clone_from(source);
+            assert_eq!(copy, source.clone());
+            assert_eq!(format!("{copy:?}"), format!("{:?}", source.clone()));
+            let x = [9.5, 4.0, 11.0];
+            let (got, want) = (copy.distances(&x).unwrap(), source.distances(&x).unwrap());
+            assert!(got
+                .iter()
+                .zip(&want)
+                .all(|(g, w)| g.to_bits() == w.to_bits()));
+        }
     }
 
     #[test]

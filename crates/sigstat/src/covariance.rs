@@ -335,7 +335,7 @@ mod tests {
             vec![0.5, -1.0],
         ];
         let est = CovarianceEstimate::fit(&obs, 1e-3).unwrap();
-        assert_eq!(est.applied_ridge, 0.0);
+        assert_eq!(est.applied_ridge.to_bits(), 0.0_f64.to_bits());
     }
 
     proptest! {

@@ -75,13 +75,20 @@ pub fn euclidean(x: &[f64], y: &[f64]) -> Result<f64, SigStatError> {
 /// One `Gaussian` corresponds to one ECU cluster in the vProfile model.
 /// It does not serialize: its factor is derived state, so a stored form
 /// keeps the moments and refactors them through [`Gaussian::from_moments`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Gaussian {
     mean: Vec<f64>,
     covariance: Matrix,
     chol: Cholesky,
     count: usize,
 }
+
+crate::clone_in_place!(Gaussian {
+    mean,
+    covariance,
+    chol,
+    count
+});
 
 impl Gaussian {
     /// Fits a Gaussian to a set of observations, applying at most
@@ -264,8 +271,33 @@ mod tests {
     }
 
     #[test]
+    fn clone_from_matches_clone_when_shrinking_or_growing() {
+        let small = sample_gaussian();
+        let large = Gaussian::from_moments(
+            vec![1.0, 2.0, 3.0],
+            Matrix::from_rows(&[
+                vec![2.0, 0.3, 0.1],
+                vec![0.3, 1.5, -0.2],
+                vec![0.1, -0.2, 1.0],
+            ])
+            .unwrap(),
+            40,
+        )
+        .unwrap();
+        for (target, source) in [(&large, &small), (&small, &large), (&large, &large)] {
+            let mut copy = target.clone();
+            copy.clone_from(source);
+            assert_eq!(copy, source.clone());
+            assert_eq!(format!("{copy:?}"), format!("{:?}", source.clone()));
+        }
+    }
+
+    #[test]
     fn euclidean_of_identical_vectors_is_zero() {
-        assert_eq!(euclidean(&[1.0, 2.0], &[1.0, 2.0]).unwrap(), 0.0);
+        assert_eq!(
+            euclidean(&[1.0, 2.0], &[1.0, 2.0]).unwrap().to_bits(),
+            0.0_f64.to_bits()
+        );
     }
 
     #[test]
@@ -275,7 +307,10 @@ mod tests {
 
     #[test]
     fn pythagorean_triple() {
-        assert_eq!(euclidean(&[0.0, 0.0], &[3.0, 4.0]).unwrap(), 5.0);
+        assert_eq!(
+            euclidean(&[0.0, 0.0], &[3.0, 4.0]).unwrap().to_bits(),
+            5.0_f64.to_bits()
+        );
     }
 
     #[test]
@@ -312,12 +347,14 @@ mod tests {
         let g = sample_gaussian();
         let x = [2.0, 12.0];
         assert_eq!(
-            g.distance(&x, DistanceMetric::Euclidean).unwrap(),
-            g.euclidean(&x).unwrap()
+            g.distance(&x, DistanceMetric::Euclidean).unwrap().to_bits(),
+            g.euclidean(&x).unwrap().to_bits()
         );
         assert_eq!(
-            g.distance(&x, DistanceMetric::Mahalanobis).unwrap(),
-            g.mahalanobis(&x).unwrap()
+            g.distance(&x, DistanceMetric::Mahalanobis)
+                .unwrap()
+                .to_bits(),
+            g.mahalanobis(&x).unwrap().to_bits()
         );
     }
 

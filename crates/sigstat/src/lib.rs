@@ -72,3 +72,61 @@ pub use welford::{GaussianRefit, OnlineGaussian};
 pub fn exactly_zero(v: f64) -> bool {
     v.to_bits() << 1 == 0
 }
+
+/// Copies `source` into `target` only when the two differ: the in-place
+/// copy of a value that has no buffer-reusing `clone_from` (a `BTreeMap`)
+/// and rarely changes, such as an SA lookup table, which changes only when
+/// a model is trained or installed.
+pub fn clone_if_changed<T: Clone + PartialEq>(target: &mut T, source: &T) {
+    if target != source {
+        // xtask: allow(hot-path-alloc): a BTreeMap cannot be copied in place; the SA tables copied here change only when a model is trained or installed
+        *target = source.clone();
+    }
+}
+
+/// Implements `Clone` for a struct, field by field, with a `clone_from`
+/// that copies into the destination's own buffers.
+///
+/// A derived `Clone` implements `clone_from` as `*self = source.clone()`,
+/// which allocates every buffer anew. Here `clone` names every field in a
+/// struct literal, and `clone_from` destructures `self` without `..` and
+/// hands each field to that field's own `clone_from`. A copy into a value
+/// of the same shape then allocates nothing, and a field added to the
+/// struct but not to the list fails to compile instead of being left out
+/// of every copy. Fields listed after `if_changed` are copied with
+/// [`clone_if_changed`] instead.
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// struct Window {
+///     samples: Vec<f64>,
+///     start: u64,
+/// }
+/// vprofile_sigstat::clone_in_place!(Window { samples, start });
+///
+/// let source = Window { samples: vec![1.0, 2.0], start: 7 };
+/// let mut copy = Window { samples: Vec::with_capacity(4), start: 0 };
+/// let buffer = copy.samples.as_ptr();
+/// copy.clone_from(&source);
+/// assert_eq!(copy, source);
+/// assert_eq!(copy.samples.as_ptr(), buffer);
+/// ```
+#[macro_export]
+macro_rules! clone_in_place {
+    ($ty:ident { $($field:ident),+ $(,)? } $(if_changed { $($table:ident),+ $(,)? })?) => {
+        impl ::core::clone::Clone for $ty {
+            fn clone(&self) -> Self {
+                $ty {
+                    $($field: ::core::clone::Clone::clone(&self.$field),)+
+                    $($($table: ::core::clone::Clone::clone(&self.$table),)+)?
+                }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                let $ty { $($field,)+ $($($table,)+)? } = self;
+                $(::core::clone::Clone::clone_from($field, &source.$field);)+
+                $($($crate::clone_if_changed($table, &source.$table);)+)?
+            }
+        }
+    };
+}

@@ -148,12 +148,14 @@ fn matmul_into(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f6
 /// let scaled = &identity * 2.0;
 /// assert_eq!(scaled[(1, 1)], 2.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
 }
+
+crate::clone_in_place!(Matrix { rows, cols, data });
 
 impl Matrix {
     /// Creates a `rows × cols` matrix filled with zeros.
@@ -684,10 +686,12 @@ impl Mul<f64> for &Matrix {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Cholesky {
     l: Matrix,
 }
+
+crate::clone_in_place!(Cholesky { l });
 
 impl Cholesky {
     /// An empty factor buffer for [`Matrix::cholesky_into`] to fill.
@@ -950,6 +954,24 @@ mod tests {
         .unwrap();
         assert_eq!(&m * &i3, m);
         assert_eq!(&i3 * &m, m);
+    }
+
+    #[test]
+    fn clone_from_matches_clone_when_shrinking_or_growing() {
+        let small = Matrix::from_rows(&[vec![1.0, -2.0], vec![0.5, 4.0]]).unwrap();
+        let large = Matrix::from_row_major(3, 4, (0..12).map(f64::from).collect()).unwrap();
+        for (target, source) in [(&large, &small), (&small, &large), (&small, &small)] {
+            let mut copy = target.clone();
+            copy.clone_from(source);
+            assert_eq!(copy, source.clone());
+            assert_eq!(format!("{copy:?}"), format!("{:?}", source.clone()));
+            assert_eq!((copy.rows(), copy.cols()), (source.rows(), source.cols()));
+        }
+        // Shrinking copies into the existing buffer.
+        let mut copy = large.clone();
+        let buffer = copy.data.as_ptr();
+        copy.clone_from(&small);
+        assert_eq!(copy.data.as_ptr(), buffer);
     }
 
     #[test]

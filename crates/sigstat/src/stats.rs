@@ -183,7 +183,7 @@ mod tests {
 
     #[test]
     fn mean_of_known_values() {
-        assert_eq!(mean(&[1.0, 2.0, 3.0]).unwrap(), 2.0);
+        assert_eq!(mean(&[1.0, 2.0, 3.0]).unwrap().to_bits(), 2.0_f64.to_bits());
         assert!(mean(&[]).is_err());
     }
 
@@ -205,15 +205,15 @@ mod tests {
     #[test]
     fn min_max_of_known_values() {
         let xs = [3.0, -1.0, 7.0, 0.0];
-        assert_eq!(min_f64(&xs).unwrap(), -1.0);
-        assert_eq!(max_f64(&xs).unwrap(), 7.0);
+        assert_eq!(min_f64(&xs).unwrap().to_bits(), (-1.0_f64).to_bits());
+        assert_eq!(max_f64(&xs).unwrap().to_bits(), 7.0_f64.to_bits());
     }
 
     #[test]
     fn percent_delta_examples() {
-        assert_eq!(percent_delta(100.0, 150.0), 50.0);
-        assert_eq!(percent_delta(100.0, 50.0), -50.0);
-        assert_eq!(percent_delta(0.0, 42.0), 0.0);
+        assert_eq!(percent_delta(100.0, 150.0).to_bits(), 50.0_f64.to_bits());
+        assert_eq!(percent_delta(100.0, 50.0).to_bits(), (-50.0_f64).to_bits());
+        assert_eq!(percent_delta(0.0, 42.0).to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]
@@ -246,16 +246,16 @@ mod tests {
     fn summary_of_known_values() {
         let s = Summary::of(&[1.0, 2.0, 3.0]).unwrap();
         assert_eq!(s.count, 3);
-        assert_eq!(s.mean, 2.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
+        assert_eq!(s.mean.to_bits(), 2.0_f64.to_bits());
+        assert_eq!(s.min.to_bits(), 1.0_f64.to_bits());
+        assert_eq!(s.max.to_bits(), 3.0_f64.to_bits());
         assert!((s.std_dev - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn summary_of_single_value_has_zero_std() {
         let s = Summary::of(&[5.0]).unwrap();
-        assert_eq!(s.std_dev, 0.0);
+        assert_eq!(s.std_dev.to_bits(), 0.0_f64.to_bits());
         assert_eq!(s.count, 1);
     }
 

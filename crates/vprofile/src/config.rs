@@ -161,7 +161,7 @@ mod tests {
     fn vehicle_b_geometry_matches_thesis() {
         // 10 MS/s on 250 kb/s: 40 samples/bit, prefix 2, suffix 14.
         let config = VProfileConfig::for_adc(&AdcConfig::vehicle_b(), 250_000);
-        assert_eq!(config.bit_width_samples, 40.0);
+        assert_eq!(config.bit_width_samples.to_bits(), 40.0_f64.to_bits());
         assert_eq!(config.prefix_len, 2);
         assert_eq!(config.suffix_len, 14);
         assert_eq!(config.edge_set_dim(), 32);
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn vehicle_a_geometry_scales_with_rate() {
         let config = VProfileConfig::for_adc(&AdcConfig::vehicle_a(), 250_000);
-        assert_eq!(config.bit_width_samples, 80.0);
+        assert_eq!(config.bit_width_samples.to_bits(), 80.0_f64.to_bits());
         assert_eq!(config.prefix_len, 4);
         assert_eq!(config.suffix_len, 28);
         assert_eq!(config.edge_set_dim(), 64);
@@ -184,7 +184,7 @@ mod tests {
             ..AdcConfig::vehicle_b()
         };
         let config = VProfileConfig::for_adc(&adc, 250_000);
-        assert_eq!(config.bit_width_samples, 10.0);
+        assert_eq!(config.bit_width_samples.to_bits(), 10.0_f64.to_bits());
         assert!(config.prefix_len >= 1);
         assert!(config.suffix_len >= 3);
         assert!(config.edge_set_dim() >= 8);
@@ -194,7 +194,7 @@ mod tests {
     fn threshold_bisects_full_scale() {
         let adc = AdcConfig::vehicle_b();
         let config = VProfileConfig::for_adc(&adc, 250_000);
-        assert_eq!(config.bit_threshold, 4095.0 / 2.0);
+        assert_eq!(config.bit_threshold.to_bits(), (4095.0_f64 / 2.0).to_bits());
     }
 
     #[test]
@@ -205,9 +205,9 @@ mod tests {
             .with_edge_sets_per_message(3)
             .with_max_ridge(1e-6);
         assert_eq!(config.metric, DistanceMetric::Euclidean);
-        assert_eq!(config.margin, 25.0);
+        assert_eq!(config.margin.to_bits(), 25.0_f64.to_bits());
         assert_eq!(config.edge_sets_per_message, 3);
-        assert_eq!(config.max_ridge, 1e-6);
+        assert_eq!(config.max_ridge.to_bits(), 1e-6_f64.to_bits());
         assert_eq!(config.min_cluster_observations(), 2);
     }
 

@@ -547,14 +547,20 @@ mod tests {
     fn cluster_threshold_bisects_extremes_of_first_half() {
         let samples = vec![0.0, 100.0, 50.0, 50.0, 999.0, 999.0];
         // First half (ceil(6/2) = 3 samples): min 0, max 100 → 50.
-        assert_eq!(cluster_extraction_threshold(&samples), 50.0);
+        assert_eq!(
+            cluster_extraction_threshold(&samples).to_bits(),
+            50.0_f64.to_bits()
+        );
     }
 
     #[test]
     fn with_threshold_overrides_only_threshold() {
         let (_, extractor, _) = setup();
         let custom = extractor.with_threshold(1234.5);
-        assert_eq!(custom.config().bit_threshold, 1234.5);
+        assert_eq!(
+            custom.config().bit_threshold.to_bits(),
+            1234.5_f64.to_bits()
+        );
         assert_eq!(custom.config().prefix_len, extractor.config().prefix_len);
     }
 

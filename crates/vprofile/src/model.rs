@@ -8,7 +8,7 @@ use vprofile_sigstat::{euclidean, BatchedMahalanobis, DistanceMetric, Gaussian, 
 
 /// The trained statistics of one ECU cluster: the model entry Algorithm 2
 /// produces per cluster.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct ClusterStats {
     /// Source addresses this ECU transmits under.
     pub(crate) sas: Vec<SourceAddress>,
@@ -26,6 +26,15 @@ pub struct ClusterStats {
     /// Optional per-cluster extraction threshold (§5.1).
     pub(crate) extraction_threshold: Option<f64>,
 }
+
+vprofile_sigstat::clone_in_place!(ClusterStats {
+    sas,
+    mean,
+    gaussian,
+    max_distance,
+    count,
+    extraction_threshold
+});
 
 impl ClusterStats {
     /// Source addresses assigned to this cluster.
@@ -211,7 +220,7 @@ impl StoredCluster {
 /// values in step. It serializes as the statistics alone, so a trained
 /// model can be shipped to the embedded monitor, and deserializing it
 /// re-derives and re-validates the rest.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Model {
     pub(crate) clusters: Vec<ClusterStats>,
     sa_lut: BTreeMap<SourceAddress, ClusterId>,
@@ -220,6 +229,8 @@ pub struct Model {
     pub(crate) rows: Option<BatchedMahalanobis>,
     pub(crate) config: VProfileConfig,
 }
+
+vprofile_sigstat::clone_in_place!(Model { clusters, rows, config } if_changed { sa_lut });
 
 impl Model {
     /// Builds a model from its sufficient statistics: checks every

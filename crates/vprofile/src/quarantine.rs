@@ -14,10 +14,12 @@ use serde::{Deserialize, Serialize};
 ///
 /// Stored as a sorted vector: quarantines hold at most 254 SAs, and a
 /// sorted small vector serializes plainly.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuarantineSet {
     sas: Vec<u8>,
 }
+
+vprofile_sigstat::clone_in_place!(QuarantineSet { sas });
 
 impl QuarantineSet {
     /// An empty quarantine.

@@ -18,7 +18,7 @@
 /// calls (each entry point clears what it writes); only the capacity is
 /// meaningful state, so two arenas always compare equal in the containers
 /// that embed them.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct ScratchArena {
     /// The extracted (and, for §5.2 multi-set configs, averaged) edge set.
     pub edge_set: Vec<f64>,
@@ -33,6 +33,13 @@ pub struct ScratchArena {
     /// of raw edge sets.
     pub features: Vec<f64>,
 }
+
+vprofile_sigstat::clone_in_place!(ScratchArena {
+    edge_set,
+    edge_tmp,
+    distances,
+    features
+});
 
 impl ScratchArena {
     /// Creates an empty arena; buffers grow to steady-state size on first

@@ -47,11 +47,32 @@ pub struct UpdateOutcome {
 /// row buffer with each row's end offset and SA. Reserve it once and reuse
 /// it ([`UpdateBatch::clear`], [`UpdateBatch::discard`]), and collecting a
 /// batch allocates nothing.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct UpdateBatch {
     sas: Vec<SourceAddress>,
     ends: Vec<usize>,
     rows: Vec<f64>,
+}
+
+impl Clone for UpdateBatch {
+    /// A copy with the source's reserved room, so that it too collects as
+    /// many edge sets as the source without allocating.
+    fn clone(&self) -> Self {
+        let mut batch = UpdateBatch {
+            sas: Vec::with_capacity(self.sas.capacity()),
+            ends: Vec::with_capacity(self.ends.capacity()),
+            rows: Vec::with_capacity(self.rows.capacity()),
+        };
+        batch.clone_from(self);
+        batch
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let UpdateBatch { sas, ends, rows } = self;
+        sas.clone_from(&source.sas);
+        ends.clone_from(&source.ends);
+        rows.clone_from(&source.rows);
+    }
 }
 
 impl UpdateBatch {
@@ -129,8 +150,10 @@ impl UpdateBatch {
 /// per-cluster grouping, the staged refit and the threshold solve.
 ///
 /// The buffers carry no state from one update to the next, so a clone is
-/// a fresh, empty scratch: checkpointing a holder does not copy them.
-#[derive(Debug, Default)]
+/// a fresh, empty scratch, a copy into an existing scratch keeps that
+/// scratch's own buffers, and neither is part of its `Debug` rendering:
+/// checkpointing a holder does not copy them.
+#[derive(Default)]
 pub struct UpdateScratch {
     /// `(cluster, row)` for every row of a known SA, sorted.
     order: Vec<(usize, usize)>,
@@ -141,6 +164,14 @@ pub struct UpdateScratch {
 impl Clone for UpdateScratch {
     fn clone(&self) -> Self {
         UpdateScratch::default()
+    }
+
+    fn clone_from(&mut self, _source: &Self) {}
+}
+
+impl std::fmt::Debug for UpdateScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("UpdateScratch").finish_non_exhaustive()
     }
 }
 
