@@ -8,7 +8,7 @@ use crate::features::{scission_features, scission_features_into};
 use crate::logreg::{LogisticRegression, TrainParams};
 use crate::{BaselineVerdict, SenderIdentifier};
 use std::collections::BTreeMap;
-use vprofile::{AnomalyKind, ClusterId, LabeledEdgeSet, ScratchArena, VProfileError, Verdict};
+use vprofile::{AnomalyKind, ClusterId, LabeledEdgeSet, ScratchArena, Verdict};
 use vprofile_can::SourceAddress;
 use vprofile_detector_core::DetectionBackend;
 use vprofile_sigstat::SigStatError;
@@ -73,16 +73,6 @@ impl ScissionDetector {
 impl DetectionBackend for ScissionDetector {
     fn name(&self) -> &'static str {
         "scission"
-    }
-
-    fn train(
-        &mut self,
-        data: &[LabeledEdgeSet],
-        lut: &BTreeMap<SourceAddress, ClusterId>,
-    ) -> Result<(), VProfileError> {
-        *self = ScissionDetector::fit(data, lut, self.min_confidence)
-            .map_err(VProfileError::Numeric)?;
-        Ok(())
     }
 
     /// Streaming identification of the edge set in `scratch.edge_set`:

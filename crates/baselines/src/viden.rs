@@ -11,7 +11,7 @@
 
 use crate::{BaselineVerdict, SenderIdentifier};
 use std::collections::BTreeMap;
-use vprofile::{AnomalyKind, ClusterId, LabeledEdgeSet, ScratchArena, VProfileError, Verdict};
+use vprofile::{AnomalyKind, ClusterId, LabeledEdgeSet, ScratchArena, Verdict};
 use vprofile_can::SourceAddress;
 use vprofile_detector_core::DetectionBackend;
 use vprofile_sigstat::SigStatError;
@@ -177,15 +177,6 @@ impl VidenDetector {
 impl DetectionBackend for VidenDetector {
     fn name(&self) -> &'static str {
         "viden"
-    }
-
-    fn train(
-        &mut self,
-        data: &[LabeledEdgeSet],
-        lut: &BTreeMap<SourceAddress, ClusterId>,
-    ) -> Result<(), VProfileError> {
-        *self = VidenDetector::fit(data, lut, self.radius).map_err(VProfileError::Numeric)?;
-        Ok(())
     }
 
     /// Streaming attribution over the tracking points of the edge set in

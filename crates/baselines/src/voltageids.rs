@@ -15,7 +15,7 @@ use crate::features::{scission_features, scission_features_into};
 use crate::svm::{OneVsRestSvm, SvmParams};
 use crate::{BaselineVerdict, SenderIdentifier};
 use std::collections::BTreeMap;
-use vprofile::{AnomalyKind, ClusterId, LabeledEdgeSet, ScratchArena, VProfileError, Verdict};
+use vprofile::{AnomalyKind, ClusterId, LabeledEdgeSet, ScratchArena, Verdict};
 use vprofile_can::SourceAddress;
 use vprofile_detector_core::DetectionBackend;
 use vprofile_sigstat::SigStatError;
@@ -81,16 +81,6 @@ impl VoltageIdsDetector {
 impl DetectionBackend for VoltageIdsDetector {
     fn name(&self) -> &'static str {
         "voltage-ids"
-    }
-
-    fn train(
-        &mut self,
-        data: &[LabeledEdgeSet],
-        lut: &BTreeMap<SourceAddress, ClusterId>,
-    ) -> Result<(), VProfileError> {
-        *self =
-            VoltageIdsDetector::fit(data, lut, self.min_margin).map_err(VProfileError::Numeric)?;
-        Ok(())
     }
 
     /// Streaming identification of the edge set in `scratch.edge_set`.

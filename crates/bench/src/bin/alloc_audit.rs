@@ -69,8 +69,8 @@ use std::time::Duration;
 use vprofile::{EdgeSetExtractor, Trainer, VProfileConfig};
 use vprofile_baselines::{ScissionDetector, VidenDetector};
 use vprofile_ids::{
-    Backend, FusionConfig, FusionEngine, IdsEngine, IdsEvent, Pipeline, PipelineConfig,
-    PipelineEngine, StreamFramer, UpdatePolicy,
+    Backend, Engine, FusionConfig, FusionEngine, IdsEngine, IdsEvent, Mode, Pipeline,
+    PipelineConfig, StreamFramer, UpdatePolicy,
 };
 use vprofile_vehicle::scenario::stress_fleet;
 use vprofile_vehicle::CaptureConfig;
@@ -386,14 +386,12 @@ fn run(options: &Options) -> Result<Report, String> {
 
     let mut pipeline = Vec::with_capacity(4);
     for workers in [1, 2] {
-        pipeline.push(audit_pipeline::<IdsEngine>(
+        pipeline.push(audit_pipeline(
             "vprofile", &piped, &config, &stream, workers,
         )?);
     }
     for workers in [1, 2] {
-        pipeline.push(audit_pipeline::<FusionEngine>(
-            "fusion", &fused, &config, &stream, workers,
-        )?);
+        pipeline.push(audit_pipeline("fusion", &fused, &config, &stream, workers)?);
     }
 
     Ok(Report {
@@ -425,9 +423,9 @@ fn run(options: &Options) -> Result<Report, String> {
 /// reorder slot to its steady state; then the counters cover
 /// [`PIPELINE_PASSES`] more passes from the first `feed` to the last
 /// event. Every chunk is built before the counters start.
-fn audit_pipeline<E: PipelineEngine>(
+fn audit_pipeline<M: Mode>(
     name: &'static str,
-    engine: &E,
+    engine: &Engine<M>,
     config: &VProfileConfig,
     stream: &[f64],
     workers: usize,
@@ -502,8 +500,8 @@ fn audit_pipeline<E: PipelineEngine>(
 
 /// Feeds `chunks`, draining events as they arrive, and returns once
 /// `frames` events have been received.
-fn feed_until<E: PipelineEngine>(
-    pipeline: &Pipeline<E>,
+fn feed_until<M: Mode>(
+    pipeline: &Pipeline<M>,
     chunks: Vec<Vec<f64>>,
     frames: u64,
 ) -> Result<(), String> {

@@ -5,10 +5,10 @@
 //! bench_gate --baseline FILE --candidate FILE [--max-drop-pct P]
 //! ```
 //!
-//! Both files are reports produced by `pipeline_throughput` or
-//! `backend_matrix`: JSON objects with a `runs` array where every run
-//! carries a `frames_per_sec` measurement plus the identity fields that
-//! name the configuration (`backend` and/or `variant`, and `workers`).
+//! Both files are reports produced by `pipeline_throughput`: JSON objects
+//! with a `runs` array where every run carries a `frames_per_sec`
+//! measurement plus the identity fields that name the configuration
+//! (`backend` and/or `variant`, and `workers`).
 //! The gate pairs each baseline run with the candidate run of the same
 //! identity and fails (exit code 1) when any pairing shows a
 //! frames-per-second drop greater than `--max-drop-pct` (default 10 %),
@@ -131,8 +131,9 @@ fn load(path: &str) -> Result<Value, String> {
 }
 
 /// The identity of one run: every configuration field that names it,
-/// excluding the measurements. Reports from `pipeline_throughput` carry
-/// `variant` + `workers`; `backend_matrix` carries `backend` + `workers`.
+/// excluding the measurements. Runs of `pipeline_throughput` carry
+/// `backend`, `variant` and `workers`; a field a run lacks is left out of
+/// its key.
 fn run_key(run: &Value) -> String {
     let mut parts = Vec::new();
     for field in ["backend", "variant"] {

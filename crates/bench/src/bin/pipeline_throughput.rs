@@ -1,5 +1,5 @@
 //! `pipeline_throughput` — end-to-end throughput of the sharded IDS
-//! pipeline at 1, 2, 4 and 8 detection workers, written to a JSON artifact.
+//! pipeline for every detection backend, written to a JSON artifact.
 //!
 //! ```text
 //! pipeline_throughput [--frames N] [--seed S] [--out FILE]
@@ -8,14 +8,22 @@
 //! The workload is synthetic stress-fleet traffic (8 ECUs on staggered
 //! 12–26 ms schedules, see `vprofile_vehicle::scenario::stress_fleet`), so
 //! the source-address shard hash spreads real work across every worker.
-//! Each run feeds the same raw sample stream, waits for the pipeline to
-//! drain, and reports frames per second over the feed-to-close wall clock.
+//! vProfile, Viden, Scission and VoltageIDS are trained once, on the same
+//! capture, and replay the same raw sample stream through the identical
+//! `IdsPipeline` code path: framing, extraction, routing and merging are
+//! shared, so the differences between backends isolate the cost of
+//! scoring. Each run feeds the stream, waits for the pipeline to drain,
+//! and reports frames per second over the feed-to-close wall clock. Every
+//! run is named by its `backend`, `variant` and `workers`, the identity
+//! `bench_gate` pairs runs by.
 //!
-//! Every worker count is timed twice: once on the clean stream, once on a
-//! `dropout_1pct` variant (1 % seeded sample dropout, gaps ≤ 4 samples)
-//! so the artifact shows what capture faults cost the hot path — corrupted
-//! windows decode to garbage SAs and score as anomalies instead of taking
-//! the clean fast path.
+//! vProfile is timed at 1, 2, 4 and 8 workers, twice: once on the clean
+//! stream, once on a `dropout_1pct` variant (1 % seeded sample dropout,
+//! gaps ≤ 4 samples) so the artifact shows what capture faults cost the
+//! hot path — corrupted windows decode to garbage SAs and score as
+//! anomalies instead of taking the clean fast path. Each baseline is timed
+//! on the clean stream at 1 worker and at `available_parallelism` workers
+//! (at least 2, so the sharded path is always timed).
 //!
 //! Speedup over the single-worker run is only meaningful on a multi-core
 //! host: the artifact records `available_parallelism`, writes
@@ -27,11 +35,14 @@ use std::process::ExitCode;
 use std::time::Instant;
 use vprofile::{EdgeSetExtractor, Trainer, VProfileConfig};
 use vprofile_analog::Fault;
-use vprofile_ids::{IdsEngine, IdsPipeline, PipelineConfig, StageBreakdown, UpdatePolicy};
+use vprofile_baselines::{ScissionDetector, VidenDetector, VoltageIdsDetector};
+use vprofile_ids::{
+    Backend, IdsEngine, IdsPipeline, PipelineConfig, PipelineStats, StageBreakdown, UpdatePolicy,
+};
 use vprofile_vehicle::scenario::{chaos_stream, stress_fleet};
 use vprofile_vehicle::CaptureConfig;
 
-/// Worker counts the artifact reports, in run order.
+/// Worker counts vProfile is timed at, in run order.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Frames captured once and replayed to reach the requested total.
 const CAPTURE_FRAMES: usize = 500;
@@ -40,16 +51,18 @@ const ECUS: usize = 8;
 
 #[derive(Serialize)]
 struct WorkerRun {
+    backend: &'static str,
     variant: &'static str,
     workers: usize,
     frames: u64,
     elapsed_s: f64,
     frames_per_sec: f64,
-    /// Throughput over the 1-worker run; `None` when the run has more
-    /// workers than `available_parallelism`, where the ratio measures
-    /// timeslicing, not scaling.
+    /// Throughput over the same backend's and variant's 1-worker run;
+    /// `None` when the run has more workers than `available_parallelism`,
+    /// where the ratio measures timeslicing, not scaling.
     speedup_vs_single: Option<f64>,
     anomalies: u64,
+    normals: u64,
     shard_frames: Vec<u64>,
     /// Cumulative per-stage nanoseconds (splitting inside `feed`, copies
     /// of chunk-straddling windows, worker extraction, worker scoring,
@@ -74,6 +87,18 @@ struct Options {
     frames: usize,
     seed: u64,
     out: String,
+}
+
+/// The trained engines and the replayable raw sample streams.
+struct Workload {
+    /// vProfile, the reference backend.
+    vprofile: IdsEngine,
+    /// Viden, Scission and VoltageIDS, trained on the same capture.
+    baselines: [IdsEngine; 3],
+    stream: Vec<f64>,
+    faulted: Vec<f64>,
+    /// Replays of the capture per run.
+    reps: usize,
 }
 
 fn main() -> ExitCode {
@@ -131,10 +156,11 @@ fn usage_error(message: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Captures and trains once, then times one pipeline run per worker count
-/// and stream variant (clean and 1 % sample dropout).
+/// Captures and trains once, then times one pipeline run per backend,
+/// stream variant and worker count.
 fn run(options: &Options) -> Result<Report, String> {
-    let (engine, stream, faulted, reps) = prepare(options.frames, options.seed)?;
+    let workload = prepare(options.frames, options.seed)?;
+    let reps = workload.reps;
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -143,31 +169,53 @@ fn run(options: &Options) -> Result<Report, String> {
         reps * CAPTURE_FRAMES
     );
 
-    let mut runs: Vec<WorkerRun> = Vec::with_capacity(2 * WORKER_COUNTS.len());
-    for (variant, samples) in [("clean", &stream), ("dropout_1pct", &faulted)] {
+    let baseline_workers = [1, cores.max(2)];
+    let mut series = vec![
+        (
+            &workload.vprofile,
+            "clean",
+            &workload.stream,
+            &WORKER_COUNTS[..],
+        ),
+        (
+            &workload.vprofile,
+            "dropout_1pct",
+            &workload.faulted,
+            &WORKER_COUNTS[..],
+        ),
+    ];
+    for engine in &workload.baselines {
+        series.push((engine, "clean", &workload.stream, &baseline_workers[..]));
+    }
+
+    let mut runs: Vec<WorkerRun> = Vec::new();
+    for (engine, variant, samples, worker_counts) in series {
+        let backend = engine.backend_name();
         let mut single_fps = None;
-        for workers in WORKER_COUNTS {
-            let (frames, elapsed_s, anomalies, shard_frames, stage_ns) =
-                timed_run(engine.clone(), samples, reps, workers)?;
+        for &workers in worker_counts {
+            let (stats, elapsed_s) = timed_run(engine.clone(), samples, reps, workers)?;
+            let frames = stats.frames;
             let frames_per_sec = frames as f64 / elapsed_s;
             let speedup_vs_single =
                 (workers <= cores).then(|| single_fps.map_or(1.0, |s| frames_per_sec / s));
             single_fps.get_or_insert(frames_per_sec);
             let speedup = speedup_vs_single.map_or("unmeasured".into(), |x| format!("×{x:.2}"));
             eprintln!(
-                "{variant} workers {workers}: {frames} frames in {elapsed_s:.3} s → \
+                "{backend} {variant} workers {workers}: {frames} frames in {elapsed_s:.3} s → \
                  {frames_per_sec:.0} frames/s ({speedup} vs single)"
             );
             runs.push(WorkerRun {
+                backend,
                 variant,
                 workers,
                 frames,
                 elapsed_s,
                 frames_per_sec,
                 speedup_vs_single,
-                anomalies,
-                shard_frames,
-                stage_ns,
+                anomalies: stats.anomalies,
+                normals: stats.normals,
+                shard_frames: stats.shard_frames,
+                stage_ns: stats.stage_ns,
             });
         }
     }
@@ -182,18 +230,16 @@ fn run(options: &Options) -> Result<Report, String> {
                for runs with more workers than that; regenerate on a multi-core host (CI \
                does) before reading the scaling numbers. \
                The dropout_1pct variant replays the same traffic with 1% seeded sample \
-               dropout, so its frame count and anomaly mix differ from the clean runs.",
+               dropout, so its frame count and anomaly mix differ from the clean runs. \
+               Every backend replays the same clean stream through the same sharded \
+               pipeline, so differences between backends isolate scoring cost.",
         runs,
     })
 }
 
-/// Builds the trained engine plus the clean and dropout-faulted replayable
-/// raw sample streams.
-#[allow(clippy::type_complexity)]
-fn prepare(
-    frames_target: usize,
-    seed: u64,
-) -> Result<(IdsEngine, Vec<f64>, Vec<f64>, usize), String> {
+/// Trains every backend on one stress-fleet capture and builds the clean
+/// and dropout-faulted replayable raw sample streams.
+fn prepare(frames_target: usize, seed: u64) -> Result<Workload, String> {
     let vehicle = stress_fleet(ECUS, seed);
     let capture = vehicle
         .capture(
@@ -210,9 +256,23 @@ fn prepare(
             extracted.failures
         ));
     }
-    let model = Trainer::new(config)
-        .train_with_lut(&extracted.labeled(), &vehicle.sa_lut())
+    let labeled = extracted.labeled();
+    let lut = vehicle.sa_lut();
+    let model = Trainer::new(config.clone())
+        .train_with_lut(&labeled, &lut)
         .map_err(|e| format!("training failed: {e}"))?;
+    let viden =
+        VidenDetector::fit(&labeled, &lut, 6.0).map_err(|e| format!("viden training: {e}"))?;
+    let scission = ScissionDetector::fit(&labeled, &lut, 0.5)
+        .map_err(|e| format!("scission training: {e}"))?;
+    let voltageids = VoltageIdsDetector::fit(&labeled, &lut, 0.0)
+        .map_err(|e| format!("voltageids training: {e}"))?;
+    let baselines = [
+        Backend::from(viden),
+        Backend::from(scission),
+        Backend::from(voltageids),
+    ]
+    .map(|backend| IdsEngine::with_backend(backend, config.clone(), UpdatePolicy::disabled()));
     let mut stream = Vec::with_capacity(capture.frames().iter().map(|f| f.trace.len()).sum());
     for frame in capture.frames() {
         frame.trace.extend_f64_into(&mut stream);
@@ -225,25 +285,24 @@ fn prepare(
             max_gap: 4,
         }],
     );
-    let reps = frames_target.div_ceil(CAPTURE_FRAMES).max(1);
-    Ok((
-        IdsEngine::new(model, 2.0, UpdatePolicy::disabled()),
+    Ok(Workload {
+        vprofile: IdsEngine::new(model, 2.0, UpdatePolicy::disabled()),
+        baselines,
         stream,
         faulted,
-        reps,
-    ))
+        reps: frames_target.div_ceil(CAPTURE_FRAMES).max(1),
+    })
 }
 
 /// Feeds `reps` repetitions of `stream` through a `workers`-wide pipeline
-/// and returns (frames scored, wall-clock seconds, anomalies, per-shard
-/// frame counts, per-stage timing breakdown).
-#[allow(clippy::type_complexity)]
+/// and returns its final statistics and the feed-to-close wall clock in
+/// seconds.
 fn timed_run(
     engine: IdsEngine,
     stream: &[f64],
     reps: usize,
     workers: usize,
-) -> Result<(u64, f64, u64, Vec<u64>, StageBreakdown), String> {
+) -> Result<(PipelineStats, f64), String> {
     let mut pipeline =
         IdsPipeline::spawn_sharded(engine, PipelineConfig::default().with_workers(workers));
     let t0 = Instant::now();
@@ -269,11 +328,5 @@ fn timed_run(
             stats.frames
         ));
     }
-    Ok((
-        stats.frames,
-        elapsed_s,
-        stats.anomalies,
-        stats.shard_frames,
-        stats.stage_ns,
-    ))
+    Ok((stats, elapsed_s))
 }

@@ -220,10 +220,10 @@ mod tests {
     #[test]
     fn presets_match_thesis_hardware() {
         let a = AdcConfig::vehicle_a();
-        assert_eq!(a.sample_rate_hz, 20e6);
+        assert_eq!(a.sample_rate_hz.to_bits(), 20e6_f64.to_bits());
         assert_eq!(a.resolution_bits, 16);
         let b = AdcConfig::vehicle_b();
-        assert_eq!(b.sample_rate_hz, 10e6);
+        assert_eq!(b.sample_rate_hz.to_bits(), 10e6_f64.to_bits());
         assert_eq!(b.resolution_bits, 12);
         assert_eq!(AdcConfig::deployment(), b);
     }
@@ -232,8 +232,14 @@ mod tests {
     fn samples_per_bit_at_250kbps() {
         // Thesis §3.2.1: "For a sampling rate of 10 MS/s on a 250 kb/s bus,
         // we found the bit width to be roughly 40 samples/bit."
-        assert_eq!(AdcConfig::vehicle_b().samples_per_bit(250_000), 40.0);
-        assert_eq!(AdcConfig::vehicle_a().samples_per_bit(250_000), 80.0);
+        assert_eq!(
+            AdcConfig::vehicle_b().samples_per_bit(250_000).to_bits(),
+            40.0_f64.to_bits()
+        );
+        assert_eq!(
+            AdcConfig::vehicle_a().samples_per_bit(250_000).to_bits(),
+            80.0_f64.to_bits()
+        );
     }
 
     #[test]
@@ -258,7 +264,7 @@ mod tests {
         let trace = VoltageTrace::new((0..100).collect(), adc);
         let down = trace.downsample(2).unwrap();
         assert_eq!(down.len(), 50);
-        assert_eq!(down.adc().sample_rate_hz, 10e6);
+        assert_eq!(down.adc().sample_rate_hz.to_bits(), 10e6_f64.to_bits());
         assert_eq!(down.codes()[1], 2);
     }
 
@@ -270,7 +276,7 @@ mod tests {
         assert_eq!(q.codes(), &[0xFF00, 0x1200]);
         assert_eq!(q.adc().resolution_bits, 8);
         // Scale retained.
-        assert_eq!(q.adc().v_max, adc.v_max);
+        assert_eq!(q.adc().v_max.to_bits(), adc.v_max.to_bits());
     }
 
     #[test]

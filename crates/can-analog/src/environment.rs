@@ -210,10 +210,10 @@ mod tests {
     #[test]
     fn default_is_reference_conditions() {
         let env = Environment::default();
-        assert_eq!(env.temperature_c, 25.0);
-        assert_eq!(env.battery_v, 13.60);
+        assert_eq!(env.temperature_c.to_bits(), 25.0_f64.to_bits());
+        assert_eq!(env.battery_v.to_bits(), 13.60_f64.to_bits());
         assert_eq!(env.power_event, PowerEvent::Baseline);
-        assert_eq!(env.temp_delta_c(), 0.0);
+        assert_eq!(env.temp_delta_c().to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]
@@ -222,14 +222,23 @@ mod tests {
             .iter()
             .map(|e| e.supply_drop_v())
             .fold(0.0, f64::max);
-        assert_eq!(max, PowerEvent::LightsAndAc.supply_drop_v());
+        assert_eq!(
+            max.to_bits(),
+            PowerEvent::LightsAndAc.supply_drop_v().to_bits()
+        );
     }
 
     #[test]
     fn baseline_has_no_droop() {
-        assert_eq!(PowerEvent::Baseline.supply_drop_v(), 0.0);
+        assert_eq!(
+            PowerEvent::Baseline.supply_drop_v().to_bits(),
+            0.0_f64.to_bits()
+        );
         let env = Environment::accessory(PowerEvent::Baseline);
-        assert_eq!(env.effective_supply_v(), Environment::ACCESSORY_V);
+        assert_eq!(
+            env.effective_supply_v().to_bits(),
+            Environment::ACCESSORY_V.to_bits()
+        );
     }
 
     #[test]
@@ -247,8 +256,11 @@ mod tests {
     #[test]
     fn idling_preset_matches_thesis() {
         let env = Environment::idling_at(-5.0);
-        assert_eq!(env.battery_v, Environment::ENGINE_RUNNING_V);
-        assert_eq!(env.temperature_c, -5.0);
+        assert_eq!(
+            env.battery_v.to_bits(),
+            Environment::ENGINE_RUNNING_V.to_bits()
+        );
+        assert_eq!(env.temperature_c.to_bits(), (-5.0_f64).to_bits());
     }
 
     #[test]
@@ -261,8 +273,8 @@ mod tests {
     fn nominal_power_state_never_sags() {
         let state = PowerState::Nominal;
         for t in [0.0, 1.0, 100.0] {
-            assert_eq!(state.battery_v_at(13.6, t), 13.6);
-            assert_eq!(state.sag_fraction_at(13.6, t), 0.0);
+            assert_eq!(state.battery_v_at(13.6, t).to_bits(), 13.6_f64.to_bits());
+            assert_eq!(state.sag_fraction_at(13.6, t).to_bits(), 0.0_f64.to_bits());
         }
     }
 
@@ -274,11 +286,11 @@ mod tests {
             hold_s: 2.0,
             depth_v: 6.8,
         };
-        assert_eq!(state.sag_v_at(0.5), 0.0); // before
+        assert_eq!(state.sag_v_at(0.5).to_bits(), 0.0_f64.to_bits()); // before
         assert!((state.sag_v_at(1.25) - 3.4).abs() < 1e-12); // mid ramp-down
-        assert_eq!(state.sag_v_at(2.0), 6.8); // hold
+        assert_eq!(state.sag_v_at(2.0).to_bits(), 6.8_f64.to_bits()); // hold
         assert!((state.sag_v_at(3.75) - 3.4).abs() < 1e-12); // mid ramp-up
-        assert_eq!(state.sag_v_at(5.0), 0.0); // after
+        assert_eq!(state.sag_v_at(5.0).to_bits(), 0.0_f64.to_bits()); // after
         assert!((state.sag_fraction_at(13.6, 2.0) - 0.5).abs() < 1e-12);
     }
 
@@ -290,8 +302,8 @@ mod tests {
             hold_s: 1.0,
             depth_v: 2.0,
         };
-        assert_eq!(state.sag_v_at(0.999), 0.0);
-        assert_eq!(state.sag_v_at(1.5), 2.0);
-        assert_eq!(state.sag_v_at(2.5), 0.0);
+        assert_eq!(state.sag_v_at(0.999).to_bits(), 0.0_f64.to_bits());
+        assert_eq!(state.sag_v_at(1.5).to_bits(), 2.0_f64.to_bits());
+        assert_eq!(state.sag_v_at(2.5).to_bits(), 0.0_f64.to_bits());
     }
 }

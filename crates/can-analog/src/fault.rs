@@ -373,7 +373,10 @@ mod tests {
         }])
         .apply_stream(&ramp(4096));
         assert_eq!(out.len(), 4096);
-        let repeats = out.windows(2).filter(|w| w[0] == w[1]).count();
+        let repeats = out
+            .windows(2)
+            .filter(|w| w[0].to_bits() == w[1].to_bits())
+            .count();
         assert!(repeats > 0, "stuck codes must produce repeated samples");
     }
 
@@ -385,7 +388,9 @@ mod tests {
             max_hold: 4,
         }])
         .apply_stream(&ramp(4096));
-        assert!(out.iter().any(|&s| s == 0.0 || s == full));
+        assert!(out
+            .iter()
+            .any(|&s| s.to_bits() == 0.0_f64.to_bits() || s.to_bits() == full.to_bits()));
     }
 
     #[test]

@@ -43,7 +43,10 @@ mod tests {
     fn zero_sigma_is_deterministic() {
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..10 {
-            assert_eq!(sample_normal(&mut rng, -3.25, 0.0), -3.25);
+            assert_eq!(
+                sample_normal(&mut rng, -3.25, 0.0).to_bits(),
+                (-3.25_f64).to_bits()
+            );
         }
     }
 

@@ -363,7 +363,10 @@ mod tests {
         // Long after the edge it settles at the target.
         assert!((eff.step_response(0.0, 2.0, 1e-3) - 2.0).abs() < 1e-9);
         // Negative time returns the starting level.
-        assert_eq!(eff.step_response(0.3, 2.0, -1.0), 0.3);
+        assert_eq!(
+            eff.step_response(0.3, 2.0, -1.0).to_bits(),
+            0.3_f64.to_bits()
+        );
     }
 
     #[test]
@@ -433,8 +436,8 @@ mod tests {
     #[test]
     fn level_for_bit_maps_logic_to_voltage() {
         let eff = device(1).effective(&Environment::default());
-        assert_eq!(eff.level_for_bit(false), eff.dominant_v);
-        assert_eq!(eff.level_for_bit(true), eff.recessive_v);
+        assert_eq!(eff.level_for_bit(false).to_bits(), eff.dominant_v.to_bits());
+        assert_eq!(eff.level_for_bit(true).to_bits(), eff.recessive_v.to_bits());
         assert!(eff.dominant_v > eff.recessive_v);
     }
 

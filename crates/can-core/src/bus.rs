@@ -261,7 +261,7 @@ mod tests {
         let (log, stats) = bus.run_with_stats();
         assert!(log.is_empty());
         assert_eq!(stats.frames, 0);
-        assert_eq!(stats.utilization(), 0.0);
+        assert_eq!(stats.utilization().to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]

@@ -28,8 +28,7 @@ mod vprofile_backend;
 
 pub use vprofile_backend::VProfileBackend;
 
-use std::collections::BTreeMap;
-use vprofile::{ClusterId, LabeledEdgeSet, ScratchArena, VProfileError, Verdict};
+use vprofile::{ScratchArena, Verdict};
 use vprofile_can::SourceAddress;
 
 /// The detection contract the streaming IDS pipeline runs against.
@@ -54,19 +53,6 @@ pub trait DetectionBackend: Send {
     /// Short stable identifier for reports (e.g. `"vprofile"`,
     /// `"viden"`).
     fn name(&self) -> &'static str;
-
-    /// Re-fits the backend in place from labeled training data and the
-    /// SA → cluster lookup table.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training failures; the previous state stays in force
-    /// when training fails.
-    fn train(
-        &mut self,
-        data: &[LabeledEdgeSet],
-        lut: &BTreeMap<SourceAddress, ClusterId>,
-    ) -> Result<(), VProfileError>;
 
     /// Classifies the edge set currently held in `scratch.edge_set`,
     /// claimed to originate from `sa`.
@@ -166,6 +152,7 @@ pub fn default_calibration(verdict: &Verdict) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vprofile::ClusterId;
 
     /// A minimal stateless backend used to pin down the trait contract.
     #[derive(Debug, Clone, PartialEq)]
@@ -174,14 +161,6 @@ mod tests {
     impl DetectionBackend for FlagEverything {
         fn name(&self) -> &'static str {
             "flag-everything"
-        }
-
-        fn train(
-            &mut self,
-            _data: &[LabeledEdgeSet],
-            _lut: &BTreeMap<SourceAddress, ClusterId>,
-        ) -> Result<(), VProfileError> {
-            Ok(())
         }
 
         fn classify_into(&mut self, _scratch: &mut ScratchArena, sa: SourceAddress) -> Verdict {

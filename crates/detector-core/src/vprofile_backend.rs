@@ -2,11 +2,7 @@
 //! nearest-cluster detector with batched scoring and §5.3 online updates.
 
 use crate::DetectionBackend;
-use std::collections::BTreeMap;
-use vprofile::{
-    ClusterId, Detector, LabeledEdgeSet, Model, ScratchArena, Trainer, UpdateBatch, UpdateScratch,
-    VProfileConfig, VProfileError, Verdict,
-};
+use vprofile::{Detector, Model, ScratchArena, UpdateBatch, UpdateScratch, Verdict};
 use vprofile_can::SourceAddress;
 
 /// How many absorbed observations are buffered before an online update is
@@ -143,17 +139,6 @@ impl DetectionBackend for VProfileBackend {
         "vprofile"
     }
 
-    fn train(
-        &mut self,
-        data: &[LabeledEdgeSet],
-        lut: &BTreeMap<SourceAddress, ClusterId>,
-    ) -> Result<(), VProfileError> {
-        let config: VProfileConfig = self.model.config().clone();
-        let model = Trainer::new(config).train_with_lut(data, lut)?;
-        self.install_model(model);
-        Ok(())
-    }
-
     // xtask: hot-path
     fn classify_into(&mut self, scratch: &mut ScratchArena, sa: SourceAddress) -> Verdict {
         Detector::with_margin(&self.model, self.margin).classify_parts(sa, &scratch.edge_set)
@@ -217,7 +202,7 @@ impl DetectionBackend for VProfileBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vprofile::EdgeSetExtractor;
+    use vprofile::{EdgeSetExtractor, LabeledEdgeSet, Trainer, VProfileConfig};
     use vprofile_vehicle::{CaptureConfig, Vehicle};
 
     fn trained() -> (VProfileBackend, Vec<LabeledEdgeSet>) {
@@ -330,13 +315,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn train_refits_in_place() {
-        let (mut backend, observations) = trained();
-        let vehicle = Vehicle::vehicle_b(17);
-        backend.train(&observations, &vehicle.sa_lut()).unwrap();
-        assert!(!backend.model().clusters().is_empty());
     }
 }

@@ -527,10 +527,10 @@ mod tests {
         assert_eq!(series.len(), 3);
         let loser = &series[1];
         // Thesis Figure 2.3: "ECU 1 loses to ECU 0 during bit 7".
-        assert_eq!(loser.points.last().unwrap().0, 7.0);
+        assert_eq!(loser.points.last().unwrap().0.to_bits(), 7.0_f64.to_bits());
         // Bus equals winner on every shared bit.
         for (w, b) in series[0].points.iter().zip(&series[2].points) {
-            assert_eq!(w.1, b.1);
+            assert_eq!(w.1.to_bits(), b.1.to_bits());
         }
     }
 

@@ -124,7 +124,7 @@ mod tests {
         // already optimal the tie must resolve to the tighter detector.
         assert!(confusion.accuracy() >= at_zero.accuracy());
         if (confusion.accuracy() - at_zero.accuracy()).abs() < 1e-12 {
-            assert_eq!(margin, 0.0);
+            assert_eq!(margin.to_bits(), 0.0_f64.to_bits());
         }
     }
 }

@@ -151,9 +151,9 @@ mod tests {
     #[test]
     fn empty_matrix_degenerates_gracefully() {
         let m = ConfusionMatrix::new();
-        assert_eq!(m.accuracy(), 1.0);
-        assert_eq!(m.precision(), 1.0);
-        assert_eq!(m.recall(), 1.0);
+        assert_eq!(m.accuracy().to_bits(), 1.0_f64.to_bits());
+        assert_eq!(m.precision().to_bits(), 1.0_f64.to_bits());
+        assert_eq!(m.recall().to_bits(), 1.0_f64.to_bits());
         assert!(m.f_score() > 0.0);
     }
 
@@ -165,8 +165,8 @@ mod tests {
             true_negatives: 0,
             false_negatives: 5,
         };
-        assert_eq!(m.f_score(), 0.0);
-        assert_eq!(m.accuracy(), 0.0);
+        assert_eq!(m.f_score().to_bits(), 0.0_f64.to_bits());
+        assert_eq!(m.accuracy().to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]

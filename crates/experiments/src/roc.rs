@@ -162,8 +162,8 @@ mod tests {
         let (fx, model) = fixture();
         let messages = hijack_imitation_test(&fx.test_extracted(), &fx.lut, 0.2, 5);
         let roc = roc_curve(&model, &messages);
-        assert_eq!(roc.points[0].fpr, 0.0);
-        assert_eq!(roc.points[0].tpr, 0.0);
+        assert_eq!(roc.points[0].fpr.to_bits(), 0.0_f64.to_bits());
+        assert_eq!(roc.points[0].tpr.to_bits(), 0.0_f64.to_bits());
         let last = roc.points.last().expect("non-empty");
         assert!((last.fpr - 1.0).abs() < 1e-12);
         assert!((last.tpr - 1.0).abs() < 1e-12);

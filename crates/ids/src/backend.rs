@@ -2,15 +2,14 @@
 //!
 //! The pipeline hot path scores one frame per call; boxing the backend
 //! behind `dyn DetectionBackend` would keep the trait calls virtual and
-//! make `IdsEngine: Clone` (the supervisor's checkpoint mechanism)
+//! make `Engine: Clone` (the supervisor's checkpoint mechanism)
 //! awkward. [`Backend`] instead enumerates the known backends and
 //! match-delegates every [`DetectionBackend`] method, so each arm is
 //! monomorphized, inlineable, and allocation-free — the enum *is* the
 //! dispatch table, and its `Clone` gives byte-exact checkpoints, copied
 //! into an existing checkpoint of the same backend without allocating.
 
-use std::collections::BTreeMap;
-use vprofile::{ClusterId, LabeledEdgeSet, Model, ScratchArena, VProfileError, Verdict};
+use vprofile::{Model, ScratchArena, Verdict};
 use vprofile_baselines::{ScissionDetector, VidenDetector, VoltageIdsDetector};
 use vprofile_can::SourceAddress;
 use vprofile_detector_core::{DetectionBackend, VProfileBackend};
@@ -41,7 +40,8 @@ impl BackendKind {
     }
 }
 
-/// The enum-dispatched detection backend the [`crate::IdsEngine`] runs.
+/// The enum-dispatched detection backend each voter of an
+/// [`crate::Engine`] runs.
 ///
 /// Every variant implements [`DetectionBackend`]; this enum forwards each
 /// trait method with a `match`, keeping the hot path statically
@@ -149,14 +149,6 @@ impl Clone for Backend {
 impl DetectionBackend for Backend {
     fn name(&self) -> &'static str {
         delegate!(self, b => b.name())
-    }
-
-    fn train(
-        &mut self,
-        data: &[LabeledEdgeSet],
-        lut: &BTreeMap<SourceAddress, ClusterId>,
-    ) -> Result<(), VProfileError> {
-        delegate!(self, b => b.train(data, lut))
     }
 
     // xtask: hot-path

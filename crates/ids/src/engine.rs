@@ -1,14 +1,19 @@
-//! The synchronous IDS core: framing → extraction → detection → events,
-//! plus the §5.3 online-update policy and observe-only shadow backends.
+//! The synchronous IDS core: framing → extraction → the voters' verdicts
+//! → one event per frame, with the §5.3 online-update policy, the update
+//! quarantine and the poisoning drift guard. One [`Engine`] runs in two
+//! [`Mode`]s: [`Primary`] (an [`IdsEngine`]: voter 0 decides and absorbs,
+//! voters `1..` shadow it) and [`Ensemble`](crate::Ensemble) (a
+//! [`FusionEngine`](crate::FusionEngine): every voter's score is fused).
 
 use crate::backend::Backend;
 use crate::event::{IdsEvent, ScoredEvent};
-use crate::pipeline::sealed::{Engine, Outcome};
-use crate::pipeline::PipelineEngine;
 use crate::StreamFramer;
+use sealed::{Decide, Outcome};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-use vprofile::{EdgeSetExtractor, Model, QuarantineSet, ScratchArena, VProfileConfig, Verdict};
+use vprofile::{
+    AnomalyKind, EdgeSetExtractor, Model, QuarantineSet, ScratchArena, VProfileConfig, Verdict,
+};
 use vprofile_can::SourceAddress;
 use vprofile_detector_core::{DetectionBackend, VProfileBackend};
 
@@ -26,17 +31,33 @@ pub(crate) const MAX_VOTERS: usize = u8::BITS as usize;
 /// The scored event of a window whose Algorithm 1 extraction failed:
 /// an anomaly, since an unparseable transmission on a healthy bus is
 /// itself suspicious.
-pub(crate) fn extraction_failure(stream_pos: u64) -> IdsEvent {
+fn extraction_failure(stream_pos: u64) -> IdsEvent {
     IdsEvent::Scored(ScoredEvent {
         stream_pos,
         sa: None,
         verdict: Verdict::Anomaly {
-            kind: vprofile::AnomalyKind::UnknownSa {
+            kind: AnomalyKind::UnknownSa {
                 sa: SourceAddress(0xFF),
             },
         },
         extraction_failed: true,
         retrain_due: false,
+    })
+}
+
+/// The scored event of a window whose extraction succeeded.
+pub(crate) fn scored_event(
+    stream_pos: u64,
+    sa: SourceAddress,
+    verdict: Verdict,
+    retrain_due: bool,
+) -> IdsEvent {
+    IdsEvent::Scored(ScoredEvent {
+        stream_pos,
+        sa: Some(sa),
+        verdict,
+        extraction_failed: false,
+        retrain_due,
     })
 }
 
@@ -82,78 +103,142 @@ impl UpdatePolicy {
     }
 }
 
-/// The synchronous IDS engine: owns a detection [`Backend`], a framer,
-/// and the update policy. See the [crate-level example](crate).
+/// How an [`Engine`]'s voters' verdicts become each window's event:
+/// [`Primary`] (an [`IdsEngine`]) or [`Ensemble`](crate::Ensemble) (a
+/// [`FusionEngine`](crate::FusionEngine)). The trait is sealed; what a mode
+/// does per frame is crate-internal.
+pub trait Mode: Decide {}
+
+/// The crate-internal side of [`Mode`].
+pub(crate) mod sealed {
+    use super::Engine;
+    use crate::{FusionRecord, IdsEvent};
+    use std::time::Instant;
+    use vprofile_can::SourceAddress;
+
+    /// What an engine hands the pipeline for one window.
+    #[derive(Debug)]
+    pub struct Outcome {
+        /// The window's event.
+        pub event: IdsEvent,
+        /// Bit `i` set when voter `i` (0 = the primary) disagreed: a
+        /// shadow whose anomaly call differed from the primary's, or a
+        /// fusion voter whose call differed from the fused call.
+        pub disagree_mask: u8,
+        /// The fused frame's telemetry; `None` for an [`crate::IdsEngine`].
+        pub fusion: Option<FusionRecord>,
+        /// Algorithm 1 extraction time.
+        pub extract_ns: u64,
+        /// Scoring and online-update time of the deciding backends.
+        pub score_ns: u64,
+        /// Shadow scoring time.
+        pub shadow_ns: u64,
+    }
+
+    /// What differs between the two engines.
+    pub trait Decide: Clone + std::fmt::Debug + Send + Sized + 'static {
+        /// How many of `voters` voters, counting from the primary, absorb
+        /// online updates. Absorption, `apply_pending_updates`, the
+        /// discard on quarantine, the drift guard and the retrain check
+        /// all run over these voters.
+        fn absorber_count(voters: usize) -> usize;
+
+        /// Length of `PipelineStats::voter_disagreements` for an engine
+        /// of `voters` voters.
+        fn disagreement_slots(voters: usize) -> usize;
+
+        /// `true` while `voter` is suspended: it then absorbs nothing.
+        fn suspended(&self, voter: usize) -> bool {
+            let _ = voter;
+            false
+        }
+
+        /// Scores the edge set extracted into the engine's scratch, whose
+        /// frame claims `sa`, decides the window's event and absorbs the
+        /// edge set when the mode's gate allows. Scoring began at
+        /// `scoring`; `shard` is stamped into any event the mode itself
+        /// degrades.
+        fn decide(
+            engine: &mut Engine<Self>,
+            stream_pos: u64,
+            sa: SourceAddress,
+            shard: usize,
+            extract_ns: u64,
+            scoring: Instant,
+        ) -> Outcome;
+    }
+}
+
+/// The synchronous IDS engine: a framer, one Algorithm 1 extraction per
+/// window, and `voters` detection [`Backend`]s scoring the extracted edge
+/// set, whose verdicts the [`Mode`] `M` turns into one [`IdsEvent`]. See
+/// the [crate-level example](crate).
 ///
-/// The engine is backend-agnostic: [`IdsEngine::new`] wires up the
-/// classic vProfile detector, while [`IdsEngine::with_backend`] runs any
-/// [`Backend`] variant (Viden, Scission, VoltageIDS) through the same
+/// The engine is backend-agnostic: every voter is a [`Backend`] variant
+/// (vProfile, Viden, Scission, VoltageIDS) run through the same
 /// framing/extraction/quarantine/update machinery. Framing and extraction
-/// parameters come from a [`VProfileConfig`] in either case, since every
-/// backend scores the same extracted edge sets.
-///
-/// [`IdsEngine::with_shadows`] adds observe-only backends that score each
-/// frame's already-extracted edge set beside the primary: the way to
-/// audition a candidate backend on live traffic.
+/// parameters come from a [`VProfileConfig`], since every backend scores
+/// the same extracted edge sets. The engine is `Clone`, so a pipeline
+/// supervisor checkpoints it and rolls it back, copying into the
+/// checkpoint's own buffers.
 #[derive(Debug)]
-pub struct IdsEngine {
-    backend: Backend,
-    /// Observe-only backends scored on the primary's edge set after the
-    /// primary. They never absorb, are never quarantined and never decide
-    /// an event; they are checkpointed with the engine.
-    shadows: Vec<Backend>,
-    config: VProfileConfig,
+pub struct Engine<M> {
+    /// The backends that score each frame, in order; voter 0 is the
+    /// primary.
+    pub(crate) voters: Vec<Backend>,
+    /// How the voters' verdicts become the event.
+    pub(crate) mode: M,
+    pub(crate) config: VProfileConfig,
     extractor: EdgeSetExtractor,
     framer: StreamFramer,
     policy: UpdatePolicy,
-    accepted_count: usize,
     quarantine: QuarantineSet,
     /// Online-update poisoning guard: when set, an applied update that
-    /// moves the model more than this far from its trained baseline
-    /// (backend-defined scalar, see
+    /// moves an absorbing voter more than this far from its trained
+    /// baseline (backend-defined scalar, see
     /// [`DetectionBackend::update_drift`]) quarantines the absorbing SA.
     drift_guard: Option<f64>,
     /// Per-engine reusable buffers; with these, the steady-state
-    /// extract-and-score path of [`IdsEngine::process_window`] performs no
+    /// extract-and-score path of [`Engine::process_window`] performs no
     /// heap allocations (the bench crate's counting allocator enforces
     /// this).
-    scratch: ScratchArena,
+    pub(crate) scratch: ScratchArena,
 }
 
-vprofile_sigstat::clone_in_place!(IdsEngine {
-    backend,
-    shadows,
+vprofile_sigstat::clone_in_place!(Engine<M> {
+    voters,
+    mode,
     config,
     extractor,
     framer,
     policy,
-    accepted_count,
     quarantine,
     drift_guard,
     scratch
 });
 
-impl IdsEngine {
-    /// Creates an engine around a trained vProfile model.
-    pub fn new(model: Model, margin: f64, policy: UpdatePolicy) -> Self {
-        let config = model.config().clone();
-        IdsEngine::with_backend(Backend::vprofile(model, margin), config, policy)
-    }
-
-    /// Creates an engine around any detection backend. `config` supplies
-    /// the framing and edge-set extraction parameters (backends all score
-    /// the same extracted edge sets).
-    pub fn with_backend(backend: Backend, config: VProfileConfig, policy: UpdatePolicy) -> Self {
+impl<M: Mode> Engine<M> {
+    /// An engine around `voters` in `mode`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `voters` is empty.
+    pub(crate) fn from_parts(
+        voters: Vec<Backend>,
+        mode: M,
+        config: VProfileConfig,
+        policy: UpdatePolicy,
+    ) -> Self {
+        assert!(!voters.is_empty(), "an engine needs at least one voter");
         let framer = StreamFramer::new(config.bit_width_samples, config.bit_threshold);
         let extractor = EdgeSetExtractor::new(config.clone());
-        IdsEngine {
-            backend,
-            shadows: Vec::new(),
+        Engine {
+            voters,
+            mode,
             config,
             extractor,
             framer,
             policy,
-            accepted_count: 0,
             quarantine: QuarantineSet::new(),
             drift_guard: None,
             scratch: ScratchArena::new(),
@@ -161,18 +246,19 @@ impl IdsEngine {
     }
 
     /// Arms the online-update poisoning guard: after every absorption the
-    /// engine asks the backend how far applied updates have moved the
-    /// model from its trained baseline
-    /// ([`DetectionBackend::update_drift`]); past `threshold`, the
-    /// absorbing SA is quarantined (degraded mode for that sender) and its
-    /// buffered updates are discarded. This is the engine-level catch for
-    /// a compromised ECU feeding slowly-drifting frames into `absorb` to
+    /// engine asks each absorbing voter how far applied updates have moved
+    /// it from its trained baseline ([`DetectionBackend::update_drift`]);
+    /// once the largest of these passes `threshold`, the absorbing SA is
+    /// quarantined (degraded mode for that sender) and its buffered
+    /// updates are discarded. This is the engine-level catch for a
+    /// compromised ECU feeding slowly-drifting frames into `absorb` to
     /// walk the §5.3 update toward its own signature: each step can stay
     /// individually acceptable, but the accumulated displacement cannot.
     ///
-    /// Release is the operator's call ([`IdsEngine::release_sa`]) or a
-    /// model reinstall ([`IdsEngine::install_model`]), both of which
-    /// re-baseline the drift measure.
+    /// Release is the operator's call ([`Engine::release_sa`]) or a model
+    /// reinstall ([`IdsEngine::install_model`]), which re-baselines the
+    /// drift measure.
+    #[must_use]
     pub fn with_drift_guard(mut self, threshold: f64) -> Self {
         self.drift_guard = Some(threshold);
         self
@@ -183,75 +269,24 @@ impl IdsEngine {
         self.drift_guard
     }
 
-    /// Adds observe-only shadow backends. Every frame whose extraction
-    /// succeeds is scored by the primary and then by each shadow, in
-    /// order, on the same extracted edge set. Only the primary decides the
-    /// event, absorbs online updates and feeds a pipeline's circuit
-    /// breaker; a shadow only reports whether its anomaly call differed
-    /// from the primary's, counted in
-    /// [`PipelineStats::voter_disagreements`](crate::PipelineStats::voter_disagreements)
-    /// at index `1 + i` for shadow `i`, its time in
-    /// [`StageBreakdown::shadow_ns`](crate::StageBreakdown::shadow_ns).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the primary and `shadows` together exceed the eight
-    /// voters the pipeline's `u8` disagreement mask holds.
-    #[must_use]
-    pub fn with_shadows(mut self, shadows: Vec<Backend>) -> Self {
-        assert!(
-            shadows.len() < MAX_VOTERS,
-            "an engine scores at most {MAX_VOTERS} backends, its primary included"
-        );
-        self.shadows = shadows;
-        self
-    }
-
     /// The framing/extraction configuration the engine was built with.
     pub fn config(&self) -> &VProfileConfig {
         &self.config
     }
 
-    /// The detection backend.
-    pub fn backend(&self) -> &Backend {
-        &self.backend
-    }
-
-    /// Mutable access to the detection backend.
-    pub fn backend_mut(&mut self) -> &mut Backend {
-        &mut self.backend
-    }
-
-    /// The backend's stable name (e.g. `"vprofile"`, `"viden"`).
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.kind().label()
-    }
-
-    /// The current vProfile model (reflects online updates), or `None`
-    /// when the engine runs a non-vProfile backend.
-    pub fn model(&self) -> Option<&Model> {
-        self.backend.as_vprofile().map(VProfileBackend::model)
-    }
-
-    /// Replaces the vProfile model after an external retrain and resets
-    /// the update bookkeeping. On a non-vProfile backend the engine
-    /// switches to a vProfile backend with a zero margin (install a full
-    /// backend via [`IdsEngine::with_backend`] to control the margin).
-    pub fn install_model(&mut self, model: Model) {
-        match self.backend.as_vprofile_mut() {
-            Some(b) => b.install_model(model),
-            None => self.backend = Backend::vprofile(model, 0.0),
-        }
-        self.accepted_count = 0;
-        self.quarantine.clear();
+    /// The voters, in scoring order (0 = the primary).
+    pub fn voters(&self) -> &[Backend] {
+        &self.voters
     }
 
     /// Quarantines an SA from online-update absorption: its observations
-    /// are still scored, but never fed back into the model. Any buffered
+    /// are still scored, but never fed back into a model. Any buffered
     /// updates for it are discarded.
     pub fn quarantine_sa(&mut self, sa: u8) {
         self.quarantine.insert(sa);
-        self.backend.discard_pending_for(SourceAddress(sa));
+        for voter in self.absorbers_mut() {
+            voter.discard_pending_for(SourceAddress(sa));
+        }
     }
 
     /// Releases one SA from quarantine.
@@ -267,6 +302,14 @@ impl IdsEngine {
     /// The SAs currently quarantined from model updates.
     pub fn quarantined(&self) -> &QuarantineSet {
         &self.quarantine
+    }
+
+    /// Applies any buffered online updates immediately.
+    // xtask: cold
+    pub fn apply_pending_updates(&mut self) {
+        for voter in self.absorbers_mut() {
+            voter.apply_pending_updates();
+        }
     }
 
     /// Feeds raw samples; returns one event per completed frame.
@@ -291,24 +334,186 @@ impl IdsEngine {
         self.score_window(stream_pos, window, 0).event
     }
 
-    /// Applies any buffered online updates immediately.
+    /// Extracts once into the engine's [`ScratchArena`], then lets the
+    /// mode score `scratch.edge_set` and decide the event. `shard` is
+    /// stamped into any event the mode degrades (0 when running
+    /// standalone). Nothing touches the allocator in steady state.
+    // xtask: hot-path
+    pub(crate) fn score_window(
+        &mut self,
+        stream_pos: u64,
+        window: &[f64],
+        shard: usize,
+    ) -> Outcome {
+        let extracting = Instant::now();
+        let extracted = self.extractor.extract_into(window, &mut self.scratch);
+        let extract_ns = elapsed_ns(extracting);
+        let scoring = Instant::now();
+        match extracted {
+            Ok(sa) => M::decide(self, stream_pos, sa, shard, extract_ns, scoring),
+            Err(_) => Outcome {
+                event: extraction_failure(stream_pos),
+                disagree_mask: 0,
+                fusion: None,
+                extract_ns,
+                score_ns: elapsed_ns(scoring),
+                shadow_ns: 0,
+            },
+        }
+    }
+
+    /// Length of `PipelineStats::voter_disagreements` for this engine.
+    pub(crate) fn disagreement_slots(&self) -> usize {
+        M::disagreement_slots(self.voters.len())
+    }
+
+    /// The voters that absorb online updates.
+    fn absorbers(&self) -> &[Backend] {
+        let count = M::absorber_count(self.voters.len());
+        self.voters.get(..count).unwrap_or_default()
+    }
+
+    /// Mutable access to the voters that absorb online updates.
+    fn absorbers_mut(&mut self) -> &mut [Backend] {
+        let count = M::absorber_count(self.voters.len());
+        self.voters.get_mut(..count).unwrap_or_default()
+    }
+
+    /// Whether a frame from `sa` whose deciding call was `anomalous` may
+    /// feed the online update: never an anomaly, never with updates
+    /// disabled, never from a quarantined SA.
+    pub(crate) fn may_absorb(&self, sa: SourceAddress, anomalous: bool) -> bool {
+        !anomalous && self.policy.is_enabled() && !self.quarantine.contains(sa.0)
+    }
+
+    /// Absorbs the extracted edge set into every absorbing voter that is
+    /// not suspended, then runs the poisoning drift guard.
     // xtask: cold
-    pub fn apply_pending_updates(&mut self) {
-        self.backend.apply_pending_updates();
+    pub(crate) fn absorb_frame(&mut self, sa: SourceAddress) {
+        let count = M::absorber_count(self.voters.len());
+        for (index, voter) in self.voters.iter_mut().enumerate().take(count) {
+            if !self.mode.suspended(index) {
+                voter.absorb(sa, &self.scratch.edge_set);
+            }
+        }
+        self.drift_guard_check(sa);
     }
 
     /// Trips the poisoning drift guard: quarantines `sa` (and drops its
-    /// buffered updates) once applied online updates have displaced the
-    /// model past the armed threshold.
+    /// buffered updates) once the most-displaced absorbing voter has
+    /// moved past the armed threshold. An ensemble's exposure to a
+    /// poisoning walk is its *most*-displaced voter, not the average.
     // xtask: cold
     fn drift_guard_check(&mut self, sa: SourceAddress) {
         let Some(threshold) = self.drift_guard else {
             return;
         };
-        if self.backend.update_drift() > threshold {
-            self.quarantine.insert(sa.0);
-            self.backend.discard_pending_for(sa);
+        let worst = self
+            .absorbers()
+            .iter()
+            .map(DetectionBackend::update_drift)
+            .fold(0.0_f64, f64::max);
+        if worst > threshold {
+            self.quarantine_sa(sa.0);
         }
+    }
+
+    /// `true` when any absorbing voter's cluster counts have reached the
+    /// policy's retrain bound.
+    pub(crate) fn retrain_due(&self) -> bool {
+        let bound = self.policy.retrain_bound;
+        self.absorbers()
+            .iter()
+            .any(|voter| voter.retrain_due(bound))
+    }
+}
+
+/// The [`Mode`] of an [`IdsEngine`]: voter 0 — the primary — decides every
+/// event, feeds a pipeline's circuit breaker and alone absorbs online
+/// updates, every `interval`-th accepted frame. Voters `1..` are
+/// observe-only shadows: each scores the primary's extracted edge set
+/// after it, and only whether its anomaly call differed is counted.
+#[derive(Debug, Clone, Copy)]
+pub struct Primary {
+    /// Frames accepted for update since the model was installed; every
+    /// `interval`-th is absorbed.
+    accepted_count: usize,
+}
+
+impl Mode for Primary {}
+
+/// The engine of one deciding backend, with optional shadows.
+pub type IdsEngine = Engine<Primary>;
+
+impl IdsEngine {
+    /// Creates an engine around a trained vProfile model.
+    pub fn new(model: Model, margin: f64, policy: UpdatePolicy) -> Self {
+        let config = model.config().clone();
+        IdsEngine::with_backend(Backend::vprofile(model, margin), config, policy)
+    }
+
+    /// Creates an engine around any detection backend. `config` supplies
+    /// the framing and edge-set extraction parameters (backends all score
+    /// the same extracted edge sets).
+    pub fn with_backend(backend: Backend, config: VProfileConfig, policy: UpdatePolicy) -> Self {
+        let mode = Primary { accepted_count: 0 };
+        Engine::from_parts(vec![backend], mode, config, policy)
+    }
+
+    /// Adds observe-only shadow backends, as voters `1..`. Every frame
+    /// whose extraction succeeds is scored by the primary and then by
+    /// each shadow, in order, on the same extracted edge set. Only the
+    /// primary decides the event, absorbs online updates and feeds a
+    /// pipeline's circuit breaker; a shadow only reports whether its
+    /// anomaly call differed from the primary's, counted in
+    /// [`PipelineStats::voter_disagreements`](crate::PipelineStats::voter_disagreements)
+    /// at index `1 + i` for shadow `i`, its time in
+    /// [`StageBreakdown::shadow_ns`](crate::StageBreakdown::shadow_ns).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the primary and `shadows` together exceed the eight
+    /// voters the pipeline's `u8` disagreement mask holds.
+    #[must_use]
+    pub fn with_shadows(mut self, shadows: Vec<Backend>) -> Self {
+        assert!(
+            shadows.len() < MAX_VOTERS,
+            "an engine scores at most {MAX_VOTERS} backends, its primary included"
+        );
+        self.voters.truncate(1);
+        self.voters.extend(shadows);
+        self
+    }
+
+    /// The deciding backend, voter 0.
+    pub fn backend(&self) -> &Backend {
+        // `from_parts` refuses an engine without voters.
+        &self.voters[0]
+    }
+
+    /// The backend's stable name (e.g. `"vprofile"`, `"viden"`).
+    pub fn backend_name(&self) -> &'static str {
+        self.backend().kind().label()
+    }
+
+    /// The current vProfile model (reflects online updates), or `None`
+    /// when the engine runs a non-vProfile backend.
+    pub fn model(&self) -> Option<&Model> {
+        self.backend().as_vprofile().map(VProfileBackend::model)
+    }
+
+    /// Replaces the vProfile model after an external retrain and resets
+    /// the update bookkeeping. On a non-vProfile backend the engine
+    /// switches to a vProfile backend with a zero margin (install a full
+    /// backend via [`IdsEngine::with_backend`] to control the margin).
+    pub fn install_model(&mut self, model: Model) {
+        let primary = &mut self.voters[0];
+        match primary.as_vprofile_mut() {
+            Some(b) => b.install_model(model),
+            None => *primary = Backend::vprofile(model, 0.0),
+        }
+        self.mode.accepted_count = 0;
+        self.quarantine.clear();
     }
 
     /// Scores the extracted edge set with every shadow. Returns the
@@ -317,13 +522,14 @@ impl IdsEngine {
     /// which then cost no clock read).
     // xtask: hot-path
     fn score_shadows(&mut self, sa: SourceAddress, primary_anomaly: bool) -> (u8, u64) {
-        if self.shadows.is_empty() {
+        let shadows = self.voters.get_mut(1..).unwrap_or_default();
+        if shadows.is_empty() {
             return (0, 0);
         }
         let shadowing = Instant::now();
         let mut mask = 0u8;
         let mut bit = 1u8;
-        for shadow in &mut self.shadows {
+        for shadow in shadows {
             bit <<= 1;
             if shadow.classify_into(&mut self.scratch, sa).is_anomaly() != primary_anomaly {
                 mask |= bit;
@@ -333,82 +539,60 @@ impl IdsEngine {
     }
 }
 
-impl PipelineEngine for IdsEngine {}
-
-impl Engine for IdsEngine {
-    fn config(&self) -> &VProfileConfig {
-        &self.config
+impl Decide for Primary {
+    fn absorber_count(voters: usize) -> usize {
+        voters.min(1)
     }
 
-    fn voter_count(&self) -> usize {
-        if self.shadows.is_empty() {
-            0
+    fn disagreement_slots(voters: usize) -> usize {
+        if voters > 1 {
+            voters
         } else {
-            1 + self.shadows.len()
+            0
         }
     }
 
-    /// Extracts once into the engine's [`ScratchArena`]; the primary scores
-    /// `scratch.edge_set` and may absorb it, then every shadow scores the
-    /// same edge set. Nothing touches the allocator in steady state.
+    /// The primary scores `scratch.edge_set` and may absorb it, then every
+    /// shadow scores the same edge set.
     // xtask: hot-path
-    fn score_window(&mut self, stream_pos: u64, window: &[f64], _shard: usize) -> Outcome {
-        let extracting = Instant::now();
-        let extracted = self.extractor.extract_into(window, &mut self.scratch);
-        let extract_ns = elapsed_ns(extracting);
-        let scoring = Instant::now();
-        let Ok(sa) = extracted else {
-            return Outcome {
-                event: extraction_failure(stream_pos),
-                disagree_mask: 0,
-                fusion: None,
-                extract_ns,
-                score_ns: elapsed_ns(scoring),
-                shadow_ns: 0,
-            };
+    fn decide(
+        engine: &mut IdsEngine,
+        stream_pos: u64,
+        sa: SourceAddress,
+        _shard: usize,
+        extract_ns: u64,
+        scoring: Instant,
+    ) -> Outcome {
+        // `from_parts` refuses an engine without voters; were it empty,
+        // the frame would fail closed.
+        let verdict = match engine.voters.first_mut() {
+            Some(primary) => primary.classify_into(&mut engine.scratch, sa),
+            None => Verdict::Anomaly {
+                kind: AnomalyKind::Unscorable,
+            },
         };
-        let verdict = self.backend.classify_into(&mut self.scratch, sa);
         let mut retrain_due = false;
-        if !verdict.is_anomaly() && self.policy.is_enabled() && !self.quarantine.contains(sa.0) {
-            self.accepted_count += 1;
-            if self.accepted_count.is_multiple_of(self.policy.interval) {
-                self.backend.absorb(sa, &self.scratch.edge_set);
-                self.drift_guard_check(sa);
+        if engine.may_absorb(sa, verdict.is_anomaly()) {
+            engine.mode.accepted_count += 1;
+            if engine
+                .mode
+                .accepted_count
+                .is_multiple_of(engine.policy.interval)
+            {
+                engine.absorb_frame(sa);
             }
-            retrain_due = self.backend.retrain_due(self.policy.retrain_bound);
+            retrain_due = engine.retrain_due();
         }
         let score_ns = elapsed_ns(scoring);
-        let (disagree_mask, shadow_ns) = self.score_shadows(sa, verdict.is_anomaly());
+        let (disagree_mask, shadow_ns) = engine.score_shadows(sa, verdict.is_anomaly());
         Outcome {
-            event: IdsEvent::Scored(ScoredEvent {
-                stream_pos,
-                sa: Some(sa),
-                verdict,
-                extraction_failed: false,
-                retrain_due,
-            }),
+            event: scored_event(stream_pos, sa, verdict, retrain_due),
             disagree_mask,
             fusion: None,
             extract_ns,
             score_ns,
             shadow_ns,
         }
-    }
-
-    fn apply_pending_updates(&mut self) {
-        IdsEngine::apply_pending_updates(self);
-    }
-
-    fn quarantine_sa(&mut self, sa: u8) {
-        IdsEngine::quarantine_sa(self, sa);
-    }
-
-    fn release_all_quarantined(&mut self) {
-        IdsEngine::release_all_quarantined(self);
-    }
-
-    fn quarantined(&self) -> &QuarantineSet {
-        &self.quarantine
     }
 }
 
@@ -594,9 +778,9 @@ mod tests {
         let (engine, _) = trained_setup(800);
         let model = engine.model().unwrap().clone();
         let mut engine = IdsEngine::new(model.clone(), 2.0, UpdatePolicy::every(1, 10));
-        engine.accepted_count = 7;
+        engine.mode.accepted_count = 7;
         engine.install_model(model);
-        assert_eq!(engine.accepted_count, 0);
+        assert_eq!(engine.mode.accepted_count, 0);
     }
 
     #[test]
@@ -702,7 +886,7 @@ mod tests {
             Some(&trained),
             "the primary absorbed the accepted frames"
         );
-        let mut shadow = engine.shadows[0].clone();
+        let mut shadow = engine.voters[1].clone();
         shadow.apply_pending_updates();
         assert_eq!(
             shadow.as_vprofile().map(VProfileBackend::model),

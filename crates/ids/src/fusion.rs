@@ -2,10 +2,10 @@
 //! frame, with change-point-gated online updates and graceful per-voter
 //! degradation.
 //!
-//! A [`FusionEngine`] is the multi-voter counterpart of
-//! [`crate::IdsEngine`]: one framer and one Algorithm 1 extraction per
-//! window, then every voter's [`crate::Backend`] scores the same
-//! extracted edge set and the calibrated scores
+//! A [`FusionEngine`] is the [`Engine`] in [`Ensemble`] mode: the same
+//! framer and one Algorithm 1 extraction per window as an
+//! [`crate::IdsEngine`], then every voter's [`crate::Backend`] scores the
+//! same extracted edge set and the calibrated scores
 //! ([`vprofile_detector_core::DetectionBackend::calibrated_score`]) are
 //! combined by a [`FusionCore`] — confidence-weighted mean against an
 //! adaptive per-SA threshold. The §5.3 online update is *drift-gated*
@@ -22,16 +22,13 @@
 //! state is per source address and routing is SA-affine, the fused
 //! verdict stream is deterministic for any worker count.
 
-use crate::engine::{elapsed_ns, extraction_failure, MAX_VOTERS};
-use crate::event::{IdsEvent, ScoredEvent};
+use crate::engine::sealed::{Decide, Outcome};
+use crate::engine::{elapsed_ns, scored_event, Engine, Mode, MAX_VOTERS};
+use crate::event::IdsEvent;
 use crate::health::{DegradeReason, OutageCause};
-use crate::pipeline::sealed::{Engine, Outcome};
-use crate::pipeline::PipelineEngine;
-use crate::{Backend, BackendKind, StreamFramer, UpdatePolicy};
+use crate::{Backend, BackendKind, UpdatePolicy};
 use std::time::Instant;
-use vprofile::{
-    AnomalyKind, ClusterId, EdgeSetExtractor, QuarantineSet, ScratchArena, VProfileConfig, Verdict,
-};
+use vprofile::{AnomalyKind, ClusterId, VProfileConfig, Verdict};
 use vprofile_can::SourceAddress;
 use vprofile_detector_core::DetectionBackend;
 use vprofile_fusion::{FusionConfig, FusionCore, FusionDecision, FusionRecord};
@@ -63,7 +60,7 @@ struct VoterRuntime {
 }
 
 /// One frame's fused outcome, as returned by
-/// [`FusionEngine::classify_window`].
+/// [`FusionEngine::classify_extracted`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FusedScore {
     /// The verdict the fused call maps to. When the ensemble and the
@@ -79,26 +76,18 @@ pub struct FusedScore {
     pub disagree_mask: u8,
 }
 
-/// The multi-voter detection engine: one extraction, N backend votes,
-/// one fused verdict per frame.
+/// The [`Mode`] of a [`FusionEngine`]: every voter scores each frame and
+/// one fused verdict decides the event.
 ///
 /// Voter 0 is the **primary** (pinned at weight 1.0 and the verdict's
 /// attribution source); the rest are secondaries whose influence is
-/// learned from agreement history. The engine is `Clone`, so the
-/// pipeline supervisor checkpoints and rolls it back exactly like an
-/// [`crate::IdsEngine`], copying into the checkpoint's buffers.
+/// learned from agreement history. Every voter that is not suspended
+/// absorbs online updates, and only while the fusion core holds an
+/// absorption budget open.
 #[derive(Debug)]
-pub struct FusionEngine {
-    voters: Vec<Backend>,
-    runtime: Vec<VoterRuntime>,
+pub struct Ensemble {
     core: FusionCore,
-    config: VProfileConfig,
-    extractor: EdgeSetExtractor,
-    framer: StreamFramer,
-    policy: UpdatePolicy,
-    quarantine: QuarantineSet,
-    drift_guard: Option<f64>,
-    scratch: ScratchArena,
+    runtime: Vec<VoterRuntime>,
     /// One reusable slot per voter; the steady-state frame path performs
     /// no heap allocations (enforced by the bench crate's alloc audit).
     scores: Vec<Option<f64>>,
@@ -107,22 +96,20 @@ pub struct FusionEngine {
     kill_at: Option<(u8, u64)>,
 }
 
-vprofile_sigstat::clone_in_place!(FusionEngine {
-    voters,
-    runtime,
+vprofile_sigstat::clone_in_place!(Ensemble {
     core,
-    config,
-    extractor,
-    framer,
-    policy,
-    quarantine,
-    drift_guard,
-    scratch,
+    runtime,
     scores,
     suspend_after,
     probe_interval,
     kill_at
 });
+
+impl Mode for Ensemble {}
+
+/// The multi-voter detection engine: one extraction, N backend votes,
+/// one fused verdict per frame.
+pub type FusionEngine = Engine<Ensemble>;
 
 impl FusionEngine {
     /// Creates an engine fusing `voters` (voter 0 is the primary).
@@ -141,49 +128,26 @@ impl FusionEngine {
         fusion: FusionConfig,
         policy: UpdatePolicy,
     ) -> Self {
-        assert!(!voters.is_empty(), "fusion needs at least one voter");
         assert!(
             voters.len() <= MAX_VOTERS,
             "fusion scores at most {MAX_VOTERS} voters"
         );
-        let framer = StreamFramer::new(config.bit_width_samples, config.bit_threshold);
-        let extractor = EdgeSetExtractor::new(config.clone());
-        let core = FusionCore::new(voters.len(), fusion);
-        let runtime = vec![VoterRuntime::default(); voters.len()];
-        let scores = vec![None; voters.len()];
-        FusionEngine {
-            voters,
-            runtime,
-            core,
-            config,
-            extractor,
-            framer,
-            policy,
-            quarantine: QuarantineSet::new(),
-            drift_guard: None,
-            scratch: ScratchArena::new(),
-            scores,
+        let mode = Ensemble {
+            core: FusionCore::new(voters.len(), fusion),
+            runtime: vec![VoterRuntime::default(); voters.len()],
+            scores: vec![None; voters.len()],
             suspend_after: DEFAULT_SUSPEND_AFTER,
             probe_interval: DEFAULT_PROBE_INTERVAL,
             kill_at: None,
-        }
-    }
-
-    /// Arms the per-voter update-poisoning guard: after every absorption
-    /// the engine takes the *maximum* [`DetectionBackend::update_drift`]
-    /// across voters; past `threshold`, the absorbing SA is quarantined
-    /// and every voter's buffered updates for it are discarded.
-    #[must_use]
-    pub fn with_drift_guard(mut self, threshold: f64) -> Self {
-        self.drift_guard = Some(threshold);
-        self
+        };
+        Engine::from_parts(voters, mode, config, policy)
     }
 
     /// Overrides the consecutive-`Unscorable` streak that suspends a
     /// voter (minimum 1).
     #[must_use]
     pub fn with_suspend_after(mut self, frames: u32) -> Self {
-        self.suspend_after = frames.max(1);
+        self.mode.suspend_after = frames.max(1);
         self
     }
 
@@ -194,106 +158,25 @@ impl FusionEngine {
     #[doc(hidden)]
     #[must_use]
     pub fn with_kill_at(mut self, voter: u8, stream_pos: u64) -> Self {
-        self.kill_at = Some((voter, stream_pos));
+        self.mode.kill_at = Some((voter, stream_pos));
         self
-    }
-
-    /// The voters, in fusion order (0 = primary).
-    pub fn voters(&self) -> &[Backend] {
-        &self.voters
     }
 
     /// The fusion state machine (weights, thresholds, drift detectors).
     pub fn core(&self) -> &FusionCore {
-        &self.core
-    }
-
-    /// The framing/extraction configuration.
-    pub fn config(&self) -> &VProfileConfig {
-        &self.config
-    }
-
-    /// The armed drift-guard threshold, if any.
-    pub fn drift_guard(&self) -> Option<f64> {
-        self.drift_guard
+        &self.mode.core
     }
 
     /// `true` while `voter` is suspended from the ensemble.
     pub fn suspended(&self, voter: usize) -> bool {
-        self.runtime.get(voter).is_some_and(|rt| rt.suspended)
-    }
-
-    /// Quarantines an SA from online-update absorption across all voters.
-    pub fn quarantine_sa(&mut self, sa: u8) {
-        self.quarantine.insert(sa);
-        for voter in &mut self.voters {
-            voter.discard_pending_for(SourceAddress(sa));
-        }
-    }
-
-    /// Releases one SA from quarantine.
-    pub fn release_sa(&mut self, sa: u8) {
-        self.quarantine.remove(sa);
-    }
-
-    /// Releases every quarantined SA.
-    pub fn release_all_quarantined(&mut self) {
-        self.quarantine.clear();
-    }
-
-    /// The SAs currently quarantined from model updates.
-    pub fn quarantined(&self) -> &QuarantineSet {
-        &self.quarantine
-    }
-
-    /// Applies any buffered online updates immediately, on every voter.
-    // xtask: cold
-    pub fn apply_pending_updates(&mut self) {
-        for voter in &mut self.voters {
-            voter.apply_pending_updates();
-        }
-    }
-
-    /// Feeds raw samples; returns one event per completed frame.
-    pub fn process_samples(&mut self, samples: &[f64]) -> Vec<IdsEvent> {
-        let windows = self.framer.push(samples);
-        let mut events = Vec::with_capacity(windows.len());
-        for (stream_pos, window) in windows {
-            events.push(self.process_window(stream_pos, &window));
-        }
-        events
-    }
-
-    /// Flushes a trailing unterminated frame at end of stream.
-    pub fn finish(&mut self) -> Option<IdsEvent> {
-        let (stream_pos, window) = self.framer.flush()?;
-        Some(self.process_window(stream_pos, &window))
-    }
-
-    /// Classifies one already-framed window into a fused event.
-    // xtask: hot-path
-    pub fn process_window(&mut self, stream_pos: u64, window: &[f64]) -> IdsEvent {
-        self.score_window(stream_pos, window, 0).event
-    }
-
-    /// Scores one window through the full ensemble *without* the
-    /// absorption/outage event plumbing — the evaluation entry point for
-    /// experiments. Returns `None` when extraction fails. Fusion state
-    /// (weights, thresholds, drift detectors) still advances, exactly as
-    /// it would in streaming operation.
-    pub fn classify_window(&mut self, window: &[f64]) -> Option<FusedScore> {
-        let sa = self
-            .extractor
-            .extract_into(window, &mut self.scratch)
-            .ok()?;
-        let (scored, _) = self.score_extracted(sa);
-        Some(scored)
+        self.mode.suspended(voter)
     }
 
     /// Scores one already-extracted edge set — the fused counterpart of
     /// [`DetectionBackend::classify_into`], for evaluations that compare
     /// the ensemble against single backends on identical observations.
-    /// Fusion state advances exactly as in streaming operation.
+    /// Fusion state advances exactly as in streaming operation, without
+    /// the absorption and outage event plumbing.
     pub fn classify_extracted(&mut self, sa: SourceAddress, edge_set: &[f64]) -> FusedScore {
         self.scratch.edge_set.clear();
         self.scratch.edge_set.extend_from_slice(edge_set);
@@ -305,8 +188,9 @@ impl FusionEngine {
     /// and fuses the calibrated scores. Returns the fused outcome plus a
     /// newly-detected unscorable-streak outage, if any.
     fn score_extracted(&mut self, sa: SourceAddress) -> (FusedScore, Option<(u8, OutageCause)>) {
-        let suspend_after = self.suspend_after;
-        let probe_interval = self.probe_interval;
+        let mode = &mut self.mode;
+        let suspend_after = mode.suspend_after;
+        let probe_interval = mode.probe_interval;
         let mut outage: Option<(u8, OutageCause)> = None;
         let mut primary_verdict = Verdict::Anomaly {
             kind: AnomalyKind::Unscorable,
@@ -314,8 +198,8 @@ impl FusionEngine {
         for (index, ((voter, rt), slot)) in self
             .voters
             .iter_mut()
-            .zip(self.runtime.iter_mut())
-            .zip(self.scores.iter_mut())
+            .zip(mode.runtime.iter_mut())
+            .zip(mode.scores.iter_mut())
             .enumerate()
         {
             if rt.suspended {
@@ -359,11 +243,11 @@ impl FusionEngine {
             }
         }
 
-        let decision = self.core.fuse(sa.0, &self.scores);
+        let decision = mode.core.fuse(sa.0, &mode.scores);
 
         // `new` caps the voters at the mask's eight bits.
         let mut disagree_mask = 0u8;
-        for (index, slot) in self.scores.iter().enumerate() {
+        for (index, slot) in mode.scores.iter().enumerate() {
             if let Some(score) = slot {
                 if (*score >= 0.5) != decision.anomaly {
                     disagree_mask |= 1u8 << index;
@@ -381,7 +265,9 @@ impl FusionEngine {
             outage,
         )
     }
+}
 
+impl Ensemble {
     /// Kills one voter immediately (chaos path). Returns the outage
     /// transition when the voter was live.
     // xtask: cold
@@ -395,45 +281,100 @@ impl FusionEngine {
         rt.since_probe = 0;
         Some((voter, OutageCause::Fault))
     }
+}
 
-    /// Absorbs the current extracted observation into every live voter,
-    /// then runs the poisoning drift guard.
-    // xtask: cold
-    fn absorb_frame(&mut self, sa: SourceAddress) {
-        for (voter, rt) in self.voters.iter_mut().zip(self.runtime.iter()) {
-            if !rt.suspended {
-                voter.absorb(sa, &self.scratch.edge_set);
-            }
-        }
-        self.drift_guard_check(sa);
+impl Decide for Ensemble {
+    fn absorber_count(voters: usize) -> usize {
+        voters
     }
 
-    /// Quarantines `sa` once the worst voter's applied-update drift
-    /// crosses the armed threshold; the ensemble's exposure to a
-    /// poisoning walk is its *most*-displaced voter, not the average.
-    // xtask: cold
-    fn drift_guard_check(&mut self, sa: SourceAddress) {
-        let Some(threshold) = self.drift_guard else {
-            return;
+    fn disagreement_slots(voters: usize) -> usize {
+        voters
+    }
+
+    fn suspended(&self, voter: usize) -> bool {
+        self.runtime.get(voter).is_some_and(|rt| rt.suspended)
+    }
+
+    /// Ensemble scoring, drift-gated absorption and outage emission.
+    // xtask: hot-path
+    fn decide(
+        engine: &mut FusionEngine,
+        stream_pos: u64,
+        sa: SourceAddress,
+        shard: usize,
+        extract_ns: u64,
+        scoring: Instant,
+    ) -> Outcome {
+        // Chaos kill knob: keyed on stream position so the fault lands on
+        // the same frame every run, keeping chaos tests deterministic.
+        let mut outage: Option<(u8, OutageCause)> = None;
+        if let Some((voter, at)) = engine.mode.kill_at {
+            if stream_pos >= at {
+                engine.mode.kill_at = None;
+                outage = engine.mode.kill_voter_now(voter);
+            }
+        }
+
+        let (scored, streak_outage) = engine.score_extracted(sa);
+        if outage.is_none() {
+            outage = streak_outage;
+        }
+
+        // Drift-gated §5.3 update: absorption needs an open ScoreShift
+        // budget (decision.absorb_ok) besides the engine's own gate. There
+        // is no fixed cadence to fall back to.
+        let mut retrain_due = false;
+        let mut absorbed = false;
+        if engine.may_absorb(sa, scored.decision.anomaly) {
+            if scored.decision.absorb_ok && outage.is_none() {
+                engine.absorb_frame(sa);
+                absorbed = true;
+            }
+            retrain_due = engine.retrain_due();
+        }
+
+        let record = FusionRecord {
+            sa: sa.0,
+            score: scored.decision.score,
+            threshold: scored.decision.threshold,
+            anomaly: scored.decision.anomaly,
+            scored: scored.decision.scored,
+            episode: scored.decision.episode,
+            absorbed,
+            disagree_mask: scored.disagree_mask,
+            drift: scored.decision.drift,
+            outage: outage.map(|(voter, _)| voter),
         };
-        let worst = self
-            .voters
-            .iter()
-            .map(DetectionBackend::update_drift)
-            .fold(0.0_f64, f64::max);
-        if worst > threshold {
-            self.quarantine.insert(sa.0);
-            for voter in &mut self.voters {
-                voter.discard_pending_for(sa);
-            }
-        }
-    }
 
-    /// `true` when any voter's cluster counts have reached the policy's
-    /// retrain bound.
-    fn any_retrain_due(&self) -> bool {
-        let bound = self.policy.retrain_bound;
-        self.voters.iter().any(|voter| voter.retrain_due(bound))
+        // A voter-loss transition consumes this one frame as an explicit
+        // degradation marker (never an anomaly: the outage is a runtime
+        // integrity signal, not an attack verdict), keeping the pipeline's
+        // frame-partition identity intact.
+        let event = match outage {
+            Some((voter, cause)) => IdsEvent::Degraded {
+                stream_pos,
+                shard,
+                reason: DegradeReason::VoterOutage {
+                    voter,
+                    backend: engine
+                        .voters
+                        .get(usize::from(voter))
+                        .map(Backend::kind)
+                        .unwrap_or(BackendKind::VProfile),
+                    cause,
+                },
+            },
+            None => scored_event(stream_pos, sa, scored.verdict, retrain_due),
+        };
+        Outcome {
+            event,
+            disagree_mask: record.disagree_mask,
+            fusion: Some(record),
+            extract_ns,
+            score_ns: elapsed_ns(scoring),
+            shadow_ns: 0,
+        }
     }
 }
 
@@ -474,137 +415,12 @@ fn representative_cluster(verdict: &Verdict) -> ClusterId {
     }
 }
 
-impl PipelineEngine for FusionEngine {}
-
-impl Engine for FusionEngine {
-    fn config(&self) -> &VProfileConfig {
-        &self.config
-    }
-
-    fn voter_count(&self) -> usize {
-        self.voters.len()
-    }
-
-    /// The full per-frame path: extraction, ensemble scoring, drift-gated
-    /// absorption, and outage emission. `shard` is stamped into any
-    /// degraded event (0 when running standalone).
-    // xtask: hot-path
-    fn score_window(&mut self, stream_pos: u64, window: &[f64], shard: usize) -> Outcome {
-        let extracting = Instant::now();
-        let extracted = self.extractor.extract_into(window, &mut self.scratch);
-        let extract_ns = elapsed_ns(extracting);
-        let scoring = Instant::now();
-        let Ok(sa) = extracted else {
-            return Outcome {
-                event: extraction_failure(stream_pos),
-                disagree_mask: 0,
-                fusion: None,
-                extract_ns,
-                score_ns: elapsed_ns(scoring),
-                shadow_ns: 0,
-            };
-        };
-
-        // Chaos kill knob: keyed on stream position so the fault lands on
-        // the same frame every run, keeping chaos tests deterministic.
-        let mut outage: Option<(u8, OutageCause)> = None;
-        if let Some((voter, at)) = self.kill_at {
-            if stream_pos >= at {
-                self.kill_at = None;
-                outage = self.kill_voter_now(voter);
-            }
-        }
-
-        let (scored, streak_outage) = self.score_extracted(sa);
-        if outage.is_none() {
-            outage = streak_outage;
-        }
-
-        // Drift-gated §5.3 update: absorption needs an open ScoreShift
-        // budget (decision.absorb_ok), an un-quarantined SA, and updates
-        // enabled at all. There is no fixed cadence to fall back to.
-        let mut retrain_due = false;
-        let mut absorbed = false;
-        if !scored.decision.anomaly && self.policy.is_enabled() && !self.quarantine.contains(sa.0) {
-            if scored.decision.absorb_ok && outage.is_none() {
-                self.absorb_frame(sa);
-                absorbed = true;
-            }
-            retrain_due = self.any_retrain_due();
-        }
-
-        let record = FusionRecord {
-            sa: sa.0,
-            score: scored.decision.score,
-            threshold: scored.decision.threshold,
-            anomaly: scored.decision.anomaly,
-            scored: scored.decision.scored,
-            episode: scored.decision.episode,
-            absorbed,
-            disagree_mask: scored.disagree_mask,
-            drift: scored.decision.drift,
-            outage: outage.map(|(voter, _)| voter),
-        };
-
-        // A voter-loss transition consumes this one frame as an explicit
-        // degradation marker (never an anomaly: the outage is a runtime
-        // integrity signal, not an attack verdict), keeping the pipeline's
-        // frame-partition identity intact.
-        let event = match outage {
-            Some((voter, cause)) => IdsEvent::Degraded {
-                stream_pos,
-                shard,
-                reason: DegradeReason::VoterOutage {
-                    voter,
-                    backend: self
-                        .voters
-                        .get(usize::from(voter))
-                        .map(Backend::kind)
-                        .unwrap_or(BackendKind::VProfile),
-                    cause,
-                },
-            },
-            None => IdsEvent::Scored(ScoredEvent {
-                stream_pos,
-                sa: Some(sa),
-                verdict: scored.verdict,
-                extraction_failed: false,
-                retrain_due,
-            }),
-        };
-        Outcome {
-            event,
-            disagree_mask: record.disagree_mask,
-            fusion: Some(record),
-            extract_ns,
-            score_ns: elapsed_ns(scoring),
-            shadow_ns: 0,
-        }
-    }
-
-    fn apply_pending_updates(&mut self) {
-        FusionEngine::apply_pending_updates(self);
-    }
-
-    fn quarantine_sa(&mut self, sa: u8) {
-        FusionEngine::quarantine_sa(self, sa);
-    }
-
-    fn release_all_quarantined(&mut self) {
-        FusionEngine::release_all_quarantined(self);
-    }
-
-    fn quarantined(&self) -> &QuarantineSet {
-        &self.quarantine
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{FusionPipeline, PipelineConfig};
     use std::sync::Arc;
-    use vprofile::Trainer;
+    use vprofile::{EdgeSetExtractor, ScratchArena, Trainer};
     use vprofile_baselines::{ScissionDetector, VidenDetector, VoltageIdsDetector};
     use vprofile_vehicle::{CaptureConfig, Vehicle};
 
@@ -748,6 +564,8 @@ mod tests {
             Backend::from(VidenDetector::fit(&labeled, &lut, 1e-9).expect("viden")),
             Backend::from(ScissionDetector::fit(&labeled, &lut, 0.5).expect("scission")),
         ];
+        let extractor = EdgeSetExtractor::new(config.clone());
+        let mut scratch = ScratchArena::new();
         let mut engine = FusionEngine::new(
             voters,
             config,
@@ -758,9 +576,10 @@ mod tests {
         let mut anomalies = 0usize;
         let mut frames = 0usize;
         for frame in capture.frames().iter().take(150) {
-            let Some(scored) = engine.classify_window(&frame.trace.to_f64()) else {
+            let Ok(sa) = extractor.extract_into(&frame.trace.to_f64(), &mut scratch) else {
                 continue;
             };
+            let scored = engine.classify_extracted(sa, &scratch.edge_set);
             frames += 1;
             if scored.decision.anomaly {
                 anomalies += 1;
@@ -872,7 +691,7 @@ mod tests {
     fn suspended_voter_is_readmitted_by_a_probe() {
         let (engine, stream) = fixture();
         let mut engine = engine.with_suspend_after(2);
-        engine.probe_interval = 4;
+        engine.mode.probe_interval = 4;
         let sa = Vehicle::vehicle_b(29).ecus()[0].schedules[0].sa;
         for _ in 0..2 {
             engine.scratch.edge_set.clear();

@@ -11,12 +11,14 @@
 //!   nothing but an ADC. It hands out owned windows from the same
 //!   splitter the pipeline runs in place, the crate's one framing state
 //!   machine;
-//! * [`IdsEngine`] — the synchronous core: frame window → Algorithm 1
-//!   extraction → Algorithm 3 detection → [`IdsEvent`]s, with an optional
-//!   online-update policy (§5.3) that absorbs accepted messages and signals
-//!   when a full retrain is due;
-//! * [`Pipeline`] — a threaded, sharded wrapper around either engine
-//!   ([`IdsPipeline`], [`FusionPipeline`]): [`Pipeline::feed`]
+//! * [`Engine`] — the synchronous core: frame window → Algorithm 1
+//!   extraction → every voter's detection → one [`IdsEvent`], with an
+//!   optional online-update policy (§5.3) that absorbs accepted messages
+//!   and signals when a full retrain is due. One engine runs in two
+//!   [`Mode`]s: an [`IdsEngine`] ([`Primary`]) lets voter 0 decide and
+//!   absorb, a [`FusionEngine`] ([`Ensemble`]) fuses every voter's score;
+//! * [`Pipeline`] — a threaded, sharded wrapper around the engine in
+//!   either mode ([`IdsPipeline`], [`FusionPipeline`]): [`Pipeline::feed`]
 //!   *splits* each chunk into frame windows on the calling thread, peeks
 //!   each window's arbitration field, and routes the window to one of N
 //!   detection workers by a stable, seedable hash of the claimed source
@@ -38,8 +40,8 @@
 //!   supervision, and health machinery runs vProfile, Viden-style,
 //!   Scission-style, and VoltageIDS-style detectors interchangeably, and
 //!   [`IdsEngine::with_shadows`] evaluates candidate backends against live
-//!   traffic, on the primary's extracted edge sets, without letting them
-//!   raise alarms.
+//!   traffic, as voters `1..` scored on the primary's extracted edge sets,
+//!   without letting them raise alarms or absorb updates.
 //!
 //! # Example
 //!
@@ -87,16 +89,16 @@ mod splitter;
 
 pub use alarm::{AlarmAggregator, AlarmClass, Incident};
 pub use backend::{Backend, BackendKind};
-pub use engine::{IdsEngine, UpdatePolicy};
+pub use engine::{Engine, IdsEngine, Mode, Primary, UpdatePolicy};
 pub use event::{IdsEvent, ScoredEvent};
-pub use fusion::{FusedScore, FusionEngine};
+pub use fusion::{Ensemble, FusedScore, FusionEngine};
 pub use health::{
     BackpressurePolicy, BreakerState, DegradeReason, DropReason, HealthConfig, OutageCause,
 };
 pub use period::{PeriodMonitor, PeriodVerdict};
 pub use pipeline::{
-    FusionPipeline, IdsPipeline, Pipeline, PipelineConfig, PipelineEngine, PipelineError,
-    PipelineStats, StageBreakdown,
+    FusionPipeline, IdsPipeline, Pipeline, PipelineConfig, PipelineError, PipelineStats,
+    StageBreakdown,
 };
 pub use reorder::ReorderBuffer;
 pub use shard::stable_shard_seeded;

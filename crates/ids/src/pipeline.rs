@@ -1,11 +1,12 @@
 //! A threaded, sharded, self-healing IDS pipeline: sample chunks in,
 //! detection events out.
 //!
-//! One type, [`Pipeline<E>`], runs either engine: [`IdsPipeline`] is a
-//! pipeline of [`IdsEngine`]s (one primary backend, optional shadows) and
-//! [`FusionPipeline`] one of [`FusionEngine`]s (a voting ensemble). The
-//! engine is the only difference; routing, supervision, the breaker,
-//! checkpoints and the merge are the same code.
+//! One type, [`Pipeline<M>`], runs the one [`Engine`] in either
+//! [`Mode`]: [`IdsPipeline`] is a pipeline of [`crate::IdsEngine`]s (one
+//! primary backend, optional shadows) and [`FusionPipeline`] one of
+//! [`FusionEngine`]s (a voting ensemble). The mode is the only
+//! difference; routing, supervision, the breaker, checkpoints and the
+//! merge are the same code.
 //!
 //! There is no router thread and no chunk queue. [`Pipeline::feed`] is
 //! the router: on the calling thread, under one lock, it
@@ -62,17 +63,17 @@
 //! `frames == anomalies + normals + extraction_failures + dropped + degraded`
 //! holds in every stats snapshot.
 
-use crate::engine::elapsed_ns;
-use crate::fusion::FusionEngine;
+use crate::engine::sealed::Outcome;
+use crate::engine::{elapsed_ns, Engine, Mode, Primary};
+use crate::fusion::{Ensemble, FusionEngine};
 use crate::health::{
     BackpressurePolicy, BreakerState, DropReason, HealthConfig, HealthMonitor, WindowOutcome,
 };
 use crate::ring::SpscRing;
 use crate::splitter::{FrameSplitter, RawSegment};
-use crate::{stable_shard_seeded, IdsEngine, IdsEvent, ReorderBuffer};
+use crate::{stable_shard_seeded, IdsEvent, ReorderBuffer};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use sealed::{Engine, Outcome};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -127,56 +128,6 @@ impl std::error::Error for PipelineError {}
 /// Hook invoked by each worker before scoring a window; test-only fault
 /// injection.
 type FaultHook = Arc<dyn Fn(usize, u64) + Send + Sync>;
-
-/// The engines a [`Pipeline`] runs on its workers: [`IdsEngine`] and
-/// [`FusionEngine`]. The trait is sealed; what the pipeline asks of an
-/// engine is crate-internal.
-pub trait PipelineEngine: Engine {}
-
-/// The crate-internal side of [`PipelineEngine`].
-pub(crate) mod sealed {
-    use crate::{FusionRecord, IdsEvent};
-    use vprofile::{QuarantineSet, VProfileConfig};
-
-    /// What an engine hands the pipeline for one window.
-    #[derive(Debug)]
-    pub struct Outcome {
-        /// The window's event.
-        pub event: IdsEvent,
-        /// Bit `i` set when voter `i` (0 = the primary) disagreed: a
-        /// shadow whose anomaly call differed from the primary's, or a
-        /// fusion voter whose call differed from the fused call.
-        pub disagree_mask: u8,
-        /// The fused frame's telemetry; `None` for an [`crate::IdsEngine`].
-        pub fusion: Option<FusionRecord>,
-        /// Algorithm 1 extraction time.
-        pub extract_ns: u64,
-        /// Scoring and online-update time of the deciding backends.
-        pub score_ns: u64,
-        /// Shadow scoring time.
-        pub shadow_ns: u64,
-    }
-
-    /// The operations a pipeline worker and its supervisor need.
-    pub trait Engine: Clone + Send + 'static {
-        /// The framing/extraction configuration, for the feed-side
-        /// splitter.
-        fn config(&self) -> &VProfileConfig;
-        /// Length of `PipelineStats::voter_disagreements`.
-        fn voter_count(&self) -> usize;
-        /// Scores one framed window; `shard` is stamped into any event the
-        /// engine itself degrades.
-        fn score_window(&mut self, stream_pos: u64, window: &[f64], shard: usize) -> Outcome;
-        /// Applies buffered online updates.
-        fn apply_pending_updates(&mut self);
-        /// Quarantines an SA from online updates.
-        fn quarantine_sa(&mut self, sa: u8);
-        /// Releases every quarantined SA.
-        fn release_all_quarantined(&mut self);
-        /// The SAs quarantined from online updates.
-        fn quarantined(&self) -> &QuarantineSet;
-    }
-}
 
 /// Construction parameters for [`Pipeline::spawn_sharded`].
 #[derive(Clone)]
@@ -373,7 +324,7 @@ pub struct PipelineStats {
     /// primary): in a [`FusionPipeline`], a voter's calibrated call
     /// differing from the fused call; in an [`IdsPipeline`], shadow `i`'s
     /// anomaly call differing from the primary's, at index `1 + i`. Empty
-    /// for an [`IdsEngine`] without shadows.
+    /// for an [`crate::IdsEngine`] without shadows.
     // xtask: outside-frame-identity
     pub voter_disagreements: Vec<u64>,
     /// Typed change-point verdicts emitted by the fusion drift detectors
@@ -411,7 +362,7 @@ pub struct StageBreakdown {
     /// absorption — across all workers; shadows excluded.
     pub score_ns: u64,
     /// Scoring the primary's extracted edge set with every shadow backend
-    /// ([`IdsEngine::with_shadows`]), across all workers; zero without
+    /// ([`crate::IdsEngine::with_shadows`]), across all workers; zero without
     /// shadows.
     pub shadow_ns: u64,
     /// The merge critical sections — reorder-buffer push, counting and
@@ -492,11 +443,11 @@ struct ShardGauges {
     quarantined: AtomicUsize,
 }
 
-/// A running threaded IDS around engine `E`. Drop-free shutdown: close
-/// the sample input (call [`Pipeline::close`] / [`Pipeline::finish`]) and
-/// join.
+/// A running threaded IDS around an [`Engine`] in mode `M`. Drop-free
+/// shutdown: close the sample input (call [`Pipeline::close`] /
+/// [`Pipeline::finish`]) and join.
 #[derive(Debug)]
-pub struct Pipeline<E: PipelineEngine> {
+pub struct Pipeline<M: Mode> {
     /// The feed-side router; `None` once the input is closed. `feed`
     /// takes `&self`, so concurrent feeders serialize on this lock.
     router: Mutex<Option<FeedRouter>>,
@@ -509,17 +460,18 @@ pub struct Pipeline<E: PipelineEngine> {
     merge: Arc<Mutex<MergeState>>,
     gauges: Arc<Vec<ShardGauges>>,
     clocks: Arc<StageClocks>,
-    workers: Vec<JoinHandle<E>>,
+    workers: Vec<JoinHandle<Engine<M>>>,
 }
 
-/// A pipeline of [`IdsEngine`]s: one deciding backend, optional shadows.
-pub type IdsPipeline = Pipeline<IdsEngine>;
+/// A pipeline of [`crate::IdsEngine`]s: one deciding backend, optional
+/// shadows.
+pub type IdsPipeline = Pipeline<Primary>;
 
 /// A pipeline of [`FusionEngine`]s: fused verdicts drive the event stream,
 /// the circuit breaker and the drift-gated online updates, and notable
 /// frames (drift verdicts, voter outages) are also kept in the
 /// [`DriftLedger`].
-pub type FusionPipeline = Pipeline<FusionEngine>;
+pub type FusionPipeline = Pipeline<Ensemble>;
 
 impl std::fmt::Debug for ShardGauges {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -530,7 +482,7 @@ impl std::fmt::Debug for ShardGauges {
     }
 }
 
-impl<E: PipelineEngine> Pipeline<E> {
+impl<M: Mode> Pipeline<M> {
     /// Spawns the sharded pipeline: `config.workers` supervised detection
     /// workers (each a clone of `engine`), the only threads it starts.
     /// Routing runs inside [`Pipeline::feed`], and merging on whichever
@@ -541,7 +493,7 @@ impl<E: PipelineEngine> Pipeline<E> {
     /// re-serializes events into framing order, making the output stream
     /// deterministic and — when online updates are disabled — identical
     /// to a single-worker run.
-    pub fn spawn_sharded(engine: E, config: PipelineConfig) -> Self {
+    pub fn spawn_sharded(engine: Engine<M>, config: PipelineConfig) -> Self {
         let workers = if config.workers == 0 {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -563,7 +515,7 @@ impl<E: PipelineEngine> Pipeline<E> {
                 breaker: vec![BreakerState::Closed; workers],
                 shard_failed: vec![false; workers],
                 quarantined_sas: vec![0; workers],
-                voter_disagreements: vec![0; engine.voter_count()],
+                voter_disagreements: vec![0; engine.disagreement_slots()],
                 ..PipelineStats::default()
             },
             reorder: ReorderBuffer::new(),
@@ -737,7 +689,7 @@ impl<E: PipelineEngine> Pipeline<E> {
     /// supervisors and surface in [`PipelineStats::restarts`] /
     /// [`PipelineStats::shard_failed`] instead). All threads are joined
     /// before the error returns, so `close` never hangs.
-    pub fn close(mut self) -> Result<(Vec<E>, PipelineStats), PipelineError> {
+    pub fn close(mut self) -> Result<(Vec<Engine<M>>, PipelineStats), PipelineError> {
         self.close_input();
         let mut panicked = false;
         let mut engines = Vec::with_capacity(self.workers.len());
@@ -762,7 +714,7 @@ impl<E: PipelineEngine> Pipeline<E> {
     /// [`PipelineError::NotSingleWorker`] when more than one worker was
     /// spawned (use [`Pipeline::close`]), [`PipelineError::WorkerPanicked`]
     /// if a thread panicked.
-    pub fn finish(self) -> Result<(E, PipelineStats), PipelineError> {
+    pub fn finish(self) -> Result<(Engine<M>, PipelineStats), PipelineError> {
         if self.workers.len() != 1 {
             return Err(PipelineError::NotSingleWorker);
         }
@@ -785,7 +737,7 @@ impl FusionPipeline {
     }
 }
 
-impl<E: PipelineEngine> Drop for Pipeline<E> {
+impl<M: Mode> Drop for Pipeline<M> {
     fn drop(&mut self) {
         self.close_input();
         // Best effort: never panic in drop.
@@ -1060,9 +1012,9 @@ struct WorkerRuntime {
 /// supervisor rolls `engine` back to `checkpoint` and resumes from
 /// `pending`, dropping only the window that was in flight when the panic
 /// hit.
-struct WorkerState<E> {
-    engine: E,
-    checkpoint: E,
+struct WorkerState<M> {
+    engine: Engine<M>,
+    checkpoint: Engine<M>,
     pending: VecDeque<SegmentItem>,
     /// Scratch for ring pops; drained into `pending` immediately.
     batch: Vec<SegmentItem>,
@@ -1074,10 +1026,10 @@ struct WorkerState<E> {
     processed: usize,
 }
 
-impl<E: PipelineEngine> WorkerState<E> {
+impl<M: Mode> WorkerState<M> {
     /// A shard's state before its first window: `engine`, its restart
     /// checkpoint, and room for the largest batch a ring pop hands over.
-    fn new(engine: E, health: HealthConfig) -> Self {
+    fn new(engine: Engine<M>, health: HealthConfig) -> Self {
         WorkerState {
             checkpoint: engine.clone(),
             engine,
@@ -1253,7 +1205,7 @@ fn outcome_of(event: &IdsEvent) -> WindowOutcome {
 /// exponential backoff); past the budget the shard fails permanently and
 /// its windows drain as [`IdsEvent::Dropped`] placeholders so the reorder
 /// buffer never stalls on a sequence gap.
-fn supervised_worker<E: PipelineEngine>(mut state: WorkerState<E>, rt: WorkerRuntime) -> E {
+fn supervised_worker<M: Mode>(mut state: WorkerState<M>, rt: WorkerRuntime) -> Engine<M> {
     // Held for the whole thread: if this worker dies in any way
     // supervision does not cover, `feed` must not park forever on a ring
     // nobody will ever drain again.
@@ -1439,7 +1391,7 @@ impl Emitter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::UpdatePolicy;
+    use crate::{IdsEngine, UpdatePolicy};
     use vprofile::{EdgeSetExtractor, Trainer, VProfileConfig};
     use vprofile_vehicle::{CaptureConfig, Vehicle};
 

@@ -94,7 +94,8 @@ pub fn clone_if_changed<T: Clone + PartialEq>(target: &mut T, source: &T) {
 /// of the same shape then allocates nothing, and a field added to the
 /// struct but not to the list fails to compile instead of being left out
 /// of every copy. Fields listed after `if_changed` are copied with
-/// [`clone_if_changed`] instead.
+/// [`clone_if_changed`] instead. A struct with one type parameter is
+/// written `Name<T> { .. }`; its `Clone` then requires `T: Clone`.
 ///
 /// ```
 /// #[derive(Debug, PartialEq)]
@@ -113,8 +114,8 @@ pub fn clone_if_changed<T: Clone + PartialEq>(target: &mut T, source: &T) {
 /// ```
 #[macro_export]
 macro_rules! clone_in_place {
-    ($ty:ident { $($field:ident),+ $(,)? } $(if_changed { $($table:ident),+ $(,)? })?) => {
-        impl ::core::clone::Clone for $ty {
+    ($ty:ident $(<$param:ident>)? { $($field:ident),+ $(,)? } $(if_changed { $($table:ident),+ $(,)? })?) => {
+        impl $(<$param: ::core::clone::Clone>)? ::core::clone::Clone for $ty $(<$param>)? {
             fn clone(&self) -> Self {
                 $ty {
                     $($field: ::core::clone::Clone::clone(&self.$field),)+

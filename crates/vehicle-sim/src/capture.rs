@@ -457,7 +457,7 @@ mod tests {
     fn downsample_and_requantize_propagate_to_all_traces() {
         let (_, capture) = small_capture();
         let reduced = capture.downsample(2).unwrap().requantize(10).unwrap();
-        assert_eq!(reduced.adc().sample_rate_hz, 5e6);
+        assert_eq!(reduced.adc().sample_rate_hz.to_bits(), 5e6_f64.to_bits());
         assert_eq!(reduced.adc().resolution_bits, 10);
         for cf in reduced.frames() {
             assert_eq!(cf.trace.adc().resolution_bits, 10);

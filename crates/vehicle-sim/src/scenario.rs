@@ -321,11 +321,17 @@ mod tests {
         let sweep = temperature_sweep(&vehicle, &bins, 12, 5).unwrap();
         assert_eq!(sweep.len(), 2);
         assert_eq!(sweep[0].capture.len(), 12);
-        assert_eq!(sweep[0].capture.env().temperature_c, -2.5);
-        assert_eq!(sweep[1].capture.env().temperature_c, 22.5);
         assert_eq!(
-            sweep[1].capture.env().battery_v,
-            Environment::ENGINE_RUNNING_V
+            sweep[0].capture.env().temperature_c.to_bits(),
+            (-2.5_f64).to_bits()
+        );
+        assert_eq!(
+            sweep[1].capture.env().temperature_c.to_bits(),
+            22.5_f64.to_bits()
+        );
+        assert_eq!(
+            sweep[1].capture.env().battery_v.to_bits(),
+            Environment::ENGINE_RUNNING_V.to_bits()
         );
     }
 
@@ -353,7 +359,7 @@ mod tests {
         let capture = warmup_drive(&vehicle, 120, -5.0, 25.0, 9).unwrap();
         assert_eq!(capture.len(), 120);
         // The recorded session env is the starting point of the ramp.
-        assert_eq!(capture.env().temperature_c, -5.0);
+        assert_eq!(capture.env().temperature_c.to_bits(), (-5.0_f64).to_bits());
         let ecm_frames: Vec<_> = capture
             .frames()
             .iter()

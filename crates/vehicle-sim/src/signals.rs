@@ -216,11 +216,14 @@ mod tests {
     fn encoders_saturate_instead_of_wrapping() {
         let mut payload = [0u8; 8];
         encode_eec1(1e9, &mut payload);
-        assert_eq!(decode_eec1(&payload), f64::from(0xFAFFu16) * 0.125);
+        assert_eq!(
+            decode_eec1(&payload).to_bits(),
+            (f64::from(0xFAFFu16) * 0.125).to_bits()
+        );
         encode_ccvs(1e9, &mut payload);
         assert!(decode_ccvs(&payload) < 256.0);
         encode_ebc1(1e9, &mut payload);
-        assert_eq!(decode_ebc1(&payload), 100.0);
+        assert_eq!(decode_ebc1(&payload).to_bits(), 100.0_f64.to_bits());
     }
 
     #[test]
@@ -246,8 +249,8 @@ mod tests {
         for _ in 0..100 {
             state.step(0.1);
         }
-        assert_eq!(state.speed_kph(), 0.0);
-        assert_eq!(state.brake_percent(), 80.0);
+        assert_eq!(state.speed_kph().to_bits(), 0.0_f64.to_bits());
+        assert_eq!(state.brake_percent().to_bits(), 80.0_f64.to_bits());
     }
 
     #[test]

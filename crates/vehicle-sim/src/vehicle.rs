@@ -232,7 +232,7 @@ mod tests {
         let v = Vehicle::vehicle_a(42);
         assert_eq!(v.ecu_count(), 5);
         assert_eq!(v.bit_rate_bps(), 250_000);
-        assert_eq!(v.adc().sample_rate_hz, 20e6);
+        assert_eq!(v.adc().sample_rate_hz.to_bits(), 20e6_f64.to_bits());
         assert_eq!(v.adc().resolution_bits, 16);
         // ECU 0 is the ECM at SA 0.
         assert_eq!(v.sa_lut()[&SourceAddress(0x00)], ClusterId(0));
@@ -242,7 +242,7 @@ mod tests {
     fn vehicle_b_has_more_less_distinct_ecus() {
         let v = Vehicle::vehicle_b(42);
         assert!(v.ecu_count() > Vehicle::vehicle_a(42).ecu_count());
-        assert_eq!(v.adc().sample_rate_hz, 10e6);
+        assert_eq!(v.adc().sample_rate_hz.to_bits(), 10e6_f64.to_bits());
         assert_eq!(v.adc().resolution_bits, 12);
     }
 
